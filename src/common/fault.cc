@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "common/rng.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -64,15 +65,6 @@ constexpr std::string_view kAllSites[] = {
 };
 
 constexpr std::string_view kDegradePrefix = "certified/";
-
-// SplitMix64 — the same finalizer rng.cc uses for seeding; good avalanche
-// so (seed, site, index) map to independent-looking uniform draws.
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
 
 uint64_t HashSite(std::string_view site) {
   // FNV-1a, then one SplitMix64 round to spread the low bits.

@@ -9,12 +9,8 @@ namespace hyperdom {
 
 namespace {
 
-inline uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
+// SplitMix64's per-step increment (2^64 / golden ratio).
+constexpr uint64_t kGamma = 0x9E3779B97F4A7C15ULL;
 
 inline uint64_t Rotl(uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
@@ -23,8 +19,11 @@ inline uint64_t Rotl(uint64_t x, int k) {
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
-  uint64_t sm = seed;
-  for (auto& word : s_) word = SplitMix64(&sm);
+  // The SplitMix64 sequence of `seed`: word i = SplitMix64(seed + i*gamma).
+  for (auto& word : s_) {
+    word = SplitMix64(seed);
+    seed += kGamma;
+  }
 }
 
 uint64_t Rng::NextU64() {
@@ -78,12 +77,10 @@ double Rng::Gaussian(double mean, double stddev) {
 }
 
 Rng Rng::Fork(uint64_t stream_id) const {
-  // Mix all state words with the stream id through SplitMix64.
+  // Fold all state words and the stream id into one seed, advancing by
+  // the SplitMix64 increment per word; the seed is then mixed by Rng().
   uint64_t acc = 0x243F6A8885A308D3ULL ^ stream_id;
-  for (const auto& word : s_) {
-    acc ^= word;
-    (void)SplitMix64(&acc);
-  }
+  for (const auto& word : s_) acc = (acc ^ word) + kGamma;
   return Rng(acc ^ (stream_id * 0x9E3779B97F4A7C15ULL));
 }
 

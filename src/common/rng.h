@@ -12,6 +12,16 @@
 
 namespace hyperdom {
 
+/// SplitMix64 finalizer (Steele et al.): a pure 64-bit mix with good
+/// avalanche. Seeds Rng, keys the fault-injection streams, hash-partitions
+/// ids across shards and derives per-shard query ids.
+inline uint64_t SplitMix64(uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
 /// \brief Deterministic 64-bit PRNG (xoshiro256++) with distribution helpers.
 ///
 /// Not thread-safe; create one instance per thread/stream. Distinct logical

@@ -17,18 +17,6 @@ namespace hyperdom {
 
 namespace {
 
-void AccumulateKnnStats(const KnnStats& one, KnnStats* totals) {
-  totals->nodes_visited += one.nodes_visited;
-  totals->nodes_pruned += one.nodes_pruned;
-  totals->entries_accessed += one.entries_accessed;
-  totals->dominance_checks += one.dominance_checks;
-  totals->pruned_case2 += one.pruned_case2;
-  totals->pruned_case3 += one.pruned_case3;
-  totals->removed_case1 += one.removed_case1;
-  totals->uncertain_verdicts += one.uncertain_verdicts;
-  totals->nodes_deadline_skipped += one.nodes_deadline_skipped;
-}
-
 // The shared shape of the four BatchKnn overloads: `run_one(sq)` executes
 // the index's existing single-query driver.
 template <typename RunOne>
@@ -45,7 +33,7 @@ BatchKnnResult RunBatchKnn(const std::vector<Hypersphere>& queries,
   batch.stats.wall_nanos = watch.ElapsedNs();
   batch.stats.queries = queries.size();
   for (const KnnResult& result : batch.results) {
-    AccumulateKnnStats(result.stats, &batch.stats.totals);
+    batch.stats.totals += result.stats;
     if (result.completeness == Completeness::kBestEffort) {
       ++batch.stats.best_effort;
     }
@@ -141,11 +129,7 @@ BatchRangeResult BatchRange(const SsTree& tree,
   batch.wall_nanos = watch.ElapsedNs();
   batch.queries = queries.size();
   for (const RangeResult& result : batch.results) {
-    batch.totals.nodes_visited += result.stats.nodes_visited;
-    batch.totals.nodes_pruned += result.stats.nodes_pruned;
-    batch.totals.entries_accessed += result.stats.entries_accessed;
-    batch.totals.nodes_deadline_skipped +=
-        result.stats.nodes_deadline_skipped;
+    batch.totals += result.stats;
     if (result.completeness == Completeness::kBestEffort) {
       ++batch.best_effort;
     }

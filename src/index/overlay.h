@@ -1,19 +1,19 @@
 // Copyright (c) hyperdom authors. Licensed under the MIT license.
 //
-// A visibility overlay threaded through the SS-tree query drivers by the
+// A visibility overlay threaded through the SS-tree queries by the
 // live-mutability layer (index/mutable_ss_tree.h). The base tree a query
 // traverses is immutable; mutations live beside it as tombstones over the
 // base slots plus an append-only delta of freshly inserted rows. The
 // overlay tells a traversal which base slots to skip and hands it the
-// extra rows to score, so one set of search kernels serves both the
-// static and the mutable index.
+// extra rows to score, so the one kNN traversal (query/knn_traversal.h)
+// serves both the static and the mutable index.
 //
 // Correctness note for pruning: deletions leave the base tree's bounding
 // spheres untouched, so every node bound stays a covering superset of the
 // visible rows beneath it — MinDist against a stale bound can only
 // under-estimate, never over-estimate, which means no visible answer is
 // ever pruned. Extra (delta) rows are outside the tree entirely and are
-// scored exhaustively by the driver before traversal.
+// scored exhaustively before the traversal starts.
 
 #ifndef HYPERDOM_INDEX_OVERLAY_H_
 #define HYPERDOM_INDEX_OVERLAY_H_
@@ -27,9 +27,10 @@
 namespace hyperdom {
 
 /// \brief Query-time view adjustments over an immutable base tree.
-/// Implemented by MutableSsTree::ReadView; query drivers (query/knn.cc,
-/// query/range.cc) accept an optional overlay and fall back to
-/// "everything visible, nothing extra" when it is null.
+/// Implemented by MutableSsTree::ReadView. The SS-tree's kNN node adapter
+/// (query/knn.cc) and the range query (query/range.cc) accept an optional
+/// overlay and fall back to "everything visible, nothing extra" when it
+/// is null.
 class SearchOverlay {
  public:
   virtual ~SearchOverlay() = default;

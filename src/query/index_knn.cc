@@ -3,313 +3,121 @@
 #include "query/index_knn.h"
 
 #include <algorithm>
-#include <queue>
 #include <vector>
 
-#include "query/best_known_list.h"
-#include "query/knn_metrics.h"
+#include "query/knn_traversal.h"
 
 namespace hyperdom {
 
-namespace {
-
-// ---------------------------------------------------------------------------
-// Generic DF / HS drivers over any node type given a bound and an expander.
-// `min_dist(node)` must lower-bound MinDist(S, Sq) for every data sphere S
-// in the node's subtree; `visit(node, emit_entries, emit_child)` must emit
-// the node's own entries (as contiguous EntryView blocks, so a whole leaf
-// scores through one batched BestKnownList::AccessBatch call) and its
-// children.
-//
-// Every dominance decision funnels through BestKnownList, which asks the
-// criterion for a three-valued verdict and never prunes on kUncertain — so
-// the searchers below stay exact under an error-aware criterion without any
-// per-index handling.
-// ---------------------------------------------------------------------------
-
-template <typename Node, typename MinDistFn, typename VisitFn>
-void GenericDepthFirst(const Node* node, double bound,
-                       const MinDistFn& min_dist, const VisitFn& visit,
-                       BestKnownList* list, KnnStats* stats,
-                       TraversalGuard* guard) {
-  // distk shrinks while siblings are processed, so the bound is re-checked
-  // here, at descent time, rather than where the child was enumerated.
-  if (bound > list->DistK()) {
-    ++stats->nodes_pruned;
-    return;
-  }
-  if (guard->ShouldStop(stats->nodes_visited)) {
-    ++stats->nodes_deadline_skipped;
-    guard->NoteSkipped(bound);
-    return;
-  }
-  ++stats->nodes_visited;
-  std::vector<std::pair<double, const Node*>> order;
-  visit(
-      node,
-      [&](const EntryView* rows, size_t n) { list->AccessBatch(rows, n); },
-      [&](const Node* child) { order.emplace_back(min_dist(child), child); });
-  std::sort(order.begin(), order.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [child_bound, child] : order) {
-    GenericDepthFirst(child, child_bound, min_dist, visit, list, stats,
-                      guard);
-  }
-}
-
-template <typename Node, typename MinDistFn, typename VisitFn>
-void GenericBestFirst(const Node* root, const MinDistFn& min_dist,
-                      const VisitFn& visit, BestKnownList* list,
-                      KnnStats* stats, TraversalGuard* guard) {
-  using QueueItem = std::pair<double, const Node*>;
-  auto cmp = [](const QueueItem& a, const QueueItem& b) {
-    return a.first > b.first;
-  };
-  std::priority_queue<QueueItem, std::vector<QueueItem>, decltype(cmp)> heap(
-      cmp);
-  heap.emplace(min_dist(root), root);
-  while (!heap.empty()) {
-    const auto [bound, node] = heap.top();
-    heap.pop();
-    if (bound > list->DistK()) {
-      stats->nodes_pruned += 1 + heap.size();
-      break;
-    }
-    if (guard->ShouldStop(stats->nodes_visited)) {
-      // The popped node carries the smallest bound left in the queue, so
-      // it alone determines the pending bound for the abandoned frontier.
-      guard->NoteSkipped(bound);
-      stats->nodes_deadline_skipped += 1 + heap.size();
-      break;
-    }
-    ++stats->nodes_visited;
-    visit(
-        node,
-        [&](const EntryView* rows, size_t n) { list->AccessBatch(rows, n); },
-        [&](const Node* child) { heap.emplace(min_dist(child), child); });
-  }
-}
-
-template <typename Root, typename MinDistFn, typename VisitFn>
-void RunSearchInto(const Root* root, SearchStrategy strategy,
-                   const MinDistFn& min_dist, const VisitFn& visit,
-                   BestKnownList* list, KnnStats* stats,
-                   TraversalGuard* guard) {
-  if (root == nullptr) return;
-  if (strategy == SearchStrategy::kDepthFirst) {
-    GenericDepthFirst(root, min_dist(root), min_dist, visit, list, stats,
-                      guard);
-  } else {
-    GenericBestFirst(root, min_dist, visit, list, stats, guard);
-  }
-}
-
-// Shared finalization: the final-Sk filter, or the proven-subset filter
-// when a deadline cut the traversal short.
-void Finalize(BestKnownList* list, TraversalGuard* guard, KnnResult* result) {
-  if (guard->expired()) {
-    result->completeness = Completeness::kBestEffort;
-    result->answers = list->TakeAnswersWithin(guard->pending_bound());
-  } else {
-    result->answers = list->TakeAnswers();
-  }
-}
-
-template <typename SearchIntoFn, typename Tree>
-KnnResult RunSearch(const Tree& tree, const Hypersphere& sq,
-                    const DominanceCriterion& criterion,
-                    const KnnOptions& options, std::string_view index_tag,
-                    const SearchIntoFn& search_into) {
-  KnnQueryRecorder recorder(index_tag);
-  KnnResult result;
-  if (tree.root() == nullptr) {
-    recorder.Publish(result);
-    return result;
-  }
-  BestKnownList list(&criterion, &sq, options.k, options.pruning_mode,
-                     &result.stats);
-  TraversalGuard guard(options.deadline);
-  search_into(tree, sq, options.strategy, &list, &result.stats, &guard);
-  Finalize(&list, &guard, &result);
-  recorder.Publish(result);
-  return result;
-}
-
-}  // namespace
+// Each index below is only a node adapter for the shared DF/HS drivers
+// (query/knn_traversal.h): its root bound, its child bounds, and its
+// leaves' EntryView blocks.
 
 void RStarKnnSearchInto(const RStarTree& tree, const Hypersphere& sq,
                         SearchStrategy strategy, BestKnownList* list,
                         KnnStats* stats, TraversalGuard* guard) {
-  if (tree.root() == nullptr) return;
-  auto min_dist = [&](const RStarTreeNode* node) {
-    return MinDist(node->mbr(), sq);
-  };
+  const RStarTreeNode* root = tree.root();
+  if (root == nullptr) return;
   const SphereStore& store = tree.store();
   std::vector<EntryView> leaf_scratch;
-  auto visit = [&store, &leaf_scratch](const RStarTreeNode* node,
-                                       auto&& emit_entries,
-                                       auto&& emit_child) {
+  auto visit = [&](const RStarTreeNode* node, const auto& emit_entries,
+                   const auto& emit_child) {
     if (node->is_leaf()) {
-      leaf_scratch.clear();
-      for (const auto& entry : node->entries()) {
-        leaf_scratch.push_back(store.Resolve(entry));
-      }
-      emit_entries(leaf_scratch.data(), leaf_scratch.size());
-    } else {
-      for (const auto& child : node->children()) emit_child(child.get());
+      knn_internal::EmitLeaf(node->entries(), store, /*overlay=*/nullptr,
+                             &leaf_scratch, emit_entries);
+      return;
+    }
+    for (const auto& child : node->children()) {
+      emit_child(MinDist(child->mbr(), sq), child.get());
     }
   };
-  RunSearchInto(tree.root(), strategy, min_dist, visit, list, stats, guard);
+  knn_internal::Traverse(root, MinDist(root->mbr(), sq), strategy, visit,
+                         list, stats, guard);
 }
 
 KnnResult RStarKnnSearch(const RStarTree& tree, const Hypersphere& sq,
                          const DominanceCriterion& criterion,
                          const KnnOptions& options) {
-  return RunSearch(tree, sq, criterion, options, "rstar",
-                   RStarKnnSearchInto);
+  return knn_internal::RunSearch("rstar", tree, sq, criterion, options,
+                                 RStarKnnSearchInto);
 }
 
 void MTreeKnnSearchInto(const MTree& tree, const Hypersphere& sq,
                         SearchStrategy strategy, BestKnownList* list,
                         KnnStats* stats, TraversalGuard* guard) {
-  if (tree.root() == nullptr) return;
-  auto min_dist = [&](const MTreeNode* node) {
+  const MTreeNode* root = tree.root();
+  if (root == nullptr) return;
+  // MinDist from the query sphere to the node's covering ball.
+  auto bound = [&sq](const MTreeNode* node) {
     const double d = Dist(node->pivot(), sq.center()) -
                      node->covering_radius() - sq.radius();
     return d > 0.0 ? d : 0.0;
   };
   const SphereStore& store = tree.store();
   std::vector<EntryView> leaf_scratch;
-  auto visit = [&store, &leaf_scratch](const MTreeNode* node,
-                                       auto&& emit_entries,
-                                       auto&& emit_child) {
+  auto visit = [&](const MTreeNode* node, const auto& emit_entries,
+                   const auto& emit_child) {
     if (node->is_leaf()) {
-      leaf_scratch.clear();
-      for (const auto& entry : node->entries()) {
-        leaf_scratch.push_back(store.Resolve(entry));
-      }
-      emit_entries(leaf_scratch.data(), leaf_scratch.size());
-    } else {
-      for (const auto& child : node->children()) emit_child(child.get());
+      knn_internal::EmitLeaf(node->entries(), store, /*overlay=*/nullptr,
+                             &leaf_scratch, emit_entries);
+      return;
+    }
+    for (const auto& child : node->children()) {
+      emit_child(bound(child.get()), child.get());
     }
   };
-  RunSearchInto(tree.root(), strategy, min_dist, visit, list, stats, guard);
+  knn_internal::Traverse(root, bound(root), strategy, visit, list, stats,
+                         guard);
 }
 
 KnnResult MTreeKnnSearch(const MTree& tree, const Hypersphere& sq,
                          const DominanceCriterion& criterion,
                          const KnnOptions& options) {
-  return RunSearch(tree, sq, criterion, options, "m", MTreeKnnSearchInto);
+  return knn_internal::RunSearch("m", tree, sq, criterion, options,
+                                 MTreeKnnSearchInto);
 }
 
 void VpTreeKnnSearchInto(const VpTree& tree, const Hypersphere& sq,
                          SearchStrategy strategy, BestKnownList* list,
                          KnnStats* stats, TraversalGuard* guard) {
-  // A VP-tree child's bound depends on its distance band relative to ITS
-  // PARENT's vantage point, so bounds are computed at emission time and
-  // carried alongside the node.
-  struct BoundedNode {
-    const VpTreeNode* node;
-    double bound;  // lower bound on MinDist(S, Sq) for S in the subtree
-  };
-
-  if (tree.root() == nullptr) return;
-
+  const VpTreeNode* root = tree.root();
+  if (root == nullptr) return;
   const SphereStore& store = tree.store();
   std::vector<EntryView> leaf_scratch;
-  auto expand = [&](const VpTreeNode* node, auto&& emit_bounded) {
+  auto visit = [&](const VpTreeNode* node, const auto& emit_entries,
+                   const auto& emit_child) {
     if (node->is_leaf()) {
-      // Whole bucket through one batched call.
-      leaf_scratch.clear();
-      for (const auto& entry : node->bucket()) {
-        leaf_scratch.push_back(store.Resolve(entry));
-      }
-      list->AccessBatch(leaf_scratch.data(), leaf_scratch.size());
+      knn_internal::EmitLeaf(node->bucket(), store, /*overlay=*/nullptr,
+                             &leaf_scratch, emit_entries);
       return;
     }
-    // The vantage is a single routing entry, not a block.
-    list->Access(store.Resolve(node->vantage()));
-    const double dvp = DistSpan(sq.center().data(),
-                                store.center(node->vantage().slot),
+    // The vantage is a routing entry and a data entry at once.
+    const EntryView vantage = store.Resolve(node->vantage());
+    emit_entries(&vantage, 1);
+    // A child's bound depends on its band of center distances to THIS
+    // node's vantage point. Triangle inequality: any subtree center c has
+    // Dist(c, cq) >= max(0, dvp - hi, lo - dvp); subtract the subtree's
+    // fattest radius and the query radius for sphere MinDist.
+    const double dvp = DistSpan(sq.center().data(), vantage.sphere.center,
                                 store.dim());
-    auto child_bound = [&](const VpTreeNode* child, double lo, double hi) {
-      // Triangle inequality: any subtree center c has
-      // Dist(c, cq) >= max(0, dvp - hi, lo - dvp); subtract the subtree's
-      // fattest radius and the query radius for sphere MinDist.
+    auto emit_band = [&](const VpTreeNode* child, double lo, double hi) {
+      if (child == nullptr) return;
       const double center_lb = std::max({0.0, dvp - hi, lo - dvp});
       const double b = center_lb - child->max_radius() - sq.radius();
-      return b > 0.0 ? b : 0.0;
+      emit_child(b > 0.0 ? b : 0.0, child);
     };
-    if (node->inside() != nullptr) {
-      emit_bounded(BoundedNode{node->inside(),
-                               child_bound(node->inside(), node->inside_lo(),
-                                           node->inside_hi())});
-    }
-    if (node->outside() != nullptr) {
-      emit_bounded(BoundedNode{
-          node->outside(), child_bound(node->outside(), node->outside_lo(),
-                                       node->outside_hi())});
-    }
+    emit_band(node->inside(), node->inside_lo(), node->inside_hi());
+    emit_band(node->outside(), node->outside_lo(), node->outside_hi());
   };
-
-  if (strategy == SearchStrategy::kBestFirst) {
-    auto cmp = [](const BoundedNode& a, const BoundedNode& b) {
-      return a.bound > b.bound;
-    };
-    std::priority_queue<BoundedNode, std::vector<BoundedNode>, decltype(cmp)>
-        heap(cmp);
-    heap.push(BoundedNode{tree.root(), 0.0});
-    while (!heap.empty()) {
-      const BoundedNode top = heap.top();
-      heap.pop();
-      if (top.bound > list->DistK()) {
-        stats->nodes_pruned += 1 + heap.size();
-        break;
-      }
-      if (guard->ShouldStop(stats->nodes_visited)) {
-        guard->NoteSkipped(top.bound);
-        stats->nodes_deadline_skipped += 1 + heap.size();
-        break;
-      }
-      ++stats->nodes_visited;
-      expand(top.node, [&](const BoundedNode& child) { heap.push(child); });
-    }
-  } else {
-    // Depth-first with nearer-bound-first child ordering.
-    std::vector<BoundedNode> stack;
-    stack.push_back(BoundedNode{tree.root(), 0.0});
-    while (!stack.empty()) {
-      const BoundedNode top = stack.back();
-      stack.pop_back();
-      if (top.bound > list->DistK()) {
-        ++stats->nodes_pruned;
-        continue;
-      }
-      if (guard->ShouldStop(stats->nodes_visited)) {
-        // Sticky: the rest of the stack drains through here, each frame
-        // contributing its own bound to the pending bound.
-        guard->NoteSkipped(top.bound);
-        ++stats->nodes_deadline_skipped;
-        continue;
-      }
-      ++stats->nodes_visited;
-      std::vector<BoundedNode> children;
-      expand(top.node,
-             [&](const BoundedNode& child) { children.push_back(child); });
-      // Push the farther child first so the nearer one is expanded next.
-      std::sort(children.begin(), children.end(),
-                [](const BoundedNode& a, const BoundedNode& b) {
-                  return a.bound > b.bound;
-                });
-      for (const auto& child : children) stack.push_back(child);
-    }
-  }
+  // Nothing bounds the root but the data itself.
+  knn_internal::Traverse(root, 0.0, strategy, visit, list, stats, guard);
 }
 
 KnnResult VpTreeKnnSearch(const VpTree& tree, const Hypersphere& sq,
                           const DominanceCriterion& criterion,
                           const KnnOptions& options) {
-  return RunSearch(tree, sq, criterion, options, "vp", VpTreeKnnSearchInto);
+  return knn_internal::RunSearch("vp", tree, sq, criterion, options,
+                                 VpTreeKnnSearchInto);
 }
 
 }  // namespace hyperdom

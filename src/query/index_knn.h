@@ -1,11 +1,13 @@
 // Copyright (c) hyperdom authors. Licensed under the MIT license.
 //
 // kNN searchers (paper Definition 2) over the alternative indexes —
-// R*-tree, VP-tree and M-tree — sharing the SS-tree searcher's best-known
-// list and pruning semantics (query/best_known_list.h). All four indexes
-// therefore return identical answer sets for the same criterion and
-// options; they differ only in traversal cost, which is what the
-// index-comparison ablation benchmark measures.
+// R*-tree, VP-tree and M-tree. Each is a node adapter (root bound, child
+// bounds, leaf EntryView blocks) for the DF/HS drivers the SS-tree searcher
+// runs on too (query/knn_traversal.h), with the same best-known list and
+// pruning semantics (query/best_known_list.h). All four indexes therefore
+// return identical answer sets for the same criterion and options; they
+// differ only in traversal cost, which is what the index-comparison
+// ablation benchmark measures.
 
 #ifndef HYPERDOM_QUERY_INDEX_KNN_H_
 #define HYPERDOM_QUERY_INDEX_KNN_H_

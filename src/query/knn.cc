@@ -4,106 +4,11 @@
 
 #include <algorithm>
 #include <cassert>
-#include <queue>
 
-#include "query/best_known_list.h"
-#include "query/knn_metrics.h"
+#include "query/knn_traversal.h"
 #include "storage/epoch.h"
 
 namespace hyperdom {
-
-namespace {
-
-// Gathers a leaf's visible entries into `scratch` (reused across leaves;
-// no steady-state allocation) and scores them as one AccessBatch block —
-// the distance bounds of the whole leaf run through the fused batched
-// kernel instead of per-entry calls. Decisions and stats are identical to
-// per-entry Access by the AccessBatch contract.
-void ScanLeaf(const SsTreeNode* node, const SphereStore& store,
-              const SearchOverlay* overlay, BestKnownList* list,
-              std::vector<EntryView>* scratch) {
-  scratch->clear();
-  for (const auto& entry : node->entries()) {
-    if (overlay != nullptr && !overlay->VisibleBase(entry.slot)) continue;
-    scratch->push_back(store.Resolve(entry));
-  }
-  list->AccessBatch(scratch->data(), scratch->size());
-}
-
-void DepthFirstSearch(const SsTreeNode* node, double mindist,
-                      const SphereStore& store, const Hypersphere& sq,
-                      const SearchOverlay* overlay, BestKnownList* list,
-                      KnnStats* stats, TraversalGuard* guard,
-                      std::vector<EntryView>* scratch) {
-  // distk shrinks while siblings are processed, so the bound is re-checked
-  // here, at descent time, rather than where the child was enumerated.
-  if (mindist > list->DistK()) {
-    ++stats->nodes_pruned;
-    return;
-  }
-  if (guard->ShouldStop(stats->nodes_visited)) {
-    ++stats->nodes_deadline_skipped;
-    guard->NoteSkipped(mindist);
-    return;
-  }
-  ++stats->nodes_visited;
-  if (node->is_leaf()) {
-    ScanLeaf(node, store, overlay, list, scratch);
-    return;
-  }
-  // Visit children in ascending MinDist order so distk tightens early
-  // (Roussopoulos et al.'s ordering heuristic).
-  std::vector<std::pair<double, const SsTreeNode*>> order;
-  order.reserve(node->children().size());
-  for (const auto& child : node->children()) {
-    order.emplace_back(MinDist(child->bounding_sphere(), sq), child.get());
-  }
-  std::sort(order.begin(), order.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [child_mindist, child] : order) {
-    DepthFirstSearch(child, child_mindist, store, sq, overlay, list, stats,
-                     guard, scratch);
-  }
-}
-
-void BestFirstSearch(const SsTreeNode* root, const SphereStore& store,
-                     const Hypersphere& sq, const SearchOverlay* overlay,
-                     BestKnownList* list, KnnStats* stats,
-                     TraversalGuard* guard, std::vector<EntryView>* scratch) {
-  using QueueItem = std::pair<double, const SsTreeNode*>;
-  auto cmp = [](const QueueItem& a, const QueueItem& b) {
-    return a.first > b.first;  // min-heap on MinDist
-  };
-  std::priority_queue<QueueItem, std::vector<QueueItem>, decltype(cmp)> heap(
-      cmp);
-  heap.emplace(MinDist(root->bounding_sphere(), sq), root);
-  while (!heap.empty()) {
-    const auto [mindist, node] = heap.top();
-    heap.pop();
-    if (mindist > list->DistK()) {
-      // The heap is ordered by MinDist: everything left is at least as far.
-      stats->nodes_pruned += 1 + heap.size();
-      break;
-    }
-    if (guard->ShouldStop(stats->nodes_visited)) {
-      // The popped node carries the smallest MinDist left, so it alone
-      // determines the pending bound for everything abandoned here.
-      guard->NoteSkipped(mindist);
-      stats->nodes_deadline_skipped += 1 + heap.size();
-      break;
-    }
-    ++stats->nodes_visited;
-    if (node->is_leaf()) {
-      ScanLeaf(node, store, overlay, list, scratch);
-    } else {
-      for (const auto& child : node->children()) {
-        heap.emplace(MinDist(child->bounding_sphere(), sq), child.get());
-      }
-    }
-  }
-}
-
-}  // namespace
 
 KnnSearcher::KnnSearcher(const DominanceCriterion* criterion,
                          KnnOptions options)
@@ -127,17 +32,23 @@ void KnnSearchInto(const SsTree& tree, const Hypersphere& sq,
     overlay->ForEachExtraBlock(
         [&](const EntryView* rows, size_t n) { list->AccessBatch(rows, n); });
   }
+  const SsTreeNode* root = tree.root();
+  if (root == nullptr) return;
+  const SphereStore& store = tree.store();
   std::vector<EntryView> leaf_scratch;
-  if (tree.root() != nullptr) {
-    if (strategy == SearchStrategy::kDepthFirst) {
-      DepthFirstSearch(tree.root(), MinDist(tree.root()->bounding_sphere(), sq),
-                       tree.store(), sq, overlay, list, stats, guard,
-                       &leaf_scratch);
-    } else {
-      BestFirstSearch(tree.root(), tree.store(), sq, overlay, list, stats,
-                      guard, &leaf_scratch);
+  auto visit = [&](const SsTreeNode* node, const auto& emit_entries,
+                   const auto& emit_child) {
+    if (node->is_leaf()) {
+      knn_internal::EmitLeaf(node->entries(), store, overlay, &leaf_scratch,
+                             emit_entries);
+      return;
     }
-  }
+    for (const auto& child : node->children()) {
+      emit_child(MinDist(child->bounding_sphere(), sq), child.get());
+    }
+  };
+  knn_internal::Traverse(root, MinDist(root->bounding_sphere(), sq), strategy,
+                         visit, list, stats, guard);
 }
 
 KnnResult KnnSearcher::Search(const SsTree& tree, const Hypersphere& sq,
@@ -146,25 +57,12 @@ KnnResult KnnSearcher::Search(const SsTree& tree, const Hypersphere& sq,
   // overlay references stays alive until we return (storage/epoch.h).
   // Nested guards are cheap, so this is safe under RkNN's subqueries too.
   EpochManager::Guard epoch_guard;
-  KnnQueryRecorder recorder("ss");
-  KnnResult result;
-  if (tree.root() == nullptr && overlay == nullptr) {
-    recorder.Publish(result);
-    return result;
-  }
-  BestKnownList list(criterion_, &sq, options_.k, options_.pruning_mode,
-                     &result.stats);
-  TraversalGuard guard(options_.deadline);
-  KnnSearchInto(tree, sq, options_.strategy, overlay, &list, &result.stats,
-                &guard);
-  if (guard.expired()) {
-    result.completeness = Completeness::kBestEffort;
-    result.answers = list.TakeAnswersWithin(guard.pending_bound());
-  } else {
-    result.answers = list.TakeAnswers();
-  }
-  recorder.Publish(result);
-  return result;
+  return knn_internal::RunSearch(
+      "ss", tree, sq, *criterion_, options_,
+      [overlay](const SsTree& t, const Hypersphere& q, SearchStrategy strategy,
+                BestKnownList* list, KnnStats* stats, TraversalGuard* guard) {
+        KnnSearchInto(t, q, strategy, overlay, list, stats, guard);
+      });
 }
 
 KnnResult KnnLinearScan(const std::vector<Hypersphere>& data,

@@ -18,7 +18,8 @@
 // (lower precision), never a subset.
 //
 // KnnSearcher runs over the SS-tree; the alternative indexes have their own
-// searchers (query/index_knn.h) built on the same list.
+// entry points (query/index_knn.h). All of them are node adapters for one
+// pair of DF/HS drivers (query/knn_traversal.h) over the same list.
 
 #ifndef HYPERDOM_QUERY_KNN_H_
 #define HYPERDOM_QUERY_KNN_H_

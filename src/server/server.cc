@@ -2,6 +2,7 @@
 
 #include "server/server.h"
 
+#include <string>
 #include <utility>
 
 #include "common/fault.h"
@@ -491,22 +492,30 @@ std::string Server::ProcessKnn(Work& work) {
   options.k = work.request.k;
   options.strategy = work.request.strategy;
   options.deadline = work.deadline;
+  // The traversal reads as many query coordinates as the store has
+  // dimensions, so a query of any other dimensionality is refused before
+  // it runs, as a wrong-dimensional insert is.
+  const size_t dim = sharded_store_ != nullptr ? sharded_store_->dim()
+                     : mutable_tree_ != nullptr ? mutable_tree_->dim()
+                                                : tree_->dim();
+  Status refused = Status::OK();
   KnnResult result;
   uint64_t pinned_version = 0;
-  if (sharded_store_ != nullptr) {
+  if (dim != 0 && work.request.query.dim() != dim) {
+    refused = Status::InvalidArgument(
+        "query dimensionality " + std::to_string(work.request.query.dim()) +
+        " does not match store dimensionality " + std::to_string(dim));
+  } else if (sharded_store_ != nullptr) {
     // Scatter serially (null pool): this worker is already a pool thread,
     // and a worker blocking on its own pool's tasks deadlocks.
     Result<KnnResult> sharded =
         shard::ShardedKnn(*sharded_store_, work.request.query, *criterion_,
                           options, /*pool=*/nullptr);
-    if (!sharded.ok()) {
-      counters_.requests_served.fetch_add(1, std::memory_order_relaxed);
-      HYPERDOM_COUNTER_INC_L(obs::kServerRequests, "kind", "knn");
-      return EncodeReply(work.wire_version, work.request_id,
-                         FrameKind::kErrorResponse,
-                         EncodeErrorResponse(sharded.status()));
+    if (sharded.ok()) {
+      result = sharded.TakeValue();
+    } else {
+      refused = sharded.status();
     }
-    result = sharded.TakeValue();
   } else if (mutable_tree_ != nullptr) {
     // Mutable mode: the searcher runs against a pinned, immutable
     // version of the store, so concurrent inserts/removes cannot skew
@@ -521,6 +530,10 @@ std::string Server::ProcessKnn(Work& work) {
   }
   counters_.requests_served.fetch_add(1, std::memory_order_relaxed);
   HYPERDOM_COUNTER_INC_L(obs::kServerRequests, "kind", "knn");
+  if (!refused.ok()) {
+    return EncodeReply(work.wire_version, work.request_id,
+                       FrameKind::kErrorResponse, EncodeErrorResponse(refused));
+  }
   if (result.completeness == Completeness::kBestEffort) {
     counters_.best_effort_responses.fetch_add(1, std::memory_order_relaxed);
     HYPERDOM_COUNTER_INC(obs::kServerBestEffort);

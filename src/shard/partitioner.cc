@@ -12,15 +12,6 @@ namespace shard {
 
 namespace {
 
-// SplitMix64 finalizer (same avalanche mix rng.cc and fault.cc use), so
-// consecutive ids spread evenly across shards.
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
 // Squared center distance; relative order is all assignment needs.
 double SqDistTo(const double* a, const double* b, size_t dim) {
   double acc = 0.0;
@@ -39,6 +30,7 @@ HashPartitioner::HashPartitioner(size_t shards) : shards_(shards) {
 
 size_t HashPartitioner::Assign(const Hypersphere& sphere, uint64_t id) const {
   (void)sphere;
+  // SplitMix64's avalanche spreads consecutive ids evenly across shards.
   return static_cast<size_t>(SplitMix64(id) % shards_);
 }
 

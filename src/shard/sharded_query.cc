@@ -5,14 +5,16 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "common/fault.h"
+#include "common/rng.h"
 #include "exec/parallel_for.h"
 #include "obs/trace.h"
-#include "query/best_known_list.h"
 #include "query/index_knn.h"
 #include "query/knn.h"
+#include "query/knn_traversal.h"
 
 namespace hyperdom {
 namespace shard {
@@ -20,14 +22,6 @@ namespace shard {
 namespace {
 
 constexpr uint64_t kUnlimitedBudget = std::numeric_limits<uint64_t>::max();
-
-// SplitMix64 finalizer, same constants as fault.cc.
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
 
 // The fault-scope id of (ambient query, shard): a pure mix, so fault
 // placement inside a shard's traversal is deterministic in (outer id,
@@ -52,18 +46,6 @@ Deadline SplitDeadline(const Deadline& deadline, size_t shard, size_t shards) {
   return d;
 }
 
-void AddStats(const KnnStats& in, KnnStats* out) {
-  out->nodes_visited += in.nodes_visited;
-  out->nodes_pruned += in.nodes_pruned;
-  out->entries_accessed += in.entries_accessed;
-  out->dominance_checks += in.dominance_checks;
-  out->pruned_case2 += in.pruned_case2;
-  out->pruned_case3 += in.pruned_case3;
-  out->removed_case1 += in.removed_case1;
-  out->uncertain_verdicts += in.uncertain_verdicts;
-  out->nodes_deadline_skipped += in.nodes_deadline_skipped;
-}
-
 void SortById(std::vector<DataEntry>* entries) {
   std::sort(entries->begin(), entries->end(),
             [](const DataEntry& a, const DataEntry& b) { return a.id < b.id; });
@@ -82,6 +64,12 @@ Result<KnnResult> ShardedKnn(const ShardedStore& store, const Hypersphere& sq,
     return Status::InvalidArgument(
         "sharded kNN requires deferred pruning (the merge invariant does "
         "not hold for the eager ablation mode)");
+  }
+  // MinDist reads as many query coordinates as the store has dimensions.
+  if (store.dim() != 0 && sq.dim() != store.dim()) {
+    return Status::InvalidArgument(
+        "query dimensionality " + std::to_string(sq.dim()) +
+        " does not match store dimensionality " + std::to_string(store.dim()));
   }
   const size_t shards = store.shards();
 
@@ -177,13 +165,8 @@ Result<KnnResult> ShardedKnn(const ShardedStore& store, const Hypersphere& sq,
     expired = expired || g.expired();
     pending = std::min(pending, g.pending_bound());
   }
-  if (expired) {
-    result.completeness = Completeness::kBestEffort;
-    result.answers = merged.TakeAnswersWithin(pending);
-  } else {
-    result.answers = merged.TakeAnswers();
-  }
-  for (const KnnStats& s : *stats_out) AddStats(s, &result.stats);
+  knn_internal::Finalize(expired, pending, &merged, &result);
+  for (const KnnStats& s : *stats_out) result.stats += s;
   return result;
 }
 
@@ -238,10 +221,7 @@ Result<RangeResult> ShardedRange(const ShardedStore& store,
     if (p.completeness == Completeness::kBestEffort) {
       result.completeness = Completeness::kBestEffort;
     }
-    result.stats.nodes_visited += p.stats.nodes_visited;
-    result.stats.nodes_pruned += p.stats.nodes_pruned;
-    result.stats.entries_accessed += p.stats.entries_accessed;
-    result.stats.nodes_deadline_skipped += p.stats.nodes_deadline_skipped;
+    result.stats += p.stats;
   }
   // Canonical order: ids are unique across shards, so id order is total
   // and independent of K, policy, and traversal order.

@@ -1,7 +1,7 @@
 // Copyright (c) hyperdom authors. Licensed under the MIT license.
 //
-// The mixed read/write torture test (run it under TSan via the tsan-mut
-// preset): one writer applies a deterministic mutation script — inserts,
+// The mixed read/write torture test (run it under TSan with
+// `ctest --preset tsan -L mut`): one writer applies a deterministic mutation script — inserts,
 // removes, explicit compactions — while reader threads hammer kNN
 // queries. Every concurrent answer is stamped with the store version it
 // was pinned at; afterwards each (version, query) pair is replayed

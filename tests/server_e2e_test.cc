@@ -3,9 +3,10 @@
 // Loopback end-to-end tests for the hyperdom query server: exact answers
 // bit-identical to the in-process searcher, deadline-expiry degrading to
 // proven best-effort subsets over the wire, queue-full load shedding,
-// hardened handling of garbage/corrupt/oversized/slow clients, graceful
-// drain of in-flight requests, and a recovery sweep over the injected
-// fault sites. Every test runs a real TCP server on 127.0.0.1.
+// hardened handling of garbage/corrupt/oversized/slow clients and of
+// wrong-dimensional queries, graceful drain of in-flight requests, and a
+// recovery sweep over the injected fault sites. Every test runs a real TCP
+// server on 127.0.0.1.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <cstring>
 #include <future>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <string>
 #include <thread>
@@ -22,12 +24,14 @@
 #include "data/generator.h"
 #include "dominance/criterion.h"
 #include "eval/workload.h"
+#include "index/mutable_ss_tree.h"
 #include "index/ss_tree.h"
 #include "query/knn.h"
 #include "server/client.h"
 #include "server/net.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "shard/sharded_store.h"
 
 namespace hyperdom {
 namespace server {
@@ -298,6 +302,67 @@ TEST_F(ServerE2eTest, CrcFlipOverWireIsRejected) {
   EXPECT_EQ(remote.code(), StatusCode::kProtocolError);
   EXPECT_NE(remote.message().find("checksum"), std::string::npos);
   CloseSocket(*fd);
+}
+
+// A query of another dimensionality than the served store's is refused
+// with kInvalidArgument before it runs (MinDist would read past a narrower
+// query's coordinates), in plain, mutable and sharded mode alike, and the
+// connection stays open for the next, valid query.
+TEST_F(ServerE2eTest, WrongDimensionalQueryIsRefusedInEveryMode) {
+  SyntheticSpec spec;
+  spec.n = 500;
+  spec.dim = 4;
+  spec.seed = 4'600;
+  const std::vector<Hypersphere> data = GenerateSynthetic(spec);
+  SsTree plain(spec.dim);
+  ASSERT_TRUE(plain.BulkLoad(data).ok());
+  MutableSsTree mutable_tree(spec.dim);
+  std::vector<uint64_t> ids(data.size());
+  std::iota(ids.begin(), ids.end(), 0);
+  ASSERT_TRUE(mutable_tree.Build(data, ids).ok());
+  shard::ShardingOptions sharding;
+  sharding.shards = 4;
+  shard::ShardedStore sharded;
+  ASSERT_TRUE(shard::ShardedStore::Build(data, sharding, &sharded).ok());
+
+  std::vector<std::unique_ptr<Server>> servers;
+  servers.push_back(
+      std::make_unique<Server>(&plain, criterion_.get(), ServerOptions{}));
+  servers.push_back(std::make_unique<Server>(&mutable_tree, criterion_.get(),
+                                             ServerOptions{}));
+  servers.push_back(
+      std::make_unique<Server>(&sharded, criterion_.get(), ServerOptions{}));
+  auto send_knn = [](int fd, const Hypersphere& query) {
+    KnnRequest request;
+    request.query = query;
+    const std::string frame =
+        EncodeFrame(FrameKind::kKnnRequest, EncodeKnnRequest(request));
+    return WriteFull(fd, frame.data(), frame.size(), 2'000);
+  };
+  for (auto& server : servers) {
+    ASSERT_TRUE(server->Start().ok());
+    Result<int> fd = ConnectWithTimeout("127.0.0.1", server->port(), 2'000);
+    ASSERT_TRUE(fd.ok());
+    for (const Hypersphere& wrong :
+         {Hypersphere({1.0}, 0.5),
+          Hypersphere({100.0, 100.0, 100.0, 100.0, 100.0, 100.0}, 0.5)}) {
+      ASSERT_TRUE(send_knn(*fd, wrong).ok());
+      Status remote;
+      ASSERT_TRUE(ReadErrorFrame(*fd, &remote).ok());
+      EXPECT_EQ(remote.code(), StatusCode::kInvalidArgument)
+          << remote.ToString();
+    }
+    ASSERT_TRUE(send_knn(*fd, data.front()).ok());
+    FrameKind kind = FrameKind::kPingRequest;
+    std::string payload;
+    ASSERT_TRUE(ReadFrame(*fd, &kind, &payload).ok());
+    ASSERT_EQ(kind, FrameKind::kKnnResponse);
+    Result<KnnResponse> response = DecodeKnnResponse(payload);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_FALSE(response->answers.empty());
+    CloseSocket(*fd);
+    server->Stop();
+  }
 }
 
 TEST_F(ServerE2eTest, OversizedDeclarationIsRejectedBeforeAllocation) {

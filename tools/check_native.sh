@@ -9,8 +9,9 @@
 #   tools/check_native.sh            # both legs, full tier-1 each
 #   tools/check_native.sh --simd     # both legs, `simd`-label tests only
 #
-# Uses the `default` and `native-verify` CMake presets, so the build trees
-# (build/, build-native-verify/) are shared with normal development.
+# Uses the `default` and `native-verify` CMake presets for configure, build
+# and test, so the build trees (build/, build-native-verify/) are shared
+# with normal development.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -32,13 +33,7 @@ run_leg() {
   echo "=== [check_native] configure+build+test: ${preset} ==="
   cmake --preset "${preset}"
   cmake --build --preset "${preset}" -j "${jobs}"
-  local build_dir
-  case "${preset}" in
-    default) build_dir=build ;;
-    native-verify) build_dir=build-native-verify ;;
-    *) echo "unknown preset ${preset}" >&2; exit 2 ;;
-  esac
-  (cd "${build_dir}" && ctest --output-on-failure -j "${jobs}" "${filter[@]+"${filter[@]}"}")
+  ctest --preset "${preset}" -j "${jobs}" "${filter[@]+"${filter[@]}"}"
 }
 
 run_leg default

@@ -98,6 +98,17 @@ Verdict InstrumentedCriterion::DecideVerdict(SphereView sa, SphereView sb,
   return v;
 }
 
+void InstrumentedCriterion::DecideVerdictBatch(SphereView sa,
+                                               const SphereView* sbs,
+                                               size_t count, SphereView sq,
+                                               Verdict* out) const {
+  if (count == 0) return;
+  const int64_t start = NowNs();
+  inner_->DecideVerdictBatch(sa, sbs, count, sq, out);
+  const uint64_t mean_ns = static_cast<uint64_t>(NowNs() - start) / count;
+  for (size_t i = 0; i < count; ++i) RecordOutcome(out[i], mean_ns);
+}
+
 std::unique_ptr<DominanceCriterion> MakeInstrumentedCriterion(
     CriterionKind kind) {
   return std::make_unique<InstrumentedCriterion>(MakeCriterion(kind));

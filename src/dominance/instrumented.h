@@ -1,11 +1,12 @@
 // Copyright (c) hyperdom authors. Licensed under the MIT license.
 //
-// A DominanceCriterion decorator that records per-call decide latency and
-// verdict outcomes into the metrics registry. Instrumentation lives in a
-// wrapper — not inside the criterion kernels — so that raw criteria stay
-// benchmarkable at their true cost (bench/micro_criteria.cc measures
-// Dominates() at ~15 ns; even one atomic increment would distort that) and
-// callers opt in where per-criterion observability is worth ~20 ns/call.
+// A DominanceCriterion decorator that records decide latency (one
+// observation per verdict) and verdict outcomes into the metrics registry.
+// Instrumentation lives in a wrapper — not inside the criterion kernels —
+// so that raw criteria stay benchmarkable at their true cost
+// (bench/micro_criteria.cc measures Dominates() at ~15 ns; even one atomic
+// increment would distort that) and callers opt in where per-criterion
+// observability is worth ~20 ns/call.
 //
 // Metrics (labelled with the wrapped criterion's name):
 //   hyperdom_criterion_verdicts_total{criterion=,verdict=}
@@ -24,9 +25,14 @@ namespace hyperdom {
 ///
 /// Forwards name()/is_correct()/is_sound() to the wrapped criterion;
 /// Dominates() and DecideVerdict() time the inner call and count the
-/// outcome. Thread-compatible, like the criteria themselves. When the
-/// library is built with HYPERDOM_OBSERVABILITY=OFF the wrapper still
-/// forwards correctly but records nothing.
+/// outcome. DecideVerdictBatch() forwards the whole block to the wrapped
+/// criterion's own batch entry point (so a wrapped Hyperbola keeps its
+/// hoisted batch kernel), counts every verdict, and records one latency
+/// observation per candidate at the block's mean time, so the histogram's
+/// count still equals the verdict total. Thread-compatible, like the
+/// criteria themselves. When the library is built with
+/// HYPERDOM_OBSERVABILITY=OFF the wrapper still forwards correctly but
+/// records nothing.
 class InstrumentedCriterion final : public DominanceCriterion {
  public:
   /// Takes ownership of `inner`, which must not be null.
@@ -38,6 +44,8 @@ class InstrumentedCriterion final : public DominanceCriterion {
   bool Dominates(SphereView sa, SphereView sb, SphereView sq) const override;
   Verdict DecideVerdict(SphereView sa, SphereView sb,
                         SphereView sq) const override;
+  void DecideVerdictBatch(SphereView sa, const SphereView* sbs, size_t count,
+                          SphereView sq, Verdict* out) const override;
 
   std::string_view name() const override { return inner_->name(); }
   bool is_correct() const override { return inner_->is_correct(); }

@@ -293,17 +293,23 @@ inline constexpr MetricDef kKnnEntriesAccessed{
     "hyperdom_knn_entries_accessed_total",
     "data entries reaching list maintenance", MetricType::kCounter};
 inline constexpr MetricDef kKnnDominanceChecks{
-    "hyperdom_knn_dominance_checks_total", "criterion invocations",
+    "hyperdom_knn_dominance_checks_total",
+    "criterion verdicts: one per candidate past position k (deferred mode), "
+    "every interim check (eager mode)",
     MetricType::kCounter};
 inline constexpr MetricDef kKnnPrunedCase2{
     "hyperdom_knn_pruned_case2_total",
-    "entries dropped by dominance (case 2)", MetricType::kCounter};
+    "entries dropped by dominance: by the final Sk (deferred mode), by the "
+    "interim Sk in case 2 (eager mode)",
+    MetricType::kCounter};
 inline constexpr MetricDef kKnnPrunedCase3{
     "hyperdom_knn_pruned_case3_total", "entries dropped by distance (case 3)",
     MetricType::kCounter};
 inline constexpr MetricDef kKnnRemovedCase1{
     "hyperdom_knn_removed_case1_total",
-    "list entries evicted after insert (case 1)", MetricType::kCounter};
+    "list entries evicted by an eviction sweep (eager mode only; always 0 "
+    "in deferred mode)",
+    MetricType::kCounter};
 inline constexpr MetricDef kKnnUncertainVerdicts{
     "hyperdom_knn_uncertain_verdicts_total",
     "kUncertain verdicts seen by the pruner (never pruned on)",
@@ -327,7 +333,9 @@ inline constexpr MetricDef kCriterionVerdicts{
     "three-valued verdicts per criterion", MetricType::kCounter};
 inline constexpr MetricDef kCriterionDecideDuration{
     "hyperdom_criterion_decide_duration_ns",
-    "per-call decide latency per criterion", MetricType::kHistogram};
+    "decide latency per verdict per criterion (a batch records its mean "
+    "once per candidate)",
+    MetricType::kHistogram};
 
 // Certified escalation chain (label tier= on the resolution counter).
 inline constexpr MetricDef kCertifiedCalls{

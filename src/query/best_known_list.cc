@@ -18,13 +18,9 @@ BestKnownList::BestKnownList(const DominanceCriterion* criterion,
                              const Hypersphere* sq, size_t k,
                              KnnPruningMode mode, KnnStats* stats)
     : criterion_(criterion), sq_(sq), sq_view_(sq->view()), k_(k),
-      mode_(mode), stats_(stats) {
+      mode_(mode), stats_(stats), distk_(kInf) {
   assert(criterion_ != nullptr && sq_ != nullptr && stats_ != nullptr);
   assert(k_ >= 1);
-}
-
-double BestKnownList::DistK() const {
-  return items_.size() < k_ ? kInf : items_[k_ - 1].maxdist;
 }
 
 void BestKnownList::Access(const EntryView& entry) {
@@ -60,72 +56,88 @@ void BestKnownList::AccessBatch(const EntryView* entries, size_t count) {
 void BestKnownList::AccessBounded(const EntryView& entry, double distmin,
                                   double distmax) {
   ++stats_->entries_accessed;
-  if (items_.size() < k_) {
-    InsertSorted(entry, distmax);
-    return;
-  }
-  const double distk = items_[k_ - 1].maxdist;
-  if (distmin > distk) {  // case 3: cheap distance prune (Lemma 9)
+  if (distmin > distk_) {  // case 3: cheap distance prune (Lemma 9)
     ++stats_->pruned_case3;
     return;
   }
-  if (distmax <= distk) {  // case 1: the top-k set changes
-    InsertSorted(entry, distmax);
-    EvictDominated(/*park=*/mode_ == KnnPruningMode::kDeferred);
+  const Item item{entry, distmin, distmax};
+  if (mode_ == KnnPruningMode::kDeferred) {
+    // Cases 1 and 2 alike: the candidate waits for the one final-Sk
+    // decision. Neither case ever removes an entry at position < k, so
+    // distk follows the same sequence as under interim decisions.
+    items_.push_back(item);
+    PushMaxDist(distmax);
+    return;
+  }
+  // kEager: the paper's Section-6 rules verbatim, against the interim Sk.
+  if (items_.size() < k_ || distmax <= distk_) {  // case 1
+    InsertSorted(item);
+    stats_->removed_case1 += DropDominatedTail();
     return;
   }
   // case 2: the dominance operator decides.
   if (CertainlyDominates(items_[k_ - 1].entry.sphere, entry.sphere)) {
     ++stats_->pruned_case2;
-    // The interim Sk may not be the final Sk; park the entry so the final
-    // filter can resurrect it (kDeferred keeps Definition 2 exact).
-    if (mode_ == KnnPruningMode::kDeferred) deferred_.push_back(entry);
   } else {
-    InsertSorted(entry, distmax);
+    InsertSorted(item);
   }
+}
+
+void BestKnownList::PushMaxDist(double distmax) {
+  if (kth_.size() < k_) {
+    kth_.push_back(distmax);
+    std::push_heap(kth_.begin(), kth_.end());
+  } else if (distmax < kth_.front()) {
+    std::pop_heap(kth_.begin(), kth_.end());
+    kth_.back() = distmax;
+    std::push_heap(kth_.begin(), kth_.end());
+  }
+  if (kth_.size() == k_) distk_ = kth_.front();
+}
+
+void BestKnownList::InsertSorted(const Item& item) {
+  auto pos = std::upper_bound(
+      items_.begin(), items_.end(), item.maxdist,
+      [](double v, const Item& it) { return v < it.maxdist; });
+  items_.insert(pos, item);
+  if (items_.size() >= k_) distk_ = items_[k_ - 1].maxdist;
 }
 
 void BestKnownList::MergeFrom(BestKnownList&& other) {
   assert(criterion_ == other.criterion_);
   assert(k_ == other.k_ && mode_ == other.mode_);
-  const size_t n = other.items_.size();
-  if (n > 0) {
-    // Local scratch: AccessBounded can reach EvictDominated, which
-    // clobbers the member batch buffers mid-loop.
-    std::vector<SphereView> views(n);
-    for (size_t i = 0; i < n; ++i) views[i] = other.items_[i].entry.sphere;
-    std::vector<double> mins(n);
-    std::vector<double> maxs(n);
-    BatchedMinMaxDist(views.data(), n, sq_view_, mins.data(), maxs.data());
-    for (size_t i = 0; i < n; ++i) {
-      AccessBounded(other.items_[i].entry, mins[i], maxs[i]);
-    }
+  // Ascending MaxDist tightens distk soonest, so the most donor candidates
+  // fall to case 3 and skip the final filter.
+  other.SortByMaxDist();
+  for (const Item& item : other.items_) {
+    AccessBounded(item.entry, item.mindist, item.maxdist);
   }
-  deferred_.insert(deferred_.end(), other.deferred_.begin(),
-                   other.deferred_.end());
   other.items_.clear();
-  other.deferred_.clear();
+  other.kth_.clear();
+  other.distk_ = kInf;
+}
+
+void BestKnownList::SortByMaxDist() {
+  std::stable_sort(items_.begin(), items_.end(),
+                   [](const Item& a, const Item& b) {
+                     return a.maxdist < b.maxdist;
+                   });
+}
+
+void BestKnownList::FilterFinal() {
+  if (mode_ == KnnPruningMode::kEager) {
+    stats_->removed_case1 += DropDominatedTail();
+    return;
+  }
+  SortByMaxDist();
+  stats_->pruned_case2 += DropDominatedTail();
 }
 
 std::vector<DataEntry> BestKnownList::TakeAnswers() {
-  if (items_.size() > k_) EvictDominated(/*park=*/false);
-  if (items_.size() >= k_ && !deferred_.empty()) {
-    // Every parked entry is re-checked against the same final Sk with no
-    // early exit — one DecideVerdictBatch block.
-    const SphereView sk = items_[k_ - 1].entry.sphere;
-    const size_t n = deferred_.size();
-    batch_views_.resize(n);
-    for (size_t i = 0; i < n; ++i) batch_views_[i] = deferred_[i].sphere;
-    BatchCertainlyDominates(sk, batch_views_.data(), n);
-    for (size_t i = 0; i < n; ++i) {
-      if (batch_verdicts_[i] != Verdict::kDominates) {
-        InsertSorted(deferred_[i], MaxDist(deferred_[i].sphere, sq_view_));
-      }
-    }
-  }
+  FilterFinal();
   std::vector<DataEntry> out;
   out.reserve(items_.size());
-  for (const auto& item : items_) {
+  for (const Item& item : items_) {
     out.push_back(DataEntry{MaterializeSphere(item.entry.sphere),
                             item.entry.id});
   }
@@ -134,21 +146,13 @@ std::vector<DataEntry> BestKnownList::TakeAnswers() {
 
 std::vector<DataEntry> BestKnownList::TakeAnswersWithin(
     double pending_bound) {
-  // Compute the certainty bound L from the interim DistK BEFORE the final
-  // filter runs: TakeAnswers() may revive parked entries, but the exact
-  // distk is already known to be >= min(interim distk, pending_bound).
-  const double certain = std::min(DistK(), pending_bound);
-  std::vector<DataEntry> all = TakeAnswers();
-  const size_t n = all.size();
-  batch_views_.resize(n);
-  for (size_t i = 0; i < n; ++i) batch_views_[i] = all[i].sphere.view();
-  batch_max_.resize(n);
-  BatchedMaxDist(batch_views_.data(), n, sq_view_, batch_max_.data());
+  const double certain = std::min(distk_, pending_bound);
+  FilterFinal();
   std::vector<DataEntry> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (batch_max_[i] <= certain) {
-      out.push_back(std::move(all[i]));
+  for (const Item& item : items_) {
+    if (item.maxdist <= certain) {
+      out.push_back(DataEntry{MaterializeSphere(item.entry.sphere),
+                              item.entry.id});
     }
   }
   return out;
@@ -167,49 +171,27 @@ bool BestKnownList::CertainlyDominates(const SphereView& sa,
   return v == Verdict::kDominates;
 }
 
-void BestKnownList::BatchCertainlyDominates(SphereView sa,
-                                            const SphereView* sbs,
-                                            size_t count) {
-  batch_verdicts_.resize(count);
-  criterion_->DecideVerdictBatch(sa, sbs, count, sq_view_,
-                                 batch_verdicts_.data());
-  stats_->dominance_checks += count;
-  for (size_t i = 0; i < count; ++i) {
-    if (batch_verdicts_[i] == Verdict::kUncertain) {
-      ++stats_->uncertain_verdicts;
-    }
-  }
-}
-
-void BestKnownList::InsertSorted(const EntryView& entry, double distmax) {
-  Item item{entry, distmax};
-  auto pos = std::upper_bound(
-      items_.begin(), items_.end(), distmax,
-      [](double v, const Item& it) { return v < it.maxdist; });
-  items_.insert(pos, item);
-}
-
-void BestKnownList::EvictDominated(bool park) {
-  if (items_.size() <= k_) return;
+size_t BestKnownList::DropDominatedTail() {
+  if (items_.size() <= k_) return 0;
   const SphereView sk = items_[k_ - 1].entry.sphere;
   const size_t tail = items_.size() - k_;
   batch_views_.resize(tail);
   for (size_t i = 0; i < tail; ++i) {
     batch_views_[i] = items_[k_ + i].entry.sphere;
   }
-  BatchCertainlyDominates(sk, batch_views_.data(), tail);
+  batch_verdicts_.resize(tail);
+  criterion_->DecideVerdictBatch(sk, batch_views_.data(), tail, sq_view_,
+                                 batch_verdicts_.data());
+  stats_->dominance_checks += tail;
   auto keep = items_.begin() + static_cast<std::ptrdiff_t>(k_);
   for (size_t i = 0; i < tail; ++i) {
-    auto it = items_.begin() + static_cast<std::ptrdiff_t>(k_ + i);
-    if (batch_verdicts_[i] != Verdict::kDominates) {
-      if (keep != it) *keep = *it;
-      ++keep;
-    } else {
-      ++stats_->removed_case1;
-      if (park) deferred_.push_back(it->entry);
-    }
+    const Verdict v = batch_verdicts_[i];
+    if (v == Verdict::kUncertain) ++stats_->uncertain_verdicts;
+    if (v != Verdict::kDominates) *keep++ = items_[k_ + i];
   }
+  const size_t dropped = static_cast<size_t>(items_.end() - keep);
   items_.erase(keep, items_.end());
+  return dropped;
 }
 
 }  // namespace hyperdom

@@ -17,15 +17,20 @@
 
 namespace hyperdom {
 
-/// \brief Entries found so far, kept sorted by ascending MaxDist to the
-/// query, with the paper's maintenance rules:
-///   case 1 (distmax <= distk): insert, evict entries the new Sk dominates;
-///   case 2 (distmin <= distk < distmax): keep only if not dominated by Sk;
+/// \brief Entries found so far, under the paper's maintenance rules:
+///   case 1 (distmax <= distk): the top-k set changes;
+///   case 2 (distmin <= distk < distmax): the dominance operator decides;
 ///   case 3 (distmin > distk): drop (Lemma 9).
-/// In deferred mode (the default) dominance-pruned entries are parked and
-/// re-checked against the FINAL Sk by TakeAnswers(), which makes the
-/// surviving set exactly the Definition-2 answer when the criterion is
-/// correct and sound.
+/// In deferred mode (the default) the list keeps every entry that survives
+/// case 3, unsorted with both bounds, and tracks distk as the top of a
+/// max-heap of the k smallest MaxDists. TakeAnswers() then decides
+/// dominance exactly once per candidate: it stable-sorts the candidates by
+/// MaxDist and runs one DecideVerdictBatch of the FINAL Sk over every
+/// candidate past position k. No interim decision is made, so the
+/// surviving set is exactly the Definition-2 answer when the criterion is
+/// correct and sound. Eager mode keeps the paper's Section-6 pseudocode
+/// verbatim: a sorted list, with case-1 evictions and case-2 drops decided
+/// against the interim Sk (the ablation baseline, DESIGN.md §3b).
 ///
 /// The list works on non-owning EntryView handles: a traversal resolves its
 /// index payloads (StoredEntry) against the tree's SphereStore and hands the
@@ -38,9 +43,10 @@ class BestKnownList {
   BestKnownList(const DominanceCriterion* criterion, const Hypersphere* sq,
                 size_t k, KnnPruningMode mode, KnnStats* stats);
 
-  /// The current pruning bound distk (+inf until k entries are known).
+  /// The current pruning bound distk (+inf until k entries are known):
+  /// the k-th smallest MaxDist among the entries that survived case 3.
   /// Non-increasing over the lifetime of the list.
-  double DistK() const;
+  double DistK() const { return distk_; }
 
   /// Applies the maintenance rules to a newly accessed entry. The view must
   /// outlive the list (see class comment).
@@ -57,11 +63,9 @@ class BestKnownList {
   void AccessBatch(const EntryView* entries, size_t count);
 
   /// Absorbs another list built over the same (criterion, sq, k, mode):
-  /// every surviving item of `other` is replayed through the maintenance
-  /// rules of this list (bounds recomputed with the same batched kernel, so
-  /// the values are bit-identical to the originals), and `other`'s parked
-  /// entries are spliced into this list's deferred set. `other` is left
-  /// empty.
+  /// every candidate of `other` is replayed in ascending MaxDist order,
+  /// with the bounds it was accessed with, through this list's rules — in
+  /// deferred mode only the case-3 distance test. `other` is left empty.
   ///
   /// Merge invariant (the scatter-gather contract, pinned by
   /// tests/bkl_merge_test.cc): in kDeferred mode, feeding a candidate
@@ -69,13 +73,13 @@ class BestKnownList {
   /// with MergeFrom yields answers bit-identical to feeding the whole
   /// stream through one list. Dropping an entry shard-locally is globally
   /// safe — case 3 needs distmin > local interim distk >= global final
-  /// distk, and case 2 parks rather than drops — so the merged candidate
-  /// multiset still contains every Definition-2 answer, and the final-Sk
-  /// filter is order-independent.
+  /// distk — and no other decision is made before the final filter, so
+  /// the merged candidate multiset still contains every Definition-2
+  /// answer, and the final-Sk filter is order-independent.
   void MergeFrom(BestKnownList&& other);
 
   /// Final filter against the final Sk; consumes the list. Answers are
-  /// ordered by ascending MaxDist to the query.
+  /// ordered by ascending MaxDist to the query (ties in access order).
   std::vector<DataEntry> TakeAnswers();
 
   /// Best-effort variant used when a deadline cut the traversal short.
@@ -91,6 +95,7 @@ class BestKnownList {
  private:
   struct Item {
     EntryView entry;
+    double mindist;
     double maxdist;
   };
 
@@ -100,22 +105,27 @@ class BestKnownList {
   /// for error-aware criteria; plain bool criteria are unaffected).
   bool CertainlyDominates(const SphereView& sa, const SphereView& sb);
 
-  /// Batched counterpart: fills batch_verdicts_[i] for (sa, sbs[i], sq)
-  /// via DominanceCriterion::DecideVerdictBatch and applies the same
-  /// counting rules as `count` serial CertainlyDominates calls.
-  void BatchCertainlyDominates(SphereView sa, const SphereView* sbs,
-                               size_t count);
-
   /// The maintenance rules with both bounds precomputed (exactly the
   /// values MinDist/MaxDist(entry.sphere, sq) would return).
   void AccessBounded(const EntryView& entry, double distmin, double distmax);
 
-  void InsertSorted(const EntryView& entry, double distmax);
-  /// Removes every entry beyond position k that the current Sk dominates;
-  /// with `park` they are kept aside for the final re-check. The sweep
-  /// judges every tail entry against the same Sk with no early exit, so
-  /// the verdicts are evaluated as one DecideVerdictBatch block.
-  void EvictDominated(bool park);
+  /// kDeferred: folds a candidate's MaxDist into the k-smallest heap.
+  void PushMaxDist(double distmax);
+
+  /// kEager: sorted insert behind equal MaxDists.
+  void InsertSorted(const Item& item);
+
+  /// Stable sort by ascending MaxDist: ties keep access order.
+  void SortByMaxDist();
+
+  /// Judges every entry past position k against the Sk at position k - 1
+  /// as one DecideVerdictBatch block (same Sk for all, no early exit) and
+  /// erases the dominated ones; returns how many it erased. An uncertain
+  /// verdict keeps its entry.
+  size_t DropDominatedTail();
+
+  /// Leaves items_ holding exactly the answers, in answer order.
+  void FilterFinal();
 
   const DominanceCriterion* criterion_;
   const Hypersphere* sq_;
@@ -123,8 +133,13 @@ class BestKnownList {
   size_t k_;
   KnnPruningMode mode_;
   KnnStats* stats_;
+  /// kEager: sorted by ascending MaxDist. kDeferred: every case-3 survivor
+  /// in access order, sorted once by FilterFinal().
   std::vector<Item> items_;
-  std::vector<EntryView> deferred_;
+  /// kDeferred: max-heap of the k smallest MaxDists seen (grows with the
+  /// candidates, never sized by k up front).
+  std::vector<double> kth_;
+  double distk_;
   // Scratch for the batched kernels, reused across calls to keep the
   // query loop allocation-free in steady state.
   std::vector<SphereView> batch_views_;

@@ -28,8 +28,9 @@ enum class SearchStrategy {
 /// and interim dominance does not imply final dominance, so the verbatim
 /// algorithm can under-return even with an exact criterion.
 enum class KnnPruningMode {
-  /// Park case-2-dominated entries and re-check them against the final Sk.
-  /// With a correct+sound criterion the result equals Definition 2 exactly
+  /// Keep every entry that survives case 3 and decide dominance once per
+  /// candidate past position k, against the final Sk. With a
+  /// correct+sound criterion the result equals Definition 2 exactly
   /// (recall 100%, matching the paper's measured claim). The default.
   kDeferred,
   /// The paper's pseudocode verbatim: discard on interim dominance. Kept
@@ -37,15 +38,25 @@ enum class KnnPruningMode {
   kEager,
 };
 
-/// Counters describing one query execution.
+/// Counters describing one query execution. The dominance counters follow
+/// the pruning mode: kDeferred decides only in the final filter, once per
+/// candidate (an entry that survived case 3) past position k, against the
+/// final Sk; kEager decides at access time against the interim Sk, as the
+/// paper's pseudocode does, plus one final sweep of the list tail.
 struct KnnStats {
   uint64_t nodes_visited = 0;      ///< index nodes expanded
   uint64_t nodes_pruned = 0;       ///< subtrees cut by the distk bound
   uint64_t entries_accessed = 0;   ///< data entries reaching list maintenance
-  uint64_t dominance_checks = 0;   ///< criterion invocations
-  uint64_t pruned_case2 = 0;       ///< entries dropped by dominance (case 2)
+  /// Criterion verdicts. kDeferred: candidates past position k. kEager:
+  /// every case-2 check and every eviction-sweep check.
+  uint64_t dominance_checks = 0;
+  /// Entries dropped by dominance. kDeferred: candidates the final Sk
+  /// dominates. kEager: case-2 entries the interim Sk dominates.
+  uint64_t pruned_case2 = 0;
   uint64_t pruned_case3 = 0;       ///< entries dropped by distance (case 3)
-  uint64_t removed_case1 = 0;      ///< list entries evicted after insert
+  /// kEager: list entries evicted by an eviction sweep (after a case-1
+  /// insert, and the final sweep). Always 0 in kDeferred.
+  uint64_t removed_case1 = 0;
   uint64_t uncertain_verdicts = 0; ///< kUncertain verdicts (never pruned on)
   uint64_t nodes_deadline_skipped = 0;  ///< subtrees cut by deadline expiry
 

@@ -140,9 +140,9 @@ Result<KnnResult> ShardedKnn(const ShardedStore& store, const Hypersphere& sq,
   }
 
   KnnResult result;
-  // The merged list replays every shard survivor through the maintenance
-  // rules; its counters (and the final filter's) land in result.stats on
-  // top of the summed per-shard traversal counters below.
+  // The merged list replays every shard candidate through the case-3
+  // test; its counters (and the final filter's) land in result.stats on
+  // top of the summed per-shard counters below.
   BestKnownList merged(&criterion, &sq, options.k, options.pruning_mode,
                        &result.stats);
 #if defined(HYPERDOM_OBSERVABILITY_ENABLED)

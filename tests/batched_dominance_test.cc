@@ -1,8 +1,8 @@
 // Copyright (c) hyperdom authors. Licensed under the MIT license.
 //
 // Batched-vs-serial equivalence above the span kernels: the
-// DecideVerdictBatch contract for every criterion the factory produces,
-// the certified engine's verdict+tier stability at batch-relevant
+// DecideVerdictBatch contract for every criterion the factory produces
+// and for the InstrumentedCriterion wrapper, the certified engine's verdict+tier stability at batch-relevant
 // (high/odd) dimensions, BestKnownList::AccessBatch against per-entry
 // Access (answers AND stats), and the overlay block enumeration. Batching
 // is a scheduling change — any divergence observed here is a bug in a
@@ -19,7 +19,9 @@
 #include "common/rng.h"
 #include "dominance/certified.h"
 #include "dominance/criterion.h"
+#include "dominance/instrumented.h"
 #include "index/mutable_ss_tree.h"
+#include "obs/metrics.h"
 #include "query/best_known_list.h"
 #include "query/knn.h"
 #include "storage/sphere_store.h"
@@ -65,6 +67,112 @@ TEST_P(BatchedDominanceTest, DecideVerdictBatchMatchesSerialAllCriteria) {
           << criterion->name() << " dim=" << dim << " candidate " << i;
     }
   }
+}
+
+// A fake inner criterion that counts how it is called: verdicts depend only
+// on Sb's radius, and its batch entry point never goes through the serial
+// one, so the counts show which entry point a wrapper forwarded to.
+class CountingCriterion final : public DominanceCriterion {
+ public:
+  using DominanceCriterion::DecideVerdict;
+  using DominanceCriterion::Dominates;
+  bool Dominates(SphereView sa, SphereView sb, SphereView sq) const override {
+    return DecideVerdict(sa, sb, sq) == Verdict::kDominates;
+  }
+  Verdict DecideVerdict(SphereView, SphereView sb, SphereView) const override {
+    ++serial_calls;
+    return Pick(sb);
+  }
+  void DecideVerdictBatch(SphereView, const SphereView* sbs, size_t count,
+                          SphereView, Verdict* out) const override {
+    ++batch_calls;
+    for (size_t i = 0; i < count; ++i) out[i] = Pick(sbs[i]);
+  }
+  static Verdict Pick(SphereView sb) {
+    if (sb.radius < 2.5) return Verdict::kDominates;
+    return sb.radius < 3.5 ? Verdict::kNotDominates : Verdict::kUncertain;
+  }
+  std::string_view name() const override { return "CountingFake"; }
+  bool is_correct() const override { return true; }
+  bool is_sound() const override { return true; }
+
+  mutable size_t serial_calls = 0;
+  mutable size_t batch_calls = 0;
+};
+
+TEST_P(BatchedDominanceTest, InstrumentedCriterionForwardsBatches) {
+  const size_t dim = GetParam();
+  Rng rng(5150 + dim);
+  const size_t count = 90;
+  SphereStore store(dim);
+  store.Reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    store.Add(test::RandomSphere(&rng, dim, (i % 3 == 0) ? 40.0 : 3.0));
+  }
+  std::vector<SphereView> sbs;
+  for (uint32_t i = 0; i < count; ++i) sbs.push_back(store.view(i));
+  const Hypersphere sa = test::RandomSphere(&rng, dim, 3.0);
+  const Hypersphere sq = test::RandomSphere(&rng, dim, 1.0);
+
+  // A wrapped real criterion answers exactly as the bare one.
+  for (CriterionKind kind : kAllKinds) {
+    const auto bare = MakeCriterion(kind);
+    const auto wrapped = MakeInstrumentedCriterion(kind);
+    std::vector<Verdict> want(count);
+    std::vector<Verdict> got(count);
+    bare->DecideVerdictBatch(sa.view(), sbs.data(), count, sq.view(),
+                             want.data());
+    wrapped->DecideVerdictBatch(sa.view(), sbs.data(), count, sq.view(),
+                                got.data());
+    EXPECT_EQ(got, want) << bare->name() << " dim=" << dim;
+  }
+
+  // The wrapper hands each block to the inner batch entry point, once.
+  auto fake = std::make_unique<CountingCriterion>();
+  const CountingCriterion* inner = fake.get();
+  InstrumentedCriterion wrapped(std::move(fake));
+#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
+  auto& registry = obs::MetricsRegistry::Instance();
+  auto verdicts = [&registry](std::string_view verdict) {
+    return registry
+        .GetCounter(std::string(obs::kCriterionVerdicts.name) +
+                    "{criterion=\"CountingFake\",verdict=\"" +
+                    std::string(verdict) + "\"}")
+        ->Value();
+  };
+  obs::Histogram* latency = registry.GetHistogram(
+      obs::kCriterionDecideDuration, "criterion", "CountingFake");
+  const uint64_t dominates_before = verdicts("dominates");
+  const uint64_t not_dominates_before = verdicts("not_dominates");
+  const uint64_t uncertain_before = verdicts("uncertain");
+  const uint64_t observations_before = latency->Snapshot().count;
+#endif
+  size_t expect[3] = {0, 0, 0};
+  std::vector<Verdict> out(count);
+  const size_t blocks[] = {count, 1, 0, count / 2};
+  for (size_t block : blocks) {
+    wrapped.DecideVerdictBatch(sa.view(), sbs.data(), block, sq.view(),
+                               out.data());
+    for (size_t i = 0; i < block; ++i) {
+      const Verdict want = CountingCriterion::Pick(sbs[i]);
+      EXPECT_EQ(out[i], want) << "candidate " << i;
+      ++expect[static_cast<size_t>(want)];
+    }
+  }
+  // An empty block never reaches the inner criterion.
+  EXPECT_EQ(inner->batch_calls, 3u);
+  EXPECT_EQ(inner->serial_calls, 0u);
+  ASSERT_GT(expect[0] * expect[1] * expect[2], 0u)
+      << "every verdict kind should appear";
+#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
+  const uint64_t total = expect[0] + expect[1] + expect[2];
+  EXPECT_EQ(verdicts("dominates") - dominates_before, expect[0]);
+  EXPECT_EQ(verdicts("not_dominates") - not_dominates_before, expect[1]);
+  EXPECT_EQ(verdicts("uncertain") - uncertain_before, expect[2]);
+  // One latency observation per verdict: the histogram count reconciles
+  // with hyperdom_criterion_verdicts_total.
+  EXPECT_EQ(latency->Snapshot().count - observations_before, total);
+#endif
 }
 
 TEST_P(BatchedDominanceTest, CertifiedEngineStableAtBatchDims) {

@@ -7,8 +7,10 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <string>
 
 #include "common/rng.h"
+#include "dominance/criterion.h"
 #include "dominance/hyperbola.h"
 #include "query/knn.h"
 
@@ -24,6 +26,17 @@ class BestKnownListTest : public ::testing::Test {
   EntryView Entry(double x, double r, uint64_t id) {
     const uint32_t slot = store_.Add(Hypersphere({x, 0.0}, r));
     return store_.Resolve(StoredEntry{slot, id});
+  }
+
+  // 60 overlapping 2-d spheres around the query: all three cases fire.
+  static std::vector<Hypersphere> RandomStream(Rng* rng) {
+    std::vector<Hypersphere> data;
+    for (int i = 0; i < 60; ++i) {
+      data.emplace_back(
+          Point{rng->Gaussian(0.0, 20.0), rng->Gaussian(0.0, 20.0)},
+          rng->Uniform(0.0, 4.0));
+    }
+    return data;
   }
 
   SphereStore store_{2};
@@ -74,10 +87,26 @@ TEST_F(BestKnownListTest, Case2DominatedEntryDropped) {
   // i.e. case 2, and the Sk at 5 dominates it (the worst query point 0.5
   // toward it still leaves a margin of 1 > ra + rb = 0.6).
   list.Access(Entry(6.0, 0.1, 1));
-  EXPECT_EQ(stats_.pruned_case2, 1u);
+  // Deferred mode decides only in the final filter, against the final Sk.
+  EXPECT_EQ(stats_.dominance_checks, 0u);
   const auto answers = list.TakeAnswers();
   ASSERT_EQ(answers.size(), 1u);
   EXPECT_EQ(answers[0].id, 0u);
+  EXPECT_EQ(stats_.pruned_case2, 1u);
+  EXPECT_EQ(stats_.dominance_checks, 1u);
+}
+
+TEST_F(BestKnownListTest, Case2DominatedEntryDroppedEager) {
+  BestKnownList list(&criterion_, &sq_, 1, KnnPruningMode::kEager, &stats_);
+  list.Access(Entry(5.0, 0.5, 0));  // distk = 6
+  list.Access(Entry(6.0, 0.1, 1));  // case 2, dominated by the interim Sk
+  // Eager mode counts the prune at access time.
+  EXPECT_EQ(stats_.pruned_case2, 1u);
+  EXPECT_EQ(stats_.dominance_checks, 1u);
+  const auto answers = list.TakeAnswers();
+  ASSERT_EQ(answers.size(), 1u);
+  EXPECT_EQ(answers[0].id, 0u);
+  EXPECT_EQ(stats_.pruned_case2, 1u);
 }
 
 TEST_F(BestKnownListTest, DeferredModeIsAccessOrderIndependent) {
@@ -87,11 +116,7 @@ TEST_F(BestKnownListTest, DeferredModeIsAccessOrderIndependent) {
   // (the linear scan's answer).
   Rng rng(4711);
   for (int trial = 0; trial < 50; ++trial) {
-    std::vector<Hypersphere> data;
-    for (int i = 0; i < 60; ++i) {
-      data.emplace_back(Point{rng.Gaussian(0.0, 20.0), rng.Gaussian(0.0, 20.0)},
-                        rng.Uniform(0.0, 4.0));
-    }
+    const std::vector<Hypersphere> data = RandomStream(&rng);
     const size_t k = 1 + rng.UniformU64(4);
     const auto expected = KnnLinearScan(data, sq_, k, criterion_);
     std::set<uint64_t> expected_ids;
@@ -118,6 +143,40 @@ TEST_F(BestKnownListTest, DeferredModeIsAccessOrderIndependent) {
       std::set<uint64_t> got;
       for (const auto& e : list.TakeAnswers()) got.insert(e.id);
       EXPECT_EQ(got, expected_ids) << "trial " << trial << " perm " << perm;
+    }
+  }
+}
+
+TEST_F(BestKnownListTest, DeferredModeDecidesOncePerCandidate) {
+  // kDeferred makes one dominance decision per candidate past position k,
+  // all against the final Sk, and none before: every counter of the
+  // dominance layer follows from the candidate count and the answer count.
+  Rng rng(4712);
+  for (CriterionKind kind :
+       {CriterionKind::kHyperbola, CriterionKind::kMinMax,
+        CriterionKind::kTrigonometric, CriterionKind::kCertified}) {
+    const auto criterion = MakeCriterion(kind);
+    for (int trial = 0; trial < 50; ++trial) {
+      const std::vector<Hypersphere> data = RandomStream(&rng);
+      const size_t k = 1 + rng.UniformU64(4);
+      SphereStore store(2);
+      store.Reserve(data.size());
+      KnnStats stats;
+      BestKnownList list(criterion.get(), &sq_, k, KnnPruningMode::kDeferred,
+                         &stats);
+      for (size_t i = 0; i < data.size(); ++i) {
+        list.Access(store.Resolve(StoredEntry{store.Add(data[i]), i}));
+      }
+      EXPECT_EQ(stats.dominance_checks, 0u);
+      const size_t answers = list.TakeAnswers().size();
+      const std::string where = std::string(criterion->name()) + " trial " +
+                                std::to_string(trial);
+      const uint64_t candidates = stats.entries_accessed - stats.pruned_case3;
+      ASSERT_GE(candidates, k) << where;
+      EXPECT_EQ(stats.dominance_checks, candidates - k) << where;
+      EXPECT_EQ(stats.pruned_case2, candidates - answers) << where;
+      EXPECT_EQ(stats.removed_case1, 0u) << where;
+      EXPECT_LE(stats.uncertain_verdicts, stats.dominance_checks) << where;
     }
   }
 }

@@ -47,7 +47,7 @@ class BklMergeTest : public ::testing::Test {
   static constexpr size_t kDim = 3;
 
   // A candidate pool with substantial overlap so all three maintenance
-  // cases (insert, dominance park, distance drop) fire regularly.
+  // cases (insert, dominance drop, distance drop) fire regularly.
   std::vector<Hypersphere> MakePool(Rng* rng, size_t n) {
     std::vector<Hypersphere> pool;
     pool.reserve(n);
@@ -176,19 +176,19 @@ TEST_F(BklMergeTest, SplitStreamsMergeBitIdentical) {
   }
 }
 
-// The deferred set must survive the merge: an entry parked (case-2
-// dominated against a part's interim Sk) in one part can still belong to
-// the final answer when the other parts never saw a dominator — the
-// pending-bound revive of the final-Sk filter.
-TEST_F(BklMergeTest, ParkedEntriesReviveAcrossParts) {
+// Dominance is decided once, after the merge, against the final Sk: an
+// entry case-2 dominated by one part's interim Sk must be judged the same
+// way whether or not its part ever saw the dominator.
+TEST_F(BklMergeTest, CrossPartDominanceDecidedAgainstFinalSk) {
   SphereStore store(kDim);
   store.Reserve(8);
-  // Part 0 sees a dominator at distance 5 and then a dominated entry just
-  // behind it (parked). Part 1 sees only far entries. In the single-list
-  // feed the parked entry is still parked; both must agree after merge.
+  // The single-list feed sees a dominator at distance 5 and then a
+  // dominated entry just behind it, plus two far entries. The split feed
+  // puts the dominated entry and the dominator in different parts; both
+  // feeds must agree after the merge.
   std::vector<Hypersphere> pool = {
       Hypersphere(Point{5.0, 0.0, 0.0}, 0.5),   // near, dominates the next
-      Hypersphere(Point{6.0, 0.0, 0.0}, 0.1),   // case-2 parked behind it
+      Hypersphere(Point{6.0, 0.0, 0.0}, 0.1),   // case 2 behind it
       Hypersphere(Point{30.0, 0.0, 0.0}, 0.5),  // far
       Hypersphere(Point{31.0, 0.0, 0.0}, 0.5),  // far
   };
@@ -199,13 +199,14 @@ TEST_F(BklMergeTest, ParkedEntriesReviveAcrossParts) {
   std::vector<size_t> ones(pool.size(), 0);
   const SplitRun expected = RunSplit(pool, &store, slots, &criterion_, &sq_,
                                      k, ones, 1, /*within=*/1e9);
-  // Split the dominator and the parked entry into DIFFERENT parts, so the
-  // parked entry's part never saw its dominator at access time.
+  // Split the dominator and the dominated entry into DIFFERENT parts, so
+  // the dominated entry's part never saw its dominator at access time.
   const std::vector<size_t> split = {0, 1, 1, 0};
   const SplitRun got = RunSplit(pool, &store, slots, &criterion_, &sq_, k,
                                 split, 2, /*within=*/1e9);
-  ExpectIdentical(got.take_answers, expected.take_answers, "revive");
-  ExpectIdentical(got.take_within, expected.take_within, "revive within");
+  ExpectIdentical(got.take_answers, expected.take_answers, "cross-part");
+  ExpectIdentical(got.take_within, expected.take_within,
+                  "cross-part within");
 }
 
 // Merging into a non-empty list must behave like continuing the feed:

@@ -15,6 +15,7 @@
 #include <string_view>
 
 #include "data/generator.h"
+#include "dominance/criterion.h"
 #include "dominance/hyperbola.h"
 #include "dominance/minmax.h"
 #include "eval/workload.h"
@@ -156,12 +157,13 @@ uint64_t DigestAnswers(uint64_t h, const KnnResult& result) {
 
 // Pins the work of the shared DF/HS drivers (query/knn_traversal.h) on one
 // seeded dataset: per index and strategy, the summed traversal counters
-// over 20 queries and a digest of every answer. The counts assume
-// libstdc++'s std::sort and std::priority_queue tie order (and glibc's
-// libm for the generator's Gaussian draws). A deliberate change to a child
-// bound or to the visit order (ROADMAP item 5's tighter R*-tree rectangle
-// bound) updates them, and the change in node visits is that change's
-// measurement.
+// over 20 queries, the final filter's dominance checks (one per candidate
+// past position k, query/best_known_list.h) and a digest of every answer.
+// The counts assume libstdc++'s std::sort and std::priority_queue tie
+// order (and glibc's libm for the generator's Gaussian draws). A deliberate
+// change to a child bound or to the visit order (ROADMAP item 5's tighter
+// R*-tree rectangle bound) updates them, and the change in node visits is
+// that change's measurement.
 TEST(IndexKnnTest, TraversalWorkIsPinned) {
   SyntheticSpec spec;
   spec.n = 5000;
@@ -198,14 +200,14 @@ TEST(IndexKnnTest, TraversalWorkIsPinned) {
   constexpr SearchStrategy kDf = SearchStrategy::kDepthFirst;
   constexpr SearchStrategy kHs = SearchStrategy::kBestFirst;
   const Pin pins[] = {
-      {"ss", kDf, 3759, 2481, 59299, 104099},
-      {"ss", kHs, 3026, 3214, 46764, 66252},
-      {"rstar", kDf, 2502, 3011, 38856, 62187},
-      {"rstar", kHs, 2287, 3226, 35048, 37088},
-      {"vp", kDf, 10585, 1595, 45796, 63246},
-      {"vp", kHs, 10007, 1715, 42526, 44155},
-      {"m", kDf, 5189, 2071, 72732, 87268},
-      {"m", kHs, 4741, 2519, 66130, 77431},
+      {"ss", kDf, 3759, 2481, 59299, 12744},
+      {"ss", kHs, 3026, 3214, 46764, 7984},
+      {"rstar", kDf, 2502, 3011, 38856, 8986},
+      {"rstar", kHs, 2287, 3226, 35048, 6834},
+      {"vp", kDf, 10585, 1595, 45796, 8797},
+      {"vp", kHs, 10007, 1715, 42526, 7233},
+      {"m", kDf, 5189, 2071, 72732, 11060},
+      {"m", kHs, 4741, 2519, 66130, 9516},
   };
   // Every index returns the same Definition-2 answers in the same order.
   constexpr uint64_t kAnswerDigest = 0x7050b4efe4a42475ULL;
@@ -228,6 +230,102 @@ TEST(IndexKnnTest, TraversalWorkIsPinned) {
     EXPECT_EQ(sum.dominance_checks, pin.dominance_checks) << where;
     EXPECT_EQ(digest, kAnswerDigest) << where << std::hex << " digest 0x"
                                      << digest;
+  }
+}
+
+// Pins the answers of every criterion, and the whole output of the eager
+// ablation mode, on the SS-tree: a change to the best-known list's
+// schedule must leave all of them alone. kDeferred: one answer digest per
+// criterion over DF and HS, k in {1, 10}, 20 queries. kEager (Hyperbola):
+// per strategy and k, an answer digest and all nine summed KnnStats
+// fields.
+TEST(IndexKnnTest, EveryCriterionAndEagerModeArePinned) {
+  SyntheticSpec spec;
+  spec.n = 5000;
+  spec.dim = 4;
+  spec.radius_mean = 5.0;
+  spec.seed = 2107;
+  const auto data = GenerateSynthetic(spec);
+  const auto queries = MakeKnnQueries(data, 20, 2108);
+  SsTree tree(4);
+  ASSERT_TRUE(tree.BulkLoad(data).ok());
+  constexpr SearchStrategy kDf = SearchStrategy::kDepthFirst;
+  constexpr SearchStrategy kHs = SearchStrategy::kBestFirst;
+
+  struct CriterionPin {
+    CriterionKind kind;
+    uint64_t digest;
+  };
+  const CriterionPin criterion_pins[] = {
+      {CriterionKind::kMinMax, 0x994c5ad3cc9e77a5ULL},
+      {CriterionKind::kMbr, 0xf2732c0e3e7fcbecULL},
+      {CriterionKind::kGp, 0x86b78b87057db4e5ULL},
+      {CriterionKind::kTrigonometric, 0xf91d483b14a8c235ULL},
+      {CriterionKind::kHyperbola, 0xa4272fddcc02a0f9ULL},
+      {CriterionKind::kCertified, 0xa4272fddcc02a0f9ULL},
+  };
+  for (const CriterionPin& pin : criterion_pins) {
+    const auto criterion = MakeCriterion(pin.kind);
+    uint64_t digest = 0xCBF29CE484222325ULL;
+    for (SearchStrategy strategy : {kDf, kHs}) {
+      for (size_t k : {1, 10}) {
+        KnnOptions options;
+        options.k = k;
+        options.strategy = strategy;
+        const KnnSearcher searcher(criterion.get(), options);
+        for (const auto& sq : queries) {
+          digest = DigestAnswers(digest, searcher.Search(tree, sq));
+        }
+      }
+    }
+    EXPECT_EQ(digest, pin.digest)
+        << criterion->name() << std::hex << " digest 0x" << digest;
+  }
+
+  struct EagerPin {
+    SearchStrategy strategy;
+    size_t k;
+    uint64_t digest;
+    KnnStats stats;  // in KnnStats declaration order
+  };
+  const EagerPin eager_pins[] = {
+      {kDf, 1, 0x5ed2eab9ba6424cfULL,
+       {2421, 3598, 35159, 11380, 1935, 30166, 2036, 0, 0}},
+      {kDf, 10, 0xa00ae9a005c53cfbULL,
+       {3636, 2784, 54906, 92306, 4637, 41820, 4877, 0, 0}},
+      {kHs, 1, 0x8493b4d5a87f09c0ULL,
+       {1467, 4552, 19027, 8059, 529, 16333, 1135, 0, 0}},
+      {kHs, 10, 0x25343c2ba6a08172ULL,
+       {2813, 3607, 41236, 48700, 1858, 33945, 1728, 0, 0}},
+  };
+  HyperbolaCriterion exact;
+  for (const EagerPin& pin : eager_pins) {
+    KnnOptions options;
+    options.k = pin.k;
+    options.strategy = pin.strategy;
+    options.pruning_mode = KnnPruningMode::kEager;
+    const KnnSearcher searcher(&exact, options);
+    KnnStats sum;
+    uint64_t digest = 0xCBF29CE484222325ULL;
+    for (const auto& sq : queries) {
+      const KnnResult result = searcher.Search(tree, sq);
+      sum += result.stats;
+      digest = DigestAnswers(digest, result);
+    }
+    const std::string where = std::string(pin.strategy == kDf ? "DF" : "HS") +
+                              " k=" + std::to_string(pin.k);
+    EXPECT_EQ(digest, pin.digest) << where << std::hex << " digest 0x"
+                                  << digest;
+    EXPECT_EQ(sum.nodes_visited, pin.stats.nodes_visited) << where;
+    EXPECT_EQ(sum.nodes_pruned, pin.stats.nodes_pruned) << where;
+    EXPECT_EQ(sum.entries_accessed, pin.stats.entries_accessed) << where;
+    EXPECT_EQ(sum.dominance_checks, pin.stats.dominance_checks) << where;
+    EXPECT_EQ(sum.pruned_case2, pin.stats.pruned_case2) << where;
+    EXPECT_EQ(sum.pruned_case3, pin.stats.pruned_case3) << where;
+    EXPECT_EQ(sum.removed_case1, pin.stats.removed_case1) << where;
+    EXPECT_EQ(sum.uncertain_verdicts, pin.stats.uncertain_verdicts) << where;
+    EXPECT_EQ(sum.nodes_deadline_skipped, pin.stats.nodes_deadline_skipped)
+        << where;
   }
 }
 

@@ -44,12 +44,10 @@ int64_t SnapshotNowNs() {
 }
 
 constexpr char kSnapMagic[4] = {'H', 'D', 'S', 'P'};
-// v1 wrapped AoS tree payloads (inline per-entry spheres); v2 wraps
-// store-backed payloads (HDSS v3 / HDVP v2). Both are readable: the inner
-// tree deserializers are version-gated and migrate v1-era payloads into a
-// SphereStore on load.
+// v2 wraps store-backed payloads (HDSS v3 / HDVP v2). Any other version,
+// including the retired v1, is kNotSupported: callers rebuild from the
+// data.
 constexpr uint32_t kSnapVersion = 2;
-constexpr uint32_t kSnapLegacyVersion = 1;
 
 template <typename T>
 void AppendPod(std::string* out, const T& value) {
@@ -111,7 +109,7 @@ Status ReadEnvelope(const std::string& path, SnapshotInfo* info,
   }
   uint32_t version = 0;
   if (!ConsumePod(&in, &version)) return Status::Corruption("truncated header");
-  if (version != kSnapVersion && version != kSnapLegacyVersion) {
+  if (version != kSnapVersion) {
     return Status::NotSupported("unsupported snapshot version " +
                                 std::to_string(version));
   }

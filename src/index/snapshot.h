@@ -51,10 +51,12 @@ struct SnapshotInfo {
   bool crc_ok = false;
 };
 
-/// \name Save / load, per index type.
+/// \name Save / load, per index type. The only file path for an index.
 /// Load* verifies the checksum before deserializing and reports
-/// kCorruption on any mismatch, truncation, or structural violation;
-/// a failed load leaves `*out` untouched.
+/// kCorruption on any mismatch, truncation, or structural violation, and
+/// kNotSupported on any envelope or tree format version but the current
+/// one (retired versions are never migrated); a failed load leaves `*out`
+/// untouched.
 /// @{
 Status SaveSnapshot(const SsTree& tree, const std::string& path);
 Status SaveSnapshot(const VpTree& tree, const std::string& path);
@@ -69,7 +71,7 @@ Result<SnapshotInfo> VerifySnapshot(const std::string& path);
 /// How LoadSnapshotOrRebuild obtained its tree.
 enum class SnapshotLoadOutcome {
   kLoaded,   ///< the snapshot verified and deserialized cleanly
-  kRebuilt,  ///< the snapshot was missing/corrupt; rebuilt from `data`
+  kRebuilt,  ///< snapshot missing, corrupt or retired; rebuilt from `data`
 };
 
 /// \name Load with rebuild fallback.

@@ -5,12 +5,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <istream>
 #include <limits>
 #include <numeric>
-#include <sstream>
+#include <ostream>
 
 #include "common/fault.h"
-#include "common/io.h"
 #include "common/str_util.h"
 #include "geometry/min_ball.h"
 #include "index/index_metrics.h"
@@ -705,14 +705,13 @@ Status CheckNode(const SsTreeNode* node, const SphereStore& store,
 //   magic "HDSS" + u32 version
 //   u64 dim, u64 size, u64 max_entries, f64 min_fill_ratio, u32 split_policy,
 //   u32 bounding_policy
-//   v3 (current): the SphereStore blob (storage/sphere_store.cc), then
-//     recursive node records:
-//       u8 is_leaf
-//       leaf:     u64 entry_count, then per entry: u32 slot, u64 id
-//       internal: u64 child_count, then the child records
-//   v2 (legacy, load-only): recursive node records with inline entries
-//     (per entry: f64 center[dim], f64 radius, u64 id); migrated into a
-//     fresh SphereStore on load.
+//   the SphereStore blob (storage/sphere_store.cc), then recursive node
+//   records:
+//     u8 is_leaf
+//     leaf:     u64 entry_count, then per entry: u32 slot, u64 id
+//     internal: u64 child_count, then the child records
+// The version is 3. Any other, including the retired inline-sphere
+// version 2, is kNotSupported: snapshot callers rebuild from the data.
 // Centroids and bounding spheres are recomputed on load. Abandoned store
 // slots (from Delete) are serialized too: slots must stay stable.
 // ---------------------------------------------------------------------------
@@ -721,7 +720,6 @@ namespace {
 
 constexpr char kMagic[4] = {'H', 'D', 'S', 'S'};
 constexpr uint32_t kFormatVersion = 3;
-constexpr uint32_t kLegacyFormatVersion = 2;
 
 template <typename T>
 void WritePod(std::ostream& out, const T& value) {
@@ -770,74 +768,13 @@ Status SsTree::Serialize(std::ostream& out) const {
   return Status::OK();
 }
 
-Status SsTree::Save(const std::string& path) const {
-  // Serialize to memory, then write through the hardened EINTR/partial-
-  // write loop in common/io so failures carry errno-mapped messages.
-  std::ostringstream out(std::ios::binary);
-  HYPERDOM_RETURN_NOT_OK(Serialize(out));
-  return WriteStringToFile(path, out.str());
-}
-
-// Loads one legacy (v2) node record with inline entries, migrating each
-// sphere into `store`; derived per-node data (centroids, bounds) is
-// recomputed by the caller (SsTree::Deserialize).
-Status SsTree::LoadNodeV2(std::istream& in, size_t dim, size_t max_entries,
-                          size_t depth, SphereStore* store,
-                          std::unique_ptr<SsTreeNode>* out_node) {
+// Loads one node record of slot references against the already-loaded
+// store.
+Status SsTree::LoadNode(std::istream& in, const SphereStore& store,
+                        size_t max_entries, size_t depth,
+                        std::unique_ptr<SsTreeNode>* out_node) {
   // Depth bound: a valid tree over 2^64 entries is far shallower than 64
   // levels at fanout >= 2; deeper means a corrupt or adversarial file.
-  if (depth > 64) return Status::Corruption("node nesting too deep");
-  uint8_t is_leaf = 0;
-  if (!ReadPod(in, &is_leaf) || is_leaf > 1) {
-    return Status::Corruption("bad node tag");
-  }
-  auto node = std::make_unique<SsTreeNode>(is_leaf == 1);
-  uint64_t count = 0;
-  if (!ReadPod(in, &count)) return Status::Corruption("truncated node");
-  if (count == 0 || count > max_entries) {
-    return Status::Corruption("node occupancy out of range");
-  }
-  if (is_leaf == 1) {
-    node->entries_.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      Point center(dim);
-      for (size_t d = 0; d < dim; ++d) {
-        if (!ReadPod(in, &center[d])) {
-          return Status::Corruption("truncated entry");
-        }
-        if (!std::isfinite(center[d])) {
-          return Status::Corruption("non-finite coordinate");
-        }
-      }
-      double radius = 0.0;
-      uint64_t id = 0;
-      if (!ReadPod(in, &radius) || !ReadPod(in, &id)) {
-        return Status::Corruption("truncated entry");
-      }
-      if (!std::isfinite(radius) || radius < 0.0) {
-        return Status::Corruption("bad radius");
-      }
-      const uint32_t slot = store->Add(center.data(), dim, radius);
-      node->entries_.push_back(SsTreeEntry{slot, id});
-    }
-  } else {
-    node->children_.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      std::unique_ptr<SsTreeNode> child;
-      HYPERDOM_RETURN_NOT_OK(
-          LoadNodeV2(in, dim, max_entries, depth + 1, store, &child));
-      node->children_.push_back(std::move(child));
-    }
-  }
-  *out_node = std::move(node);
-  return Status::OK();
-}
-
-// Loads one v3 node record of slot references against the already-loaded
-// store.
-Status SsTree::LoadNodeV3(std::istream& in, const SphereStore& store,
-                          size_t max_entries, size_t depth,
-                          std::unique_ptr<SsTreeNode>* out_node) {
   if (depth > 64) return Status::Corruption("node nesting too deep");
   uint8_t is_leaf = 0;
   if (!ReadPod(in, &is_leaf) || is_leaf > 1) {
@@ -867,19 +804,12 @@ Status SsTree::LoadNodeV3(std::istream& in, const SphereStore& store,
     for (uint64_t i = 0; i < count; ++i) {
       std::unique_ptr<SsTreeNode> child;
       HYPERDOM_RETURN_NOT_OK(
-          LoadNodeV3(in, store, max_entries, depth + 1, &child));
+          LoadNode(in, store, max_entries, depth + 1, &child));
       node->children_.push_back(std::move(child));
     }
   }
   *out_node = std::move(node);
   return Status::OK();
-}
-
-Status SsTree::Load(const std::string& path, SsTree* out) {
-  Result<std::string> file = ReadFileToString(path);
-  if (!file.ok()) return file.status();
-  std::istringstream in(file.TakeValue(), std::ios::binary);
-  return Deserialize(in, out);
 }
 
 Status SsTree::Deserialize(std::istream& in, SsTree* out) {
@@ -890,9 +820,10 @@ Status SsTree::Deserialize(std::istream& in, SsTree* out) {
     return Status::Corruption("bad magic: not an SS-tree file");
   }
   uint32_t version = 0;
-  if (!ReadPod(in, &version) ||
-      (version != kFormatVersion && version != kLegacyFormatVersion)) {
-    return Status::NotSupported("unsupported SS-tree format version");
+  if (!ReadPod(in, &version)) return Status::Corruption("truncated header");
+  if (version != kFormatVersion) {
+    return Status::NotSupported("unsupported SS-tree format version " +
+                                std::to_string(version));
   }
   uint64_t dim = 0, size = 0, max_entries = 0;
   double min_fill_ratio = 0.0;
@@ -913,22 +844,15 @@ Status SsTree::Deserialize(std::istream& in, SsTree* out) {
   options.split_policy = static_cast<SsTreeSplitPolicy>(split_policy);
   options.bounding_policy = static_cast<SsTreeBoundingPolicy>(bounding_policy);
   SsTree tree(dim, options);
-  if (version == kFormatVersion) {
-    SphereStore store;
-    HYPERDOM_RETURN_NOT_OK(SphereStore::DeserializeFrom(in, &store));
-    if (store.size() > 0 && store.dim() != dim) {
-      return Status::Corruption("store dimensionality mismatch");
-    }
-    *tree.store_ = std::move(store);
+  SphereStore store;
+  HYPERDOM_RETURN_NOT_OK(SphereStore::DeserializeFrom(in, &store));
+  if (store.size() > 0 && store.dim() != dim) {
+    return Status::Corruption("store dimensionality mismatch");
   }
+  *tree.store_ = std::move(store);
   if (size > 0) {
-    if (version == kFormatVersion) {
-      HYPERDOM_RETURN_NOT_OK(LoadNodeV3(in, *tree.store_, max_entries,
-                                        /*depth=*/0, &tree.root_));
-    } else {
-      HYPERDOM_RETURN_NOT_OK(LoadNodeV2(in, dim, max_entries, /*depth=*/0,
-                                        tree.store_.get(), &tree.root_));
-    }
+    HYPERDOM_RETURN_NOT_OK(LoadNode(in, *tree.store_, max_entries,
+                                    /*depth=*/0, &tree.root_));
     // Recompute derived per-node data bottom-up.
     struct Rebuilder {
       SsTree* tree;

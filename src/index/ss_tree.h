@@ -164,24 +164,16 @@ class SsTree {
   /// subtree counts are consistent. Returns the first violation found.
   Status CheckInvariants() const;
 
-  /// \brief Persists the tree to `path` in the compact binary format
-  /// described in ss_tree.cc (host endianness; intended for same-machine
-  /// caching of expensive builds, not as an interchange format).
-  Status Save(const std::string& path) const;
-
-  /// \brief Loads a tree previously written by Save() into `*out`
-  /// (replacing its contents). Derived per-node data (centroids, bounding
-  /// spheres) is recomputed, so a successful load always satisfies
-  /// CheckInvariants(). Reads both the current columnar format (v3) and
-  /// the legacy inline-entry format (v2), migrating the latter into a
-  /// fresh SphereStore.
-  static Status Load(const std::string& path, SsTree* out);
-
-  /// Stream-level Save(): writes the binary format to `out`. Used by the
-  /// checksummed snapshot envelope (index/snapshot.h).
+  /// \brief Writes the tree to `out` in the compact binary format
+  /// described in ss_tree.cc (host endianness; a same-machine cache of
+  /// expensive builds, not an interchange format). Files go through the
+  /// checksummed snapshot envelope: SaveSnapshot() in index/snapshot.h.
   Status Serialize(std::ostream& out) const;
 
-  /// Stream-level Load(): same validation and derived-data rebuild.
+  /// \brief Reads a tree written by Serialize() into `*out` (replacing its
+  /// contents). Derived per-node data (centroids, bounding spheres) is
+  /// recomputed, so a successful load always satisfies CheckInvariants().
+  /// Any format version but the current one is kNotSupported.
   static Status Deserialize(std::istream& in, SsTree* out);
 
  private:
@@ -201,15 +193,10 @@ class SsTree {
   /// Item partition for the split, by the configured policy: returns, for
   /// each item key, whether it goes to the new sibling.
   std::vector<bool> ChoosePartition(const std::vector<Point>& keys) const;
-  /// Reads one legacy (v2) inline-entry node record, migrating its spheres
-  /// into `store`.
-  static Status LoadNodeV2(std::istream& in, size_t dim, size_t max_entries,
-                           size_t depth, SphereStore* store,
-                           std::unique_ptr<SsTreeNode>* out_node);
-  /// Reads one v3 slot-reference node record against a loaded store.
-  static Status LoadNodeV3(std::istream& in, const SphereStore& store,
-                           size_t max_entries, size_t depth,
-                           std::unique_ptr<SsTreeNode>* out_node);
+  /// Reads one slot-reference node record against a loaded store.
+  static Status LoadNode(std::istream& in, const SphereStore& store,
+                         size_t max_entries, size_t depth,
+                         std::unique_ptr<SsTreeNode>* out_node);
   /// Recursive STR tiler: packs entries[lo, hi) into leaves.
   void StrTile(std::vector<SsTreeEntry>* entries, size_t lo, size_t hi,
                size_t dim_index, size_t leaf_capacity,

@@ -114,23 +114,17 @@ class VpTree {
   /// \brief Reads a tree written by Serialize() into `*out` (replacing its
   /// contents). Derived per-node data (max radii, subtree counts) is
   /// recomputed and CheckInvariants() re-verified, so a successful load is
-  /// structurally sound even against a corrupted stream. Reads both the
-  /// current columnar format (v2) and the legacy inline-entry format (v1),
-  /// migrating the latter into a fresh SphereStore.
+  /// structurally sound even against a corrupted stream. Any format
+  /// version but the current one is kNotSupported.
   static Status Deserialize(std::istream& in, VpTree* out);
 
  private:
   Status BuildRecursive(std::vector<VpTreeEntry> items,
                         std::unique_ptr<VpTreeNode>* out);
-  /// Reads one legacy (v1) inline-entry node record, migrating its spheres
-  /// into `store`.
-  static Status LoadNodeV1(std::istream& in, size_t dim, size_t leaf_size,
-                           size_t depth, SphereStore* store,
-                           std::unique_ptr<VpTreeNode>* out_node);
-  /// Reads one v2 slot-reference node record against a loaded store.
-  static Status LoadNodeV2(std::istream& in, const SphereStore& store,
-                           size_t leaf_size, size_t depth,
-                           std::unique_ptr<VpTreeNode>* out_node);
+  /// Reads one slot-reference node record against a loaded store.
+  static Status LoadNode(std::istream& in, const SphereStore& store,
+                         size_t leaf_size, size_t depth,
+                         std::unique_ptr<VpTreeNode>* out_node);
 
   VpTreeOptions options_;
   /// Columnar coordinate arena for every entry in the tree.

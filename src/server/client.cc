@@ -32,13 +32,8 @@ Client::Client(ClientOptions options)
 
 uint64_t Client::NextRequestId() {
   uint64_t id = next_request_id_++;
-  if (id == 0) id = next_request_id_++;  // 0 means "no ID" on the wire
+  if (id == 0) id = next_request_id_++;  // 0 marks pre-ID server frames
   return id;
-}
-
-uint32_t Client::WireVersion() const {
-  if (peer_v1_only_) return kProtocolVersion;
-  return std::min(options_.max_protocol_version, kProtocolVersionMax);
 }
 
 Client::~Client() { Close(); }
@@ -60,10 +55,7 @@ Status Client::EnsureConnected() {
 }
 
 Status Client::Exchange(const std::string& frame, FrameKind* kind_out,
-                        std::string* payload_out, uint32_t* version_out,
-                        uint64_t* echoed_id_out) {
-  *version_out = kProtocolVersion;
-  *echoed_id_out = 0;
+                        std::string* payload_out, uint64_t* echoed_id_out) {
   HYPERDOM_RETURN_NOT_OK(
       WriteFull(fd_, frame.data(), frame.size(), options_.io_timeout_ms));
   char header_bytes[kFrameHeaderSize];
@@ -71,7 +63,7 @@ Status Client::Exchange(const std::string& frame, FrameKind* kind_out,
                                   options_.io_timeout_ms));
   Result<FrameHeader> header = DecodeFrameHeader(
       std::string_view(header_bytes, sizeof(header_bytes)),
-      options_.max_payload_bytes, options_.max_protocol_version);
+      options_.max_payload_bytes);
   if (!header.ok()) return header.status();
   payload_out->assign(header->payload_size, '\0');
   if (header->payload_size > 0) {
@@ -81,11 +73,8 @@ Status Client::Exchange(const std::string& frame, FrameKind* kind_out,
   }
   HYPERDOM_RETURN_NOT_OK(VerifyPayloadCrc(*header, *payload_out));
   std::string_view body(*payload_out);
-  HYPERDOM_RETURN_NOT_OK(ExtractRequestId(*header, &body, echoed_id_out));
-  if (header->version >= kProtocolVersionV2) {
-    payload_out->erase(0, sizeof(uint64_t));
-  }
-  *version_out = header->version;
+  HYPERDOM_RETURN_NOT_OK(ExtractRequestId(&body, echoed_id_out));
+  payload_out->erase(0, sizeof(uint64_t));
   *kind_out = header->kind;
   return Status::OK();
 }
@@ -112,10 +101,14 @@ Status Client::Call(FrameKind request_kind, const std::string& request_payload,
                     FrameKind* kind_out, std::string* payload_out) {
   HYPERDOM_SPAN(span, "client/call");
   const int attempts = std::max(1, options_.max_attempts);
-  // One ID per logical request: retries of the same call re-send it, so
-  // both sides' spans and logs reconcile every attempt into one story.
+  // One ID per logical request: retries of the same call re-send the same
+  // frame, so both sides' spans and logs reconcile every attempt into one
+  // story.
   const uint64_t request_id = NextRequestId();
-  bool id_annotated = false;
+  last_request_id_ = request_id;
+  HYPERDOM_SPAN_ANNOTATE(span, "request_id", request_id);
+  const std::string frame =
+      EncodeFrame(request_kind, request_id, request_payload);
   Status last = Status::Internal("no attempt made");
   for (int attempt = 0; attempt < attempts; ++attempt) {
     last_attempts_ = attempt + 1;
@@ -132,60 +125,36 @@ Status Client::Call(FrameKind request_kind, const std::string& request_payload,
       // does not apply yet.
       continue;
     }
-    // Encoded per attempt: the wire version can change once, when a
-    // v1-only peer forces the downgrade below.
-    const bool sent_v2 = WireVersion() >= kProtocolVersionV2;
-    last_request_id_ = sent_v2 ? request_id : 0;
-    if (sent_v2 && !id_annotated) {
-      HYPERDOM_SPAN_ANNOTATE(span, "request_id", request_id);
-      id_annotated = true;
-    }
-    const std::string frame =
-        sent_v2 ? EncodeFrameV2(request_kind, request_id, request_payload)
-                : EncodeFrame(request_kind, request_payload);
-    uint32_t response_version = kProtocolVersion;
     uint64_t echoed_id = 0;
-    Status exchanged = Exchange(frame, kind_out, payload_out,
-                                &response_version, &echoed_id);
-    if (exchanged.ok()) {
-      if (sent_v2 && response_version >= kProtocolVersionV2) {
-        if (echoed_id != request_id) {
-          // The stream answered some other request: resync is impossible.
-          Close();
-          return Status::ProtocolError(
-              "response echoed request id " + std::to_string(echoed_id) +
-              ", expected " + std::to_string(request_id));
-        }
-        v2_confirmed_ = true;
-      }
-      // A shed response is an application-level "try again later".
-      if (*kind_out == FrameKind::kErrorResponse) {
-        Status remote;
-        HYPERDOM_RETURN_NOT_OK(DecodeErrorResponse(*payload_out, &remote));
-        if (remote.code() == StatusCode::kProtocolError && sent_v2 &&
-            !v2_confirmed_) {
-          // A v1-only peer rejected the v2 header (and closed the
-          // connection, which cannot be resynced). Downgrade for the rest
-          // of this client's life and re-send as v1; the attempt is not
-          // consumed — the server processed nothing.
-          peer_v1_only_ = true;
-          Close();
-          --attempt;
-          continue;
-        }
-        if (remote.code() == StatusCode::kOverloaded) {
-          last = std::move(remote);
-          continue;  // connection stays up; back off and re-send
-        }
-        return remote;  // a definitive remote failure
-      }
-      return Status::OK();
+    Status exchanged = Exchange(frame, kind_out, payload_out, &echoed_id);
+    if (!exchanged.ok()) {
+      last = std::move(exchanged);
+      Close();  // the stream may be desynchronized; always reconnect
+      if (last.code() == StatusCode::kProtocolError) return last;
+      if (last.code() == StatusCode::kDeadlineExceeded) return last;
+      if (!IsRetryableTransport(last)) return last;
+      continue;
     }
-    last = std::move(exchanged);
-    Close();  // the stream may be desynchronized; always reconnect
-    if (last.code() == StatusCode::kProtocolError) return last;
-    if (last.code() == StatusCode::kDeadlineExceeded) return last;
-    if (!IsRetryableTransport(last)) return last;
+    const bool is_error = *kind_out == FrameKind::kErrorResponse;
+    if (is_error && echoed_id == 0) {
+      // Sent before the server read this request's ID (accept-time shed,
+      // refused header) and followed by its close: it answers this
+      // request, and a retry must reconnect.
+      Close();
+    } else if (echoed_id != request_id) {
+      // The stream answered some other request: resync is impossible.
+      Close();
+      return Status::ProtocolError(
+          "response echoed request id " + std::to_string(echoed_id) +
+          ", expected " + std::to_string(request_id));
+    }
+    if (!is_error) return Status::OK();
+    Status remote;
+    HYPERDOM_RETURN_NOT_OK(DecodeErrorResponse(*payload_out, &remote));
+    // A shed response is an application-level "try again later"; anything
+    // else is a definitive remote failure.
+    if (remote.code() != StatusCode::kOverloaded) return remote;
+    last = std::move(remote);
   }
   return last;
 }

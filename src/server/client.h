@@ -11,7 +11,12 @@
 //     kNN queries are read-only, so re-sending is always safe;
 //   * NO retry on kProtocolError (a malformed exchange will not improve)
 //     or on client-side IO timeout (the caller's time budget is spent —
-//     kDeadlineExceeded goes back to the caller, who owns the tradeoff).
+//     kDeadlineExceeded goes back to the caller, who owns the tradeoff);
+//   * one request ID per call, never 0, sent on every attempt. A response
+//     must echo it, except an error frame echoing ID 0: the server sends
+//     those before it has read a request's ID (an accept-time shed, a
+//     refused header) and then closes, so the client closes too and the
+//     next attempt reconnects.
 //
 // Thread-compatible: one Client per thread; concurrent calls on one
 // instance are not supported.
@@ -45,12 +50,6 @@ struct ClientOptions {
   uint64_t jitter_seed = 0x5EEDu;
   /// Per-frame payload cap enforced on responses, pre-allocation.
   uint64_t max_payload_bytes = kDefaultMaxPayloadBytes;
-  /// Highest HDNP version to speak (and accept). The default sends v2
-  /// frames carrying a request ID; against a v1-only server the first
-  /// kProtocolError rejection triggers a transparent, sticky downgrade to
-  /// v1 (no request IDs, no desync). Set to kProtocolVersion to emulate a
-  /// v1-only client.
-  uint32_t max_protocol_version = kProtocolVersionMax;
 };
 
 /// \brief One logical connection to a hyperdom server, reconnecting and
@@ -90,29 +89,26 @@ class Client {
   int last_attempts() const { return last_attempts_; }
 
   /// Request ID the last request was sent under (echoed by the server on
-  /// its response frame and annotated on both sides' spans). 0 when the
-  /// request went out as v1 (no IDs on that wire).
+  /// its response frame and annotated on both sides' spans). Never 0 once
+  /// a request was made.
   uint64_t last_request_id() const { return last_request_id_; }
 
  private:
   Status EnsureConnected();
   /// One send/receive exchange on the live connection. kind_out receives
   /// the response frame kind; the payload (request-ID prefix already
-  /// stripped) goes to payload_out; the response's wire version and
-  /// echoed ID go to version_out / echoed_id_out.
+  /// stripped) goes to payload_out and the echoed ID to echoed_id_out.
   Status Exchange(const std::string& frame, FrameKind* kind_out,
-                  std::string* payload_out, uint32_t* version_out,
-                  uint64_t* echoed_id_out);
-  /// Full request with retry/backoff: encodes `payload` per attempt at the
-  /// negotiated wire version (downgrading once on a v1-only peer), checks
-  /// the echoed request ID, and on success returns the response (kind +
-  /// payload) of the final attempt.
+                  std::string* payload_out, uint64_t* echoed_id_out);
+  /// Full request with retry/backoff: encodes the frame once, re-sends it
+  /// per attempt, checks the echoed request ID, and on success returns
+  /// the response (kind + payload) of the final attempt.
   Status Call(FrameKind request_kind, const std::string& request_payload,
               FrameKind* kind_out, std::string* payload_out);
   void Backoff(int attempt);
+  /// The next request ID; skips 0, which marks server frames sent before
+  /// a request's ID was read.
   uint64_t NextRequestId();
-  /// The version the next frame goes out at.
-  uint32_t WireVersion() const;
 
   ClientOptions options_;
   Rng jitter_;
@@ -120,11 +116,6 @@ class Client {
   int last_attempts_ = 0;
   uint64_t next_request_id_ = 1;
   uint64_t last_request_id_ = 0;
-  // Version negotiation state: sticky downgrade after a v1-only peer
-  // rejects a v2 header; confirmation pins v2 so a later genuine
-  // kProtocolError can never silently drop the IDs.
-  bool peer_v1_only_ = false;
-  bool v2_confirmed_ = false;
 };
 
 }  // namespace server

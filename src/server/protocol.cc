@@ -118,38 +118,26 @@ Deadline DeadlineFromRequest(const KnnRequest& request) {
   return deadline;
 }
 
-std::string EncodeFrame(FrameKind kind, std::string_view payload) {
+std::string EncodeFrame(FrameKind kind, uint64_t request_id,
+                        std::string_view payload) {
+  const uint64_t wire_size = sizeof(request_id) + payload.size();
   std::string frame;
-  frame.reserve(kFrameHeaderSize + payload.size());
+  frame.reserve(kFrameHeaderSize + wire_size);
   frame.append(kFrameMagic, sizeof(kFrameMagic));
   AppendPod(&frame, kProtocolVersion);
   AppendPod(&frame, static_cast<uint32_t>(kind));
-  AppendPod(&frame, static_cast<uint64_t>(payload.size()));
-  AppendPod(&frame, Crc32Of(payload.data(), payload.size()));
+  AppendPod(&frame, wire_size);
+  AppendPod(&frame, uint32_t{0});  // payload CRC, filled in below
+  AppendPod(&frame, request_id);
   frame.append(payload);
-  return frame;
-}
-
-std::string EncodeFrameV2(FrameKind kind, uint64_t request_id,
-                          std::string_view payload) {
-  std::string prefixed;
-  prefixed.reserve(sizeof(request_id) + payload.size());
-  AppendPod(&prefixed, request_id);
-  prefixed.append(payload);
-  std::string frame;
-  frame.reserve(kFrameHeaderSize + prefixed.size());
-  frame.append(kFrameMagic, sizeof(kFrameMagic));
-  AppendPod(&frame, kProtocolVersionV2);
-  AppendPod(&frame, static_cast<uint32_t>(kind));
-  AppendPod(&frame, static_cast<uint64_t>(prefixed.size()));
-  AppendPod(&frame, Crc32Of(prefixed.data(), prefixed.size()));
-  frame.append(prefixed);
+  const uint32_t crc = Crc32Of(frame.data() + kFrameHeaderSize, wire_size);
+  std::memcpy(frame.data() + kFrameHeaderSize - sizeof(crc), &crc,
+              sizeof(crc));
   return frame;
 }
 
 Result<FrameHeader> DecodeFrameHeader(std::string_view bytes,
-                                      uint64_t max_payload_bytes,
-                                      uint32_t max_version) {
+                                      uint64_t max_payload_bytes) {
   if (bytes.size() != kFrameHeaderSize) {
     return Status::ProtocolError("truncated frame header: " +
                                  std::to_string(bytes.size()) + " of " +
@@ -168,11 +156,10 @@ Result<FrameHeader> DecodeFrameHeader(std::string_view bytes,
   in.Consume(&kind);
   in.Consume(&header.payload_size);
   in.Consume(&header.payload_crc);
-  if (version < kProtocolVersion || version > max_version) {
+  if (version != kProtocolVersion) {
     return Status::ProtocolError("unsupported protocol version " +
                                  std::to_string(version));
   }
-  header.version = version;
   if (!KnownKind(kind)) {
     return Status::ProtocolError("unknown frame kind " + std::to_string(kind));
   }
@@ -192,13 +179,10 @@ Status VerifyPayloadCrc(const FrameHeader& header, std::string_view payload) {
   return Status::OK();
 }
 
-Status ExtractRequestId(const FrameHeader& header, std::string_view* payload,
-                        uint64_t* request_id) {
+Status ExtractRequestId(std::string_view* payload, uint64_t* request_id) {
   *request_id = 0;
-  if (header.version < kProtocolVersionV2) return Status::OK();
   if (payload->size() < sizeof(uint64_t)) {
-    return Status::ProtocolError(
-        "v2 payload shorter than its request-id prefix");
+    return Status::ProtocolError("payload shorter than its request-id prefix");
   }
   std::memcpy(request_id, payload->data(), sizeof(uint64_t));
   payload->remove_prefix(sizeof(uint64_t));

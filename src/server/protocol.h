@@ -7,6 +7,16 @@
 // doubles it carries must round-trip bit-identically (the loopback e2e
 // test asserts answers equal the direct KnnSearcher's bit for bit).
 //
+// There is one version, 2. Every payload begins with a u64 request ID
+// (client-generated, never 0, echoed verbatim on every response frame
+// including errors and sheds, so client and server logs, spans, and
+// slow-query records correlate); the CRC covers the prefixed payload. A
+// frame the server sends before it has read a request's ID — an
+// accept-time shed, or the refusal of a bad header, an oversized
+// declaration, a truncated payload or a CRC mismatch — carries ID 0 and
+// is followed by a close. Any other version, including the retired
+// ID-less version 1, is refused with kProtocolError.
+//
 // Every decoder is hardened for untrusted input: the header is validated
 // (magic, version, kind, size cap) BEFORE the payload is allocated or
 // read, the CRC is compared before any payload field is parsed, and the
@@ -37,27 +47,15 @@ enum class FrameKind : uint32_t {
   kErrorResponse = 3,
   kPingRequest = 4,
   kPongResponse = 5,
-  // Mutability (protocol version 1 extension: old peers reject the kinds
-  // as unknown, which the client surfaces as a clean ProtocolError).
+  // Mutability: a peer without these kinds rejects them as unknown, which
+  // the client surfaces as a clean ProtocolError.
   kInsertRequest = 6,
   kRemoveRequest = 7,
   kMutateResponse = 8,
 };
 
 inline constexpr char kFrameMagic[4] = {'H', 'D', 'N', 'P'};
-inline constexpr uint32_t kProtocolVersion = 1;
-
-/// Protocol version 2: identical 24-byte header, but the payload begins
-/// with a u64 request ID (client-generated, echoed verbatim on EVERY
-/// response frame including errors and sheds, so client and server logs,
-/// spans, and slow-query records correlate). The CRC covers the prefixed
-/// payload. A v1 peer rejects version 2 at the header check with
-/// kProtocolError — the client downgrades and retries as v1, so mixed
-/// fleets interoperate with no request IDs and no desync.
-inline constexpr uint32_t kProtocolVersionV2 = 2;
-
-/// Highest version this build understands. Receivers accept 1..max.
-inline constexpr uint32_t kProtocolVersionMax = kProtocolVersionV2;
+inline constexpr uint32_t kProtocolVersion = 2;
 
 /// Fixed wire size of the frame header: magic(4) + version(4) + kind(4) +
 /// payload_size(8) + payload_crc32(4).
@@ -70,7 +68,6 @@ inline constexpr uint64_t kDefaultMaxPayloadBytes = 16ull << 20;
 
 /// A validated frame header (magic already checked and stripped).
 struct FrameHeader {
-  uint32_t version = kProtocolVersion;
   FrameKind kind = FrameKind::kPingRequest;
   uint64_t payload_size = 0;
   uint32_t payload_crc = 0;
@@ -115,29 +112,23 @@ struct MutateResponse {
 /// Builds the client-side Deadline implied by a request's budgets.
 Deadline DeadlineFromRequest(const KnnRequest& request);
 
-/// Assembles a complete version-1 frame (header + payload) ready to write.
-std::string EncodeFrame(FrameKind kind, std::string_view payload);
-
-/// Assembles a version-2 frame: the payload is prefixed with `request_id`
-/// and the CRC covers the prefixed bytes.
-std::string EncodeFrameV2(FrameKind kind, uint64_t request_id,
-                          std::string_view payload);
+/// Assembles a complete frame (header + payload) ready to write: the
+/// payload is prefixed with `request_id` and the CRC covers the prefixed
+/// bytes.
+std::string EncodeFrame(FrameKind kind, uint64_t request_id,
+                        std::string_view payload);
 
 /// Validates `bytes` (exactly kFrameHeaderSize of them) as a frame header:
-/// magic, version in [1, max_version], known kind, and payload_size <=
+/// magic, version == kProtocolVersion, known kind, and payload_size <=
 /// max_payload_bytes. Returns kProtocolError otherwise. Runs BEFORE the
 /// payload is read, so a corrupt size field never drives an allocation.
-/// Pass max_version = kProtocolVersion to emulate a v1-only peer.
-Result<FrameHeader> DecodeFrameHeader(
-    std::string_view bytes, uint64_t max_payload_bytes,
-    uint32_t max_version = kProtocolVersionMax);
+Result<FrameHeader> DecodeFrameHeader(std::string_view bytes,
+                                      uint64_t max_payload_bytes);
 
-/// Splits the request-ID prefix off a CRC-verified payload according to
-/// the frame version: v1 leaves `*payload` untouched and sets
-/// `*request_id` to 0; v2 strips the leading u64 (kProtocolError when the
-/// payload is shorter than the prefix).
-Status ExtractRequestId(const FrameHeader& header, std::string_view* payload,
-                        uint64_t* request_id);
+/// Strips the request-ID prefix off a CRC-verified payload into
+/// `*request_id`; kProtocolError when the payload is shorter than the
+/// prefix.
+Status ExtractRequestId(std::string_view* payload, uint64_t* request_id);
 
 /// Compares the payload bytes against the header CRC; kProtocolError on
 /// mismatch (a bit flip anywhere in the payload).

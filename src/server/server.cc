@@ -38,17 +38,6 @@ Deadline DeadlineFromBudget(uint64_t budget_micros) {
   return deadline;
 }
 
-// Encodes a response at the requester's wire version: v2 responses (and
-// v2 error/shed frames) echo the request ID so both sides' logs and spans
-// correlate; v1 peers get plain v1 frames.
-std::string EncodeReply(uint32_t version, uint64_t request_id, FrameKind kind,
-                        std::string_view payload) {
-  if (version >= kProtocolVersionV2) {
-    return EncodeFrameV2(kind, request_id, payload);
-  }
-  return EncodeFrame(kind, payload);
-}
-
 }  // namespace
 
 Server::Server(const SsTree* tree, const DominanceCriterion* criterion,
@@ -221,7 +210,7 @@ void Server::AcceptLoop() {
       counters_.requests_shed.fetch_add(1, std::memory_order_relaxed);
       HYPERDOM_COUNTER_INC(obs::kServerShed);
       const std::string frame =
-          EncodeFrame(FrameKind::kErrorResponse,
+          EncodeFrame(FrameKind::kErrorResponse, /*request_id=*/0,
                       EncodeErrorResponse(Status::Overloaded(
                           "connection limit reached, try again later")));
       WriteFull(fd, frame.data(), frame.size(), options_.io_timeout_ms);
@@ -240,11 +229,9 @@ void Server::ConnectionLoop(Connection* conn) {
   // byte stream (bad header, CRC mismatch, malformed payload) is answered
   // with a best-effort error frame and the connection is closed; transient
   // per-request conditions (overload) keep the connection open.
-  // Wire context of the frame currently being served: error and shed
-  // frames are encoded at the peer's version, echoing its request ID.
-  // Reset before each header read — failures before the ID is known
-  // (bad header, truncated payload) fall back to v1 with ID 0.
-  uint32_t wire_version = kProtocolVersion;
+  // ID of the frame currently being served, echoed by every reply to it.
+  // Reset before each header read: failures before the ID is read (bad
+  // header, truncated payload, CRC mismatch) reply with ID 0.
   uint64_t request_id = 0;
   auto fail_connection = [&](const Status& error) {
     counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
@@ -252,9 +239,8 @@ void Server::ConnectionLoop(Connection* conn) {
     HYPERDOM_LOG(obs::LogLevel::kWarn, "server", request_id,
                  "connection failed",
                  obs::LogField::Str("error", error.message()));
-    const std::string frame = EncodeReply(wire_version, request_id,
-                                          FrameKind::kErrorResponse,
-                                          EncodeErrorResponse(error));
+    const std::string frame = EncodeFrame(
+        FrameKind::kErrorResponse, request_id, EncodeErrorResponse(error));
     WriteFull(fd, frame.data(), frame.size(), options_.io_timeout_ms);
   };
   // The loop body is a try block: no decode or encode path is expected to
@@ -262,7 +248,6 @@ void Server::ConnectionLoop(Connection* conn) {
   // it must cost this one connection, not the process — the exception
   // would otherwise escape the connection thread and terminate.
   for (;;) try {
-    wire_version = kProtocolVersion;
     request_id = 0;
     char header_bytes[kFrameHeaderSize];
     bool clean_eof = false;
@@ -281,7 +266,7 @@ void Server::ConnectionLoop(Connection* conn) {
     }
     Result<FrameHeader> header = DecodeFrameHeader(
         std::string_view(header_bytes, sizeof(header_bytes)),
-        options_.max_payload_bytes, options_.max_protocol_version);
+        options_.max_payload_bytes);
     if (!header.ok()) {
       fail_connection(header.status());
       break;
@@ -303,12 +288,10 @@ void Server::ConnectionLoop(Connection* conn) {
       fail_connection(crc);
       break;
     }
-    // v2 payloads carry a request-ID prefix; from here on every reply on
-    // this frame (response, error, shed) echoes it at the peer's version.
+    // From here on every reply to this frame (response, error, shed)
+    // echoes its request ID.
     std::string_view body(payload);
-    wire_version = header->version;
-    if (Status split = ExtractRequestId(*header, &body, &request_id);
-        !split.ok()) {
+    if (Status split = ExtractRequestId(&body, &request_id); !split.ok()) {
       fail_connection(split);
       break;
     }
@@ -323,7 +306,6 @@ void Server::ConnectionLoop(Connection* conn) {
     // hang.
     auto submit = [&](std::unique_ptr<Work> work) -> std::string {
       work->admitted = std::chrono::steady_clock::now();
-      work->wire_version = wire_version;
       work->request_id = request_id;
       std::future<std::string> response = work->response.get_future();
       const bool admitted = HYPERDOM_FAULT_POINT_STATUS("server/enqueue").ok() &&
@@ -333,8 +315,7 @@ void Server::ConnectionLoop(Connection* conn) {
         // kOverloaded immediately and keep reading.
         counters_.requests_shed.fetch_add(1, std::memory_order_relaxed);
         HYPERDOM_COUNTER_INC(obs::kServerShed);
-        return EncodeReply(wire_version, request_id,
-                           FrameKind::kErrorResponse,
+        return EncodeFrame(FrameKind::kErrorResponse, request_id,
                            EncodeErrorResponse(Status::Overloaded(
                                "request queue full, try again later")));
       }
@@ -346,15 +327,13 @@ void Server::ConnectionLoop(Connection* conn) {
       HYPERDOM_LOG(obs::LogLevel::kWarn, "server", request_id,
                    "malformed request",
                    obs::LogField::Str("error", error.message()));
-      response_frame = EncodeReply(wire_version, request_id,
-                                   FrameKind::kErrorResponse,
+      response_frame = EncodeFrame(FrameKind::kErrorResponse, request_id,
                                    EncodeErrorResponse(error));
       close_after_reply = true;
     };
     switch (header->kind) {
       case FrameKind::kPingRequest:
-        response_frame = EncodeReply(wire_version, request_id,
-                                     FrameKind::kPongResponse, {});
+        response_frame = EncodeFrame(FrameKind::kPongResponse, request_id, {});
         HYPERDOM_COUNTER_INC_L(obs::kServerRequests, "kind", "ping");
         break;
       case FrameKind::kKnnRequest: {
@@ -398,8 +377,8 @@ void Server::ConnectionLoop(Connection* conn) {
       }
       default:
         // Structurally valid but not something clients may send.
-        response_frame = EncodeReply(
-            wire_version, request_id, FrameKind::kErrorResponse,
+        response_frame = EncodeFrame(
+            FrameKind::kErrorResponse, request_id,
             EncodeErrorResponse(Status::ProtocolError(
                 "unexpected frame kind on a server connection")));
         counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
@@ -452,15 +431,15 @@ void Server::WorkerLoop() {
       HYPERDOM_LOG(obs::LogLevel::kError, "server", work->request_id,
                    "request processing threw",
                    obs::LogField::Str("what", e.what()));
-      frame = EncodeReply(
-          work->wire_version, work->request_id, FrameKind::kErrorResponse,
+      frame = EncodeFrame(
+          FrameKind::kErrorResponse, work->request_id,
           EncodeErrorResponse(Status::Internal(
               std::string("request processing failed: ") + e.what())));
     } catch (...) {
       HYPERDOM_LOG(obs::LogLevel::kError, "server", work->request_id,
                    "request processing threw");
-      frame = EncodeReply(
-          work->wire_version, work->request_id, FrameKind::kErrorResponse,
+      frame = EncodeFrame(
+          FrameKind::kErrorResponse, work->request_id,
           EncodeErrorResponse(Status::Internal("request processing failed")));
     }
     work->response.set_value(std::move(frame));
@@ -476,8 +455,8 @@ std::string Server::ProcessRequest(Work& work) {
       return ProcessMutation(work);
     default:
       // ConnectionLoop only enqueues the kinds above.
-      return EncodeReply(
-          work.wire_version, work.request_id, FrameKind::kErrorResponse,
+      return EncodeFrame(
+          FrameKind::kErrorResponse, work.request_id,
           EncodeErrorResponse(Status::Internal("unexpected work kind")));
   }
 }
@@ -485,9 +464,7 @@ std::string Server::ProcessRequest(Work& work) {
 std::string Server::ProcessKnn(Work& work) {
   HYPERDOM_SPAN(span, "server/request");
   HYPERDOM_SPAN_ANNOTATE(span, "k", std::to_string(work.request.k));
-  if (work.request_id != 0) {
-    HYPERDOM_SPAN_ANNOTATE(span, "request_id", work.request_id);
-  }
+  HYPERDOM_SPAN_ANNOTATE(span, "request_id", work.request_id);
   KnnOptions options;
   options.k = work.request.k;
   options.strategy = work.request.strategy;
@@ -531,8 +508,8 @@ std::string Server::ProcessKnn(Work& work) {
   counters_.requests_served.fetch_add(1, std::memory_order_relaxed);
   HYPERDOM_COUNTER_INC_L(obs::kServerRequests, "kind", "knn");
   if (!refused.ok()) {
-    return EncodeReply(work.wire_version, work.request_id,
-                       FrameKind::kErrorResponse, EncodeErrorResponse(refused));
+    return EncodeFrame(FrameKind::kErrorResponse, work.request_id,
+                       EncodeErrorResponse(refused));
   }
   if (result.completeness == Completeness::kBestEffort) {
     counters_.best_effort_responses.fetch_add(1, std::memory_order_relaxed);
@@ -574,8 +551,8 @@ std::string Server::ProcessKnn(Work& work) {
   KnnResponse response;
   response.completeness = result.completeness;
   response.answers = result.answers;
-  return EncodeReply(work.wire_version, work.request_id,
-                     FrameKind::kKnnResponse, EncodeKnnResponse(response));
+  return EncodeFrame(FrameKind::kKnnResponse, work.request_id,
+                     EncodeKnnResponse(response));
 }
 
 std::string Server::ProcessMutation(Work& work) {
@@ -583,13 +560,11 @@ std::string Server::ProcessMutation(Work& work) {
   const bool is_insert = work.kind == FrameKind::kInsertRequest;
   const char* kind_label = is_insert ? "insert" : "remove";
   HYPERDOM_SPAN_ANNOTATE(span, "kind", kind_label);
-  if (work.request_id != 0) {
-    HYPERDOM_SPAN_ANNOTATE(span, "request_id", work.request_id);
-  }
+  HYPERDOM_SPAN_ANNOTATE(span, "request_id", work.request_id);
   HYPERDOM_COUNTER_INC_L(obs::kServerRequests, "kind", kind_label);
   if (mutable_tree_ == nullptr) {
-    return EncodeReply(
-        work.wire_version, work.request_id, FrameKind::kErrorResponse,
+    return EncodeFrame(
+        FrameKind::kErrorResponse, work.request_id,
         EncodeErrorResponse(Status::NotSupported(
             "server is read-only: mutation frames are not accepted")));
   }
@@ -599,8 +574,7 @@ std::string Server::ProcessMutation(Work& work) {
   if (work.deadline.WallExpired()) {
     counters_.requests_shed.fetch_add(1, std::memory_order_relaxed);
     HYPERDOM_COUNTER_INC(obs::kServerShed);
-    return EncodeReply(work.wire_version, work.request_id,
-                       FrameKind::kErrorResponse,
+    return EncodeFrame(FrameKind::kErrorResponse, work.request_id,
                        EncodeErrorResponse(Status::DeadlineExceeded(
                            "mutation budget exhausted before apply")));
   }
@@ -615,16 +589,14 @@ std::string Server::ProcessMutation(Work& work) {
               .count());
   HYPERDOM_HISTOGRAM_RECORD(obs::kServerRequestDuration, elapsed_ns);
   if (!applied.ok()) {
-    return EncodeReply(work.wire_version, work.request_id,
-                       FrameKind::kErrorResponse,
+    return EncodeFrame(FrameKind::kErrorResponse, work.request_id,
                        EncodeErrorResponse(applied));
   }
   counters_.requests_served.fetch_add(1, std::memory_order_relaxed);
   MutateResponse response;
   response.version = mutable_tree_->version();
   response.live = mutable_tree_->live_size();
-  return EncodeReply(work.wire_version, work.request_id,
-                     FrameKind::kMutateResponse,
+  return EncodeFrame(FrameKind::kMutateResponse, work.request_id,
                      EncodeMutateResponse(response));
 }
 

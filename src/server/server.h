@@ -17,10 +17,15 @@
 //     (or the server is draining) the request is answered immediately
 //     with kOverloaded — the connection stays open, memory stays bounded.
 //   * Hardened connection loop. Truncated frames, CRC mismatches,
-//     oversized or malformed payloads get a kProtocolError frame and the
-//     connection is closed (a byte stream cannot be resynced); slow
-//     clients are bounded by poll timeouts; EINTR/partial transfers are
-//     retried; writes cannot raise SIGPIPE (net.h).
+//     oversized or malformed payloads, and frames of any protocol version
+//     but kProtocolVersion get a kProtocolError frame and the connection
+//     is closed (a byte stream cannot be resynced); slow clients are
+//     bounded by poll timeouts; EINTR/partial transfers are retried;
+//     writes cannot raise SIGPIPE (net.h).
+//   * Request-ID echo. Every reply echoes its request's ID. A frame sent
+//     before that ID is read (accept-time shed, refused header, truncated
+//     payload, CRC mismatch) carries ID 0, and the connection is closed
+//     after it.
 //   * Graceful drain. Stop() closes the listener, wakes every connection
 //     with a read-side shutdown, lets in-flight queries finish and their
 //     responses flush, then joins all threads. Requests that race the
@@ -73,10 +78,6 @@ struct ServerOptions {
   uint64_t max_payload_bytes = kDefaultMaxPayloadBytes;
   /// Bound on each socket read/write wait (slow-client defense).
   int io_timeout_ms = 5000;
-  /// Highest HDNP version this server accepts. Default: everything this
-  /// build understands. Set to kProtocolVersion to emulate a v1-only peer
-  /// (interop tests exercise the client's downgrade path against it).
-  uint32_t max_protocol_version = kProtocolVersionMax;
   /// kNN latency (admission to response) at or above which one
   /// hyperdom-slowlog-v1 record is emitted. 0 disables the slow-query log.
   uint64_t slow_query_micros = 0;
@@ -162,10 +163,7 @@ class Server {
     RemoveRequest remove;      // valid when kind == kRemoveRequest
     Deadline deadline;  // built at admission: queue wait burns budget
     std::chrono::steady_clock::time_point admitted;
-    // Wire context: the response (including errors) is encoded at the
-    // request's version, echoing its request ID (0 under v1).
-    uint32_t wire_version = kProtocolVersion;
-    uint64_t request_id = 0;
+    uint64_t request_id = 0;  // echoed by the response, errors included
     std::promise<std::string> response;  // an encoded HDNP frame
   };
 

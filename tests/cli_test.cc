@@ -4,9 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <thread>
+
+#include "data/generator.h"
+#include "dominance/criterion.h"
+#include "index/ss_tree.h"
+#include "server/client.h"
+#include "server/server.h"
 
 namespace hyperdom {
 namespace cli {
@@ -236,6 +244,48 @@ TEST_F(CliPipelineTest, MissingFileErrors) {
       RunCli({"knn", "--data=/no/such/file.csv", "--query=1,2,3;1"});
   EXPECT_EQ(run.exit_code, 1);
   EXPECT_NE(run.err.find("error"), std::string::npos);
+}
+
+// `query` against a server whose only connection slot is held: every
+// attempt is shed at accept and the command exits 3 (overloaded), as
+// docs/robustness.md §9 promises. Once the slot is free, the same command
+// succeeds.
+TEST(CliServerTest, QueryExitsThreeWhileTheOnlySlotIsHeld) {
+  SyntheticSpec spec;
+  spec.n = 500;
+  spec.dim = 3;
+  spec.seed = 9;
+  SsTree tree(spec.dim);
+  ASSERT_TRUE(tree.BulkLoad(GenerateSynthetic(spec)).ok());
+  const auto criterion = MakeCriterion(CriterionKind::kHyperbola);
+  server::ServerOptions options;
+  options.max_connections = 1;
+  server::Server server(&tree, criterion.get(), options);
+  ASSERT_TRUE(server.Start().ok());
+  server::ClientOptions holder_options;
+  holder_options.port = server.port();
+  server::Client holder(holder_options);
+  ASSERT_TRUE(holder.Ping().ok());  // occupies the one connection slot
+
+  const std::vector<std::string> query = {
+      "query", "--server=127.0.0.1:" + std::to_string(server.port()),
+      "--query=100,100,100;5", "--k=3"};
+  const CliRun shed = RunCli(query);
+  EXPECT_EQ(shed.exit_code, 3) << shed.err;
+  EXPECT_NE(shed.err.find("connection limit"), std::string::npos)
+      << shed.err;
+
+  holder.Close();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.counters().active_connections.load() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const CliRun served = RunCli(query);
+  EXPECT_EQ(served.exit_code, 0) << served.err;
+  EXPECT_NE(served.out.find("possible top-3"), std::string::npos)
+      << served.out;
 }
 
 }  // namespace

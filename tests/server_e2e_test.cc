@@ -88,7 +88,11 @@ class ServerE2eTest : public ::testing::Test {
   std::vector<Hypersphere> queries_;
 };
 
-// Reads one response frame from a raw socket.
+// Request ID the raw-socket tests send their hand-built frames under.
+constexpr uint64_t kRawId = 1;
+
+// Reads one response frame from a raw socket; the request-ID prefix is
+// stripped off `payload`.
 Status ReadFrame(int fd, FrameKind* kind, std::string* payload) {
   char header_bytes[kFrameHeaderSize];
   HYPERDOM_RETURN_NOT_OK(
@@ -103,6 +107,10 @@ Status ReadFrame(int fd, FrameKind* kind, std::string* payload) {
         ReadFull(fd, payload->data(), payload->size(), 2'000));
   }
   HYPERDOM_RETURN_NOT_OK(VerifyPayloadCrc(*header, *payload));
+  std::string_view body(*payload);
+  uint64_t echoed_id = 0;
+  HYPERDOM_RETURN_NOT_OK(ExtractRequestId(&body, &echoed_id));
+  payload->erase(0, sizeof(echoed_id));
   *kind = header->kind;
   return Status::OK();
 }
@@ -293,7 +301,7 @@ TEST_F(ServerE2eTest, CrcFlipOverWireIsRejected) {
   KnnRequest request;
   request.query = queries_.front();
   std::string frame =
-      EncodeFrame(FrameKind::kKnnRequest, EncodeKnnRequest(request));
+      EncodeFrame(FrameKind::kKnnRequest, kRawId, EncodeKnnRequest(request));
   frame[kFrameHeaderSize + 3] =
       static_cast<char>(frame[kFrameHeaderSize + 3] ^ 0x10);
   ASSERT_TRUE(WriteFull(*fd, frame.data(), frame.size(), 2'000).ok());
@@ -336,7 +344,7 @@ TEST_F(ServerE2eTest, WrongDimensionalQueryIsRefusedInEveryMode) {
     KnnRequest request;
     request.query = query;
     const std::string frame =
-        EncodeFrame(FrameKind::kKnnRequest, EncodeKnnRequest(request));
+        EncodeFrame(FrameKind::kKnnRequest, kRawId, EncodeKnnRequest(request));
     return WriteFull(fd, frame.data(), frame.size(), 2'000);
   };
   for (auto& server : servers) {
@@ -372,7 +380,7 @@ TEST_F(ServerE2eTest, OversizedDeclarationIsRejectedBeforeAllocation) {
   Result<int> fd = ConnectWithTimeout("127.0.0.1", server->port(), 2'000);
   ASSERT_TRUE(fd.ok());
   // A well-formed header declaring a payload over the server's cap.
-  std::string frame = EncodeFrame(FrameKind::kKnnRequest, {});
+  std::string frame = EncodeFrame(FrameKind::kKnnRequest, kRawId, {});
   const uint64_t huge = 1ull << 40;
   std::memcpy(frame.data() + 12, &huge, sizeof(huge));
   ASSERT_TRUE(WriteFull(*fd, frame.data(), frame.size(), 2'000).ok());
@@ -416,7 +424,7 @@ TEST_F(ServerE2eTest, ByteDrippingClientCannotHoldAConnectionSlot) {
   // give up. The timeout budgets the WHOLE transfer, so the server must
   // cut the connection after ~io_timeout_ms, long before the 24-byte
   // header completes at this drip rate (slow-loris defense).
-  const std::string frame = EncodeFrame(FrameKind::kPingRequest, {});
+  const std::string frame = EncodeFrame(FrameKind::kPingRequest, kRawId, {});
   bool dropped = false;
   for (size_t i = 0; i < frame.size(); ++i) {
     if (!WriteFull(*fd, frame.data() + i, 1, 2'000).ok()) {
@@ -457,6 +465,30 @@ TEST_F(ServerE2eTest, ConnectionLimitShedsAtAccept) {
   EXPECT_EQ(remote.code(), StatusCode::kOverloaded);
   CloseSocket(*fd);
   EXPECT_GE(server->counters().requests_shed.load(), 1u);
+}
+
+// The accept-time shed frame carries request ID 0 and the server closes
+// the connection after it, so the client reconnects for every attempt:
+// each one reaches the server and is shed, and the call returns
+// kOverloaded whatever its attempt count (not an IO error from re-sending
+// on the dead socket).
+TEST_F(ServerE2eTest, ConnectionLimitShedsEveryAttempt) {
+  ServerOptions options;
+  options.max_connections = 1;
+  auto server = StartServer(options);
+  Client holder = MakeClient(server->port());
+  ASSERT_TRUE(holder.Ping().ok());  // occupies the one connection slot
+
+  for (int attempts : {2, 4}) {
+    SCOPED_TRACE(attempts);
+    const uint64_t shed_before = server->counters().requests_shed.load();
+    Client client = MakeClient(server->port(), attempts);
+    const Status pinged = client.Ping();
+    EXPECT_EQ(pinged.code(), StatusCode::kOverloaded) << pinged.ToString();
+    EXPECT_EQ(client.last_attempts(), attempts);
+    EXPECT_EQ(server->counters().requests_shed.load() - shed_before,
+              static_cast<uint64_t>(attempts));
+  }
 }
 
 TEST_F(ServerE2eTest, SingleShotFaultsRecoverViaClientRetry) {

@@ -43,17 +43,24 @@ KnnResponse SampleResponse() {
   return response;
 }
 
+// Every payload on the wire is the 8-byte request-ID prefix plus the
+// caller's bytes.
+constexpr size_t kIdPrefix = sizeof(uint64_t);
+
+// The first kFrameHeaderSize bytes of `frame`, as DecodeFrameHeader takes.
+std::string_view HeaderBytes(const std::string& frame) {
+  return std::string_view(frame).substr(0, kFrameHeaderSize);
+}
+
 TEST(FrameTest, HeaderRoundTrip) {
   const std::string payload = "hello hyperdom";
-  const std::string frame = EncodeFrame(FrameKind::kKnnRequest, payload);
-  ASSERT_EQ(frame.size(), kFrameHeaderSize + payload.size());
+  const std::string frame = EncodeFrame(FrameKind::kKnnRequest, 7, payload);
+  ASSERT_EQ(frame.size(), kFrameHeaderSize + kIdPrefix + payload.size());
 
-  auto header = DecodeFrameHeader(
-      std::string_view(frame).substr(0, kFrameHeaderSize),
-      kDefaultMaxPayloadBytes);
+  auto header = DecodeFrameHeader(HeaderBytes(frame), kDefaultMaxPayloadBytes);
   ASSERT_TRUE(header.ok()) << header.status().ToString();
   EXPECT_EQ(header->kind, FrameKind::kKnnRequest);
-  EXPECT_EQ(header->payload_size, payload.size());
+  EXPECT_EQ(header->payload_size, kIdPrefix + payload.size());
   EXPECT_TRUE(
       VerifyPayloadCrc(*header, std::string_view(frame).substr(
                                     kFrameHeaderSize))
@@ -61,21 +68,26 @@ TEST(FrameTest, HeaderRoundTrip) {
 }
 
 TEST(FrameTest, EmptyPayloadRoundTrip) {
-  const std::string frame = EncodeFrame(FrameKind::kPingRequest, {});
-  ASSERT_EQ(frame.size(), kFrameHeaderSize);
-  auto header = DecodeFrameHeader(frame, kDefaultMaxPayloadBytes);
+  const std::string frame = EncodeFrame(FrameKind::kPingRequest, 7, {});
+  ASSERT_EQ(frame.size(), kFrameHeaderSize + kIdPrefix);
+  auto header = DecodeFrameHeader(HeaderBytes(frame), kDefaultMaxPayloadBytes);
   ASSERT_TRUE(header.ok());
   EXPECT_EQ(header->kind, FrameKind::kPingRequest);
-  EXPECT_EQ(header->payload_size, 0u);
-  EXPECT_TRUE(VerifyPayloadCrc(*header, {}).ok());
+  EXPECT_EQ(header->payload_size, kIdPrefix);
+  std::string_view body = std::string_view(frame).substr(kFrameHeaderSize);
+  EXPECT_TRUE(VerifyPayloadCrc(*header, body).ok());
+  uint64_t id = 0;
+  ASSERT_TRUE(ExtractRequestId(&body, &id).ok());
+  EXPECT_EQ(id, 7u);
+  EXPECT_TRUE(body.empty());
 }
 
 TEST(FrameTest, EveryPayloadBitFlipIsDetected) {
-  const std::string payload = "crc-protected bytes";
-  const std::string frame = EncodeFrame(FrameKind::kKnnResponse, payload);
-  auto header = DecodeFrameHeader(
-      std::string_view(frame).substr(0, kFrameHeaderSize),
-      kDefaultMaxPayloadBytes);
+  // The CRC covers the request-ID prefix as well as the caller's bytes.
+  const std::string frame =
+      EncodeFrame(FrameKind::kKnnResponse, 7, "crc-protected bytes");
+  const std::string payload = frame.substr(kFrameHeaderSize);
+  auto header = DecodeFrameHeader(HeaderBytes(frame), kDefaultMaxPayloadBytes);
   ASSERT_TRUE(header.ok());
   for (size_t byte = 0; byte < payload.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
@@ -89,7 +101,7 @@ TEST(FrameTest, EveryPayloadBitFlipIsDetected) {
 }
 
 TEST(FrameTest, RejectsTruncatedHeader) {
-  const std::string frame = EncodeFrame(FrameKind::kPingRequest, {});
+  const std::string frame = EncodeFrame(FrameKind::kPingRequest, 7, {});
   for (size_t len = 0; len < kFrameHeaderSize; ++len) {
     auto header = DecodeFrameHeader(std::string_view(frame).substr(0, len),
                                     kDefaultMaxPayloadBytes);
@@ -99,28 +111,41 @@ TEST(FrameTest, RejectsTruncatedHeader) {
 }
 
 TEST(FrameTest, RejectsBadMagic) {
-  std::string frame = EncodeFrame(FrameKind::kPingRequest, {});
+  std::string frame = EncodeFrame(FrameKind::kPingRequest, 7, {});
   frame[0] = 'X';
-  auto header = DecodeFrameHeader(frame, kDefaultMaxPayloadBytes);
+  auto header = DecodeFrameHeader(HeaderBytes(frame), kDefaultMaxPayloadBytes);
   ASSERT_FALSE(header.ok());
   EXPECT_EQ(header.status().code(), StatusCode::kProtocolError);
   EXPECT_NE(header.status().message().find("magic"), std::string::npos);
 }
 
 TEST(FrameTest, RejectsUnsupportedVersion) {
-  std::string frame = EncodeFrame(FrameKind::kPingRequest, {});
-  const uint32_t bad_version = kProtocolVersionMax + 1;
-  std::memcpy(frame.data() + 4, &bad_version, sizeof(bad_version));
-  auto header = DecodeFrameHeader(frame, kDefaultMaxPayloadBytes);
-  ASSERT_FALSE(header.ok());
-  EXPECT_NE(header.status().message().find("version"), std::string::npos);
+  // One version is spoken: the retired ID-less version 1, a zero and a
+  // future version are all refused, naming the version.
+  EXPECT_TRUE(DecodeFrameHeader(
+                  HeaderBytes(EncodeFrame(FrameKind::kPingRequest, 7, {})),
+                  kDefaultMaxPayloadBytes)
+                  .ok());
+  for (uint32_t version : {0u, 1u, kProtocolVersion + 1}) {
+    std::string frame = EncodeFrame(FrameKind::kPingRequest, 7, {});
+    std::memcpy(frame.data() + 4, &version, sizeof(version));
+    auto header =
+        DecodeFrameHeader(HeaderBytes(frame), kDefaultMaxPayloadBytes);
+    ASSERT_FALSE(header.ok()) << "accepted version " << version;
+    EXPECT_EQ(header.status().code(), StatusCode::kProtocolError);
+    EXPECT_NE(header.status().message().find("unsupported protocol version " +
+                                             std::to_string(version)),
+              std::string::npos)
+        << header.status().ToString();
+  }
 }
 
 TEST(FrameTest, RejectsUnknownKind) {
   for (uint32_t kind : {0u, 9u, 0xFFFFFFFFu}) {
-    std::string frame = EncodeFrame(FrameKind::kPingRequest, {});
+    std::string frame = EncodeFrame(FrameKind::kPingRequest, 7, {});
     std::memcpy(frame.data() + 8, &kind, sizeof(kind));
-    auto header = DecodeFrameHeader(frame, kDefaultMaxPayloadBytes);
+    auto header =
+        DecodeFrameHeader(HeaderBytes(frame), kDefaultMaxPayloadBytes);
     EXPECT_FALSE(header.ok()) << "accepted kind " << kind;
   }
 }
@@ -128,20 +153,17 @@ TEST(FrameTest, RejectsUnknownKind) {
 TEST(FrameTest, RejectsOversizedDeclarationBeforeAllocation) {
   // A header declaring a huge payload must be refused at header-decode
   // time — the receiver never allocates from an unvalidated size field.
-  std::string frame = EncodeFrame(FrameKind::kKnnRequest, "tiny");
+  std::string frame = EncodeFrame(FrameKind::kKnnRequest, 7, "tiny");
   const uint64_t huge = 1ull << 60;
   std::memcpy(frame.data() + 12, &huge, sizeof(huge));
-  auto header = DecodeFrameHeader(
-      std::string_view(frame).substr(0, kFrameHeaderSize),
-      kDefaultMaxPayloadBytes);
+  auto header = DecodeFrameHeader(HeaderBytes(frame), kDefaultMaxPayloadBytes);
   ASSERT_FALSE(header.ok());
   EXPECT_EQ(header.status().code(), StatusCode::kProtocolError);
   EXPECT_NE(header.status().message().find("exceeds limit"),
             std::string::npos);
 
   // Exactly at the cap is fine (the cap bounds, it does not exclude).
-  auto at_cap = DecodeFrameHeader(
-      std::string_view(frame).substr(0, kFrameHeaderSize), huge);
+  auto at_cap = DecodeFrameHeader(HeaderBytes(frame), huge);
   EXPECT_TRUE(at_cap.ok());
 }
 

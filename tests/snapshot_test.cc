@@ -2,15 +2,15 @@
 //
 // Crash-safe snapshot envelope (index/snapshot.h): round-trips must
 // preserve query answers exactly, and any corruption — bit flips,
-// truncation, a wrong kind — must be detected before the tree structure
-// is trusted, falling back to a rebuild when the raw data is available.
+// truncation, a wrong kind — or a retired or unknown format version must
+// be detected before the tree structure is trusted, falling back to a
+// rebuild when the raw data is available.
 
 #include "index/snapshot.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <set>
 #include <string>
@@ -239,11 +239,11 @@ TEST(SnapshotTest, LoadOrRebuildFallsBackOnMissingFile) {
 }
 
 // ---------------------------------------------------------------------------
-// v1 -> v2 migration. The writers below emit the exact pre-store formats:
-// HDSP v1 envelopes wrapping AoS tree payloads (HDSS v2 node records with
-// inline spheres; HDVP v1 likewise). The current loader must migrate them
-// into a SphereStore transparently, and the corruption checks must hold on
-// the legacy byte layout too.
+// Retired and future format versions. Only HDSP v2 envelopes around HDSS v3
+// or HDVP v2 payloads load. Anything else is refused with kNotSupported,
+// never migrated, and LoadSnapshotOrRebuild rebuilds from the data. The
+// refusal comes right after the version field, so each retired format is
+// written as its header alone (magic + version).
 // ---------------------------------------------------------------------------
 
 template <typename T>
@@ -251,53 +251,15 @@ void AppendPod(std::string* out, const T& value) {
   out->append(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
-// One AoS leaf entry: center coordinates, radius, id.
-void AppendLegacyEntry(std::string* out, const Hypersphere& s, uint64_t id) {
-  for (size_t d = 0; d < s.dim(); ++d) AppendPod(out, s.center()[d]);
-  AppendPod(out, s.radius());
-  AppendPod(out, id);
-}
-
-// HDSS v2: header + single-leaf root with inline entries.
-std::string LegacySsPayload(const std::vector<Hypersphere>& data) {
-  std::string out;
-  out.append("HDSS", 4);
-  AppendPod(&out, uint32_t{2});                           // version
-  AppendPod(&out, static_cast<uint64_t>(data[0].dim()));  // dim
-  AppendPod(&out, static_cast<uint64_t>(data.size()));    // size
-  AppendPod(&out, uint64_t{16});                          // max_entries
-  AppendPod(&out, 0.4);                                   // min_fill_ratio
-  AppendPod(&out, uint32_t{0});                           // split_policy
-  AppendPod(&out, uint32_t{0});                           // bounding_policy
-  AppendPod(&out, uint8_t{1});                            // leaf root
-  AppendPod(&out, static_cast<uint64_t>(data.size()));
-  for (size_t i = 0; i < data.size(); ++i) {
-    AppendLegacyEntry(&out, data[i], static_cast<uint64_t>(i));
-  }
+std::string FormatHeader(const char* magic, uint32_t version) {
+  std::string out(magic, 4);
+  AppendPod(&out, version);
   return out;
 }
 
-// HDVP v1: header + single-leaf root with an inline bucket.
-std::string LegacyVpPayload(const std::vector<Hypersphere>& data) {
-  std::string out;
-  out.append("HDVP", 4);
-  AppendPod(&out, uint32_t{1});                           // version
-  AppendPod(&out, static_cast<uint64_t>(data[0].dim()));  // dim
-  AppendPod(&out, static_cast<uint64_t>(data.size()));    // size
-  AppendPod(&out, uint64_t{32});                          // leaf_size
-  AppendPod(&out, uint8_t{1});                            // leaf root
-  AppendPod(&out, static_cast<uint64_t>(data.size()));
-  for (size_t i = 0; i < data.size(); ++i) {
-    AppendLegacyEntry(&out, data[i], static_cast<uint64_t>(i));
-  }
-  return out;
-}
-
-// HDSP v1 envelope around a payload.
-std::string LegacyEnvelope(SnapshotKind kind, const std::string& payload) {
-  std::string out;
-  out.append("HDSP", 4);
-  AppendPod(&out, uint32_t{1});  // legacy envelope version
+// A current (v2) envelope with a valid checksum around `payload`.
+std::string CurrentEnvelope(SnapshotKind kind, const std::string& payload) {
+  std::string out = FormatHeader("HDSP", 2);
   AppendPod(&out, static_cast<uint32_t>(kind));
   AppendPod(&out, static_cast<uint64_t>(payload.size()));
   AppendPod(&out, Crc32Of(payload.data(), payload.size()));
@@ -305,104 +267,51 @@ std::string LegacyEnvelope(SnapshotKind kind, const std::string& payload) {
   return out;
 }
 
-TEST(SnapshotMigrationTest, LegacySsSnapshotLoadsIntoStore) {
-  const auto data = TestData(913, 14);
-  const std::string path = TestPath("legacy_ss.snap");
-  WriteFile(path, LegacyEnvelope(SnapshotKind::kSsTree,
-                                 LegacySsPayload(data)));
+template <typename Tree>
+void ExpectRefusedThenRebuilt(const std::string& path,
+                              const std::vector<Hypersphere>& data,
+                              Tree empty) {
+  Tree loaded = std::move(empty);
+  const Status status = LoadSnapshot(path, &loaded);
+  EXPECT_EQ(status.code(), StatusCode::kNotSupported) << status.ToString();
+  EXPECT_NE(status.message().find("version"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(loaded.size(), 0u) << "a refused load must not fill the tree";
 
-  auto info = VerifySnapshot(path);
-  ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->version, 1u);
-  EXPECT_TRUE(info->crc_ok);
-
-  SsTree loaded(1);
-  ASSERT_TRUE(LoadSnapshot(path, &loaded).ok());
+  SnapshotLoadOutcome outcome = SnapshotLoadOutcome::kLoaded;
+  Status load_error;
+  ASSERT_TRUE(
+      LoadSnapshotOrRebuild(path, data, &loaded, &outcome, &load_error).ok());
+  EXPECT_EQ(outcome, SnapshotLoadOutcome::kRebuilt);
+  EXPECT_EQ(load_error.code(), StatusCode::kNotSupported);
   EXPECT_EQ(loaded.size(), data.size());
-  EXPECT_EQ(loaded.dim(), 3u);
-  EXPECT_TRUE(loaded.CheckInvariants().ok());
-  // Every migrated sphere is bit-identical to the source.
-  ASSERT_EQ(loaded.store().size(), data.size());
-
-  // Migrated trees answer queries exactly like a fresh build over the
-  // same data inserted in the same (leaf) order.
-  SsTree fresh(3);
-  for (size_t i = 0; i < data.size(); ++i) {
-    ASSERT_TRUE(fresh.Insert(data[i], static_cast<uint64_t>(i)).ok());
-  }
-  HyperbolaCriterion exact;
-  KnnSearcher searcher(&exact, KnnOptions{});
-  for (const auto& sq : MakeKnnQueries(data, 6, 914)) {
-    EXPECT_EQ(Ids(searcher.Search(loaded, sq)),
-              Ids(searcher.Search(fresh, sq)));
-  }
-
-  // Re-saving writes the current store-backed format.
-  const std::string resaved = TestPath("legacy_ss_resave.snap");
-  ASSERT_TRUE(SaveSnapshot(loaded, resaved).ok());
-  auto info2 = VerifySnapshot(resaved);
-  ASSERT_TRUE(info2.ok());
-  EXPECT_EQ(info2->version, 2u);
-  SsTree round(1);
-  ASSERT_TRUE(LoadSnapshot(resaved, &round).ok());
-  EXPECT_EQ(round.size(), data.size());
-  std::remove(path.c_str());
-  std::remove(resaved.c_str());
 }
 
-TEST(SnapshotMigrationTest, LegacyVpSnapshotLoadsIntoStore) {
-  const auto data = TestData(915, 12);
-  const std::string path = TestPath("legacy_vp.snap");
-  WriteFile(path, LegacyEnvelope(SnapshotKind::kVpTree,
-                                 LegacyVpPayload(data)));
-
-  VpTree loaded;
-  ASSERT_TRUE(LoadSnapshot(path, &loaded).ok());
-  EXPECT_EQ(loaded.size(), data.size());
-  EXPECT_EQ(loaded.dim(), 3u);
-  ASSERT_EQ(loaded.store().size(), data.size());
-
-  // The migrated store holds the source spheres bit-for-bit.
-  HyperbolaCriterion exact;
-  for (const auto& sq : MakeKnnQueries(data, 6, 916)) {
-    const auto got = VpTreeKnnSearch(loaded, sq, exact, KnnOptions{});
-    const auto want = KnnLinearScan(data, sq, KnnOptions{}.k, exact);
-    EXPECT_EQ(Ids(got), Ids(want));
+TEST(SnapshotVersionTest, RetiredAndFutureVersionsAreNotSupported) {
+  const auto data = TestData(918, 40);
+  const std::string path = TestPath("retired.snap");
+  {
+    SCOPED_TRACE("HDSP v1 envelope");
+    WriteFile(path, FormatHeader("HDSP", 1));
+    ExpectRefusedThenRebuilt(path, data, SsTree(3));
   }
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotMigrationTest, LegacyBitFlipsAreStillRejected) {
-  const auto data = TestData(917, 10);
-  const std::string path = TestPath("legacy_bitflip.snap");
-  const std::string pristine =
-      LegacyEnvelope(SnapshotKind::kSsTree, LegacySsPayload(data));
-
-  std::vector<size_t> positions;
-  for (size_t i = 0; i < 24 && i < pristine.size(); ++i) positions.push_back(i);
-  for (size_t i = 24; i < pristine.size(); i += 31) positions.push_back(i);
-  for (size_t pos : positions) {
-    std::string corrupt = pristine;
-    corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x40);
-    WriteFile(path, corrupt);
-    SsTree loaded(1);
-    const Status status = LoadSnapshot(path, &loaded);
-    EXPECT_FALSE(status.ok()) << "flip at byte " << pos;
-    EXPECT_EQ(loaded.size(), 0u) << "failed load must not mutate the tree";
+  {
+    SCOPED_TRACE("HDSP v3 envelope");
+    WriteFile(path, FormatHeader("HDSP", 3));
+    ExpectRefusedThenRebuilt(path, data, SsTree(3));
   }
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotMigrationTest, FutureEnvelopeVersionIsNotSupported) {
-  const auto data = TestData(918, 8);
-  std::string bytes =
-      LegacyEnvelope(SnapshotKind::kSsTree, LegacySsPayload(data));
-  const uint32_t future = 3;
-  std::memcpy(bytes.data() + 4, &future, sizeof(future));
-  const std::string path = TestPath("future.snap");
-  WriteFile(path, bytes);
-  SsTree loaded(1);
-  EXPECT_EQ(LoadSnapshot(path, &loaded).code(), StatusCode::kNotSupported);
+  {
+    SCOPED_TRACE("HDSS v2 payload in an HDSP v2 envelope");
+    WriteFile(path, CurrentEnvelope(SnapshotKind::kSsTree,
+                                    FormatHeader("HDSS", 2)));
+    ExpectRefusedThenRebuilt(path, data, SsTree(3));
+  }
+  {
+    SCOPED_TRACE("HDVP v1 payload in an HDSP v2 envelope");
+    WriteFile(path, CurrentEnvelope(SnapshotKind::kVpTree,
+                                    FormatHeader("HDVP", 1)));
+    ExpectRefusedThenRebuilt(path, data, VpTree());
+  }
   std::remove(path.c_str());
 }
 

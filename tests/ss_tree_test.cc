@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "data/generator.h"
+#include "index/snapshot.h"
 #include "test_util.h"
 
 namespace hyperdom {
@@ -293,6 +294,8 @@ TEST(SsTreeBoundingPolicyComparisonTest, MinBallBoundsAreTighter) {
   EXPECT_LE(radius_mass(min_ball_tree), radius_mass(centroid_tree));
 }
 
+// An SS-tree reaches a file only through the checksummed snapshot
+// envelope (index/snapshot.h).
 class SsTreePersistenceTest : public ::testing::Test {
  protected:
   std::string TempPath() {
@@ -313,9 +316,9 @@ TEST_F(SsTreePersistenceTest, RoundTripPreservesStructureAndAnswers) {
   ASSERT_TRUE(tree.BulkLoad(data).ok());
 
   const std::string path = TempPath();
-  ASSERT_TRUE(tree.Save(path).ok());
+  ASSERT_TRUE(SaveSnapshot(tree, path).ok());
   SsTree loaded(0);
-  ASSERT_TRUE(SsTree::Load(path, &loaded).ok());
+  ASSERT_TRUE(LoadSnapshot(path, &loaded).ok());
   std::remove(path.c_str());
 
   EXPECT_EQ(loaded.size(), tree.size());
@@ -354,9 +357,9 @@ TEST_F(SsTreePersistenceTest, RoundTripPreservesStructureAndAnswers) {
 TEST_F(SsTreePersistenceTest, EmptyTreeRoundTrips) {
   SsTree tree(3);
   const std::string path = TempPath();
-  ASSERT_TRUE(tree.Save(path).ok());
+  ASSERT_TRUE(SaveSnapshot(tree, path).ok());
   SsTree loaded(0);
-  ASSERT_TRUE(SsTree::Load(path, &loaded).ok());
+  ASSERT_TRUE(LoadSnapshot(path, &loaded).ok());
   std::remove(path.c_str());
   EXPECT_EQ(loaded.size(), 0u);
   EXPECT_EQ(loaded.root(), nullptr);
@@ -365,7 +368,7 @@ TEST_F(SsTreePersistenceTest, EmptyTreeRoundTrips) {
 TEST_F(SsTreePersistenceTest, MissingFileIsNotFound) {
   SsTree loaded(0);
   // common/io maps ENOENT to kNotFound.
-  EXPECT_EQ(SsTree::Load("/no/such/file.bin", &loaded).code(),
+  EXPECT_EQ(LoadSnapshot("/no/such/file.bin", &loaded).code(),
             StatusCode::kNotFound);
 }
 
@@ -376,7 +379,7 @@ TEST_F(SsTreePersistenceTest, GarbageFileIsRejected) {
     out << "definitely not an SS-tree";
   }
   SsTree loaded(0);
-  EXPECT_EQ(SsTree::Load(path, &loaded).code(), StatusCode::kCorruption);
+  EXPECT_EQ(LoadSnapshot(path, &loaded).code(), StatusCode::kCorruption);
   std::remove(path.c_str());
 }
 
@@ -388,7 +391,7 @@ TEST_F(SsTreePersistenceTest, TruncatedFileIsRejected) {
   SsTree tree(3);
   ASSERT_TRUE(tree.BulkLoad(GenerateSynthetic(spec)).ok());
   const std::string path = TempPath();
-  ASSERT_TRUE(tree.Save(path).ok());
+  ASSERT_TRUE(SaveSnapshot(tree, path).ok());
   // Chop the file in half.
   std::ifstream in(path, std::ios::binary);
   std::stringstream buffer;
@@ -401,7 +404,7 @@ TEST_F(SsTreePersistenceTest, TruncatedFileIsRejected) {
               static_cast<std::streamsize>(content.size() / 2));
   }
   SsTree loaded(0);
-  const Status st = SsTree::Load(path, &loaded);
+  const Status st = LoadSnapshot(path, &loaded);
   EXPECT_FALSE(st.ok());
   std::remove(path.c_str());
 }

@@ -894,7 +894,9 @@ Status CmdServe(const ParsedArgs& args, std::ostream& out) {
   return Status::OK();
 }
 
-Status CmdQuery(const ParsedArgs& args, std::ostream& out) {
+// Shared --server/--timeout-ms/--attempts parsing for the remote verbs
+// (query/insert/remove).
+Result<server::ClientOptions> ParseClientOptions(const ParsedArgs& args) {
   const std::string target = args.GetFlag("server");
   if (target.empty()) return Status::InvalidArgument("missing --server");
   const std::vector<std::string> parts = Split(target, ':');
@@ -904,6 +906,22 @@ Status CmdQuery(const ParsedArgs& args, std::ostream& out) {
     return Status::InvalidArgument("bad --server (want HOST:PORT): '" +
                                    target + "'");
   }
+  auto timeout_ms = RequireUint(args, "timeout-ms", 10000,
+                                /*required=*/false);
+  if (!timeout_ms.ok()) return timeout_ms.status();
+  auto attempts = RequireUint(args, "attempts", 4, /*required=*/false);
+  if (!attempts.ok()) return attempts.status();
+  server::ClientOptions options;
+  options.host = parts[0];
+  options.port = static_cast<uint16_t>(port);
+  options.io_timeout_ms = static_cast<int>(*timeout_ms);
+  options.max_attempts = static_cast<int>(std::max<uint64_t>(1, *attempts));
+  return options;
+}
+
+Status CmdQuery(const ParsedArgs& args, std::ostream& out) {
+  auto options = ParseClientOptions(args);
+  if (!options.ok()) return options.status();
   auto query = ParseSphere(args.GetFlag("query"));
   if (!query.ok()) {
     return Status::InvalidArgument("--query: " + query.status().message());
@@ -919,18 +937,8 @@ Status CmdQuery(const ParsedArgs& args, std::ostream& out) {
   if (!budget_ms.ok()) return budget_ms.status();
   auto node_budget = RequireUint(args, "node-budget", 0, /*required=*/false);
   if (!node_budget.ok()) return node_budget.status();
-  auto timeout_ms = RequireUint(args, "timeout-ms", 10000,
-                                /*required=*/false);
-  if (!timeout_ms.ok()) return timeout_ms.status();
-  auto attempts = RequireUint(args, "attempts", 4, /*required=*/false);
-  if (!attempts.ok()) return attempts.status();
 
-  server::ClientOptions options;
-  options.host = parts[0];
-  options.port = static_cast<uint16_t>(port);
-  options.io_timeout_ms = static_cast<int>(*timeout_ms);
-  options.max_attempts = static_cast<int>(std::max<uint64_t>(1, *attempts));
-  server::Client client(options);
+  server::Client client(*options);
 
   server::KnnRequest request;
   request.query = *query;
@@ -960,31 +968,6 @@ Status CmdQuery(const ParsedArgs& args, std::ostream& out) {
     }
   }
   return Status::OK();
-}
-
-// Shared --server/--timeout-ms/--attempts parsing for the remote verbs
-// (insert/remove); mirrors CmdQuery's connection flags.
-Result<server::ClientOptions> ParseClientOptions(const ParsedArgs& args) {
-  const std::string target = args.GetFlag("server");
-  if (target.empty()) return Status::InvalidArgument("missing --server");
-  const std::vector<std::string> parts = Split(target, ':');
-  uint64_t port = 0;
-  if (parts.size() != 2 || !ParseUint64(parts[1], &port) || port == 0 ||
-      port > 65535) {
-    return Status::InvalidArgument("bad --server (want HOST:PORT): '" +
-                                   target + "'");
-  }
-  auto timeout_ms = RequireUint(args, "timeout-ms", 10000,
-                                /*required=*/false);
-  if (!timeout_ms.ok()) return timeout_ms.status();
-  auto attempts = RequireUint(args, "attempts", 4, /*required=*/false);
-  if (!attempts.ok()) return attempts.status();
-  server::ClientOptions options;
-  options.host = parts[0];
-  options.port = static_cast<uint16_t>(port);
-  options.io_timeout_ms = static_cast<int>(*timeout_ms);
-  options.max_attempts = static_cast<int>(std::max<uint64_t>(1, *attempts));
-  return options;
 }
 
 Status CmdInsert(const ParsedArgs& args, std::ostream& out) {

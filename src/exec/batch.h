@@ -109,10 +109,9 @@ struct QueryContext {
 /// \brief Generic batch scaffold: runs `body(ctx)` once per query index
 /// with the per-query fault scope and Rng installed, on `exec`'s pool.
 ///
-/// BatchKnn/BatchRange are built on this; callers with custom drivers
-/// (e.g. probabilistic kNN sweeps) can reuse it to inherit the same
-/// determinism contract. `body` must be concurrency-safe for distinct
-/// indices. Returns the workers used.
+/// BatchKnn/BatchRange are built on this; a caller with its own per-query
+/// driver can reuse it to inherit the same determinism contract. `body`
+/// must be concurrency-safe for distinct indices. Returns the workers used.
 size_t RunBatch(size_t n, const BatchOptions& exec,
                 const std::function<void(QueryContext&)>& body);
 

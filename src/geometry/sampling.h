@@ -1,8 +1,8 @@
 // Copyright (c) hyperdom authors. Licensed under the MIT license.
 //
-// Uniform sampling inside hyperspheres — the primitive behind the
-// Monte-Carlo dominance-probability estimator (dominance/probability.h)
-// and several property tests.
+// Uniform sampling inside hyperspheres, for the property tests that check
+// a geometric claim against random realizations (min_ball_test,
+// sampling_test).
 
 #ifndef HYPERDOM_GEOMETRY_SAMPLING_H_
 #define HYPERDOM_GEOMETRY_SAMPLING_H_

@@ -109,25 +109,6 @@ struct MutableSsTree::DeltaLog {
         version, std::memory_order_release);
   }
 
-  // Reader side: callers only pass rows below their version's watermark,
-  // which were fully written before that version was published.
-  uint64_t DeletedAt(uint64_t row) const {
-    size_t s = 0;
-    size_t off = 0;
-    Locate(row, &s, &off);
-    return slabs[s].load(std::memory_order_acquire)->deleted_at[off].load(
-        std::memory_order_acquire);
-  }
-
-  EntryView Row(uint64_t row) const {
-    size_t s = 0;
-    size_t off = 0;
-    Locate(row, &s, &off);
-    const DeltaSlab* slab = slabs[s].load(std::memory_order_acquire);
-    return EntryView{slab->store.view(static_cast<uint32_t>(off)),
-                     slab->ids[off], static_cast<uint32_t>(row)};
-  }
-
   const size_t dim;
   std::atomic<DeltaSlab*> slabs[kMaxSlabs] = {};
 };
@@ -202,22 +183,15 @@ bool MutableSsTree::ReadView::VisibleBase(uint32_t slot) const {
   return VisibleAt(v->base->DeletedAt(slot), v->version);
 }
 
-void MutableSsTree::ReadView::ForEachExtra(
-    const std::function<void(const EntryView&)>& fn) const {
-  const auto* v = static_cast<const TreeVersion*>(v_);
-  for (uint64_t row = 0; row < v->delta_rows; ++row) {
-    if (VisibleAt(v->delta->DeletedAt(row), v->version)) fn(v->delta->Row(row));
-  }
-}
-
 void MutableSsTree::ReadView::ForEachExtraBlock(
     const std::function<void(const EntryView*, size_t)>& fn) const {
   const auto* v = static_cast<const TreeVersion*>(v_);
-  // Same rows, same order as ForEachExtra, but the slabs are walked
-  // directly: flat row numbers are consumed in order, so the per-row
-  // Locate of DeltaLog::Row() collapses into one slab-pointer load per
-  // slab. The gathered views stay valid while this view is pinned (slab
-  // rows never move), so handing one block over the whole delta is safe.
+  // The slabs are walked directly: flat row numbers are consumed in order,
+  // so a row costs no DeltaLog::Locate, only one slab-pointer load per
+  // slab. Rows below the version's watermark were fully written before the
+  // version was published. The gathered views stay valid while this view is
+  // pinned (slab rows never move), so handing one block over the whole
+  // delta is safe.
   std::vector<EntryView> rows;
   rows.reserve(static_cast<size_t>(v->delta_rows));
   uint64_t row = 0;
@@ -251,11 +225,11 @@ void MutableSsTree::ReadView::CollectLive(std::vector<Hypersphere>* spheres,
     spheres->push_back(store.Materialize(slot));
     ids->push_back(v->base->slot_ids[slot]);
   }
-  ForEachExtra([&](const EntryView& e) {
-    spheres->push_back(Hypersphere(
-        Point(e.sphere.center, e.sphere.center + e.sphere.dim),
-        e.sphere.radius));
-    ids->push_back(e.id);
+  ForEachExtraBlock([&](const EntryView* rows, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      spheres->push_back(MaterializeSphere(rows[i].sphere));
+      ids->push_back(rows[i].id);
+    }
   });
 }
 

@@ -112,11 +112,9 @@ class MutableSsTree {
 
     // SearchOverlay:
     bool VisibleBase(uint32_t slot) const override;
-    void ForEachExtra(
-        const std::function<void(const EntryView&)>& fn) const override;
-    /// Block form for batched scoring: walks the delta slabs directly
-    /// (one visibility load per row, no per-row slab Locate) and hands
-    /// the visible rows to `fn` as a single block, in ForEachExtra order.
+    /// Walks the delta slabs directly (one visibility load per row, no
+    /// per-row slab Locate) and hands the visible rows to `fn` as a single
+    /// block, in row order.
     void ForEachExtraBlock(const std::function<void(const EntryView*, size_t)>&
                                fn) const override;
 

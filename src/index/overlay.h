@@ -5,8 +5,8 @@
 // traverses is immutable; mutations live beside it as tombstones over the
 // base slots plus an append-only delta of freshly inserted rows. The
 // overlay tells a traversal which base slots to skip and hands it the
-// extra rows to score, so the one kNN traversal (query/knn_traversal.h)
-// serves both the static and the mutable index.
+// extra rows to score, so the one traversal (query/knn_traversal.h) serves
+// kNN and range over both the static and the mutable index.
 //
 // Correctness note for pruning: deletions leave the base tree's bounding
 // spheres untouched, so every node bound stays a covering superset of the
@@ -20,16 +20,15 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "storage/sphere_store.h"
 
 namespace hyperdom {
 
 /// \brief Query-time view adjustments over an immutable base tree.
-/// Implemented by MutableSsTree::ReadView. The SS-tree's kNN node adapter
-/// (query/knn.cc) and the range query (query/range.cc) accept an optional
-/// overlay and fall back to "everything visible, nothing extra" when it
+/// Implemented by MutableSsTree::ReadView. The SS-tree node adapter that
+/// kNN and range share (knn_internal::TraverseSsTree) accepts an optional
+/// overlay and falls back to "everything visible, nothing extra" when it
 /// is null.
 class SearchOverlay {
  public:
@@ -40,24 +39,13 @@ class SearchOverlay {
   /// before the pinned version).
   virtual bool VisibleBase(uint32_t slot) const = 0;
 
-  /// Invokes `fn` for every extra (delta-inserted, still visible) row.
-  /// Views handed out stay valid while the overlay is alive, like
-  /// SphereStore views.
-  virtual void ForEachExtra(
-      const std::function<void(const EntryView&)>& fn) const = 0;
-
-  /// Block form of ForEachExtra for batched scoring: hands the same rows,
-  /// in the same order, as one or more contiguous EntryView blocks (the
-  /// pointer is valid only for the duration of the callback). The default
-  /// gathers everything through ForEachExtra and emits a single block;
-  /// implementations with contiguous internal storage (MutableSsTree's
-  /// delta slabs) override it to skip the per-row indirection.
+  /// Hands every extra (delta-inserted, still visible) row to `fn`, in
+  /// insertion order, as one or more contiguous EntryView blocks. The block
+  /// pointer is valid only for the duration of the callback; the sphere
+  /// views in it stay valid while the overlay is alive, like SphereStore
+  /// views.
   virtual void ForEachExtraBlock(
-      const std::function<void(const EntryView*, size_t)>& fn) const {
-    std::vector<EntryView> rows;
-    ForEachExtra([&rows](const EntryView& e) { rows.push_back(e); });
-    fn(rows.data(), rows.size());
-  }
+      const std::function<void(const EntryView*, size_t)>& fn) const = 0;
 };
 
 }  // namespace hyperdom

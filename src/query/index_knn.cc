@@ -13,6 +13,8 @@ namespace hyperdom {
 // (query/knn_traversal.h): its root bound, its child bounds, and its
 // leaves' EntryView blocks.
 
+namespace {
+
 void RStarKnnSearchInto(const RStarTree& tree, const Hypersphere& sq,
                         SearchStrategy strategy, BestKnownList* list,
                         KnnStats* stats, TraversalGuard* guard) {
@@ -33,13 +35,6 @@ void RStarKnnSearchInto(const RStarTree& tree, const Hypersphere& sq,
   };
   knn_internal::Traverse(root, MinDist(root->mbr(), sq), strategy, visit,
                          list, stats, guard);
-}
-
-KnnResult RStarKnnSearch(const RStarTree& tree, const Hypersphere& sq,
-                         const DominanceCriterion& criterion,
-                         const KnnOptions& options) {
-  return knn_internal::RunSearch("rstar", tree, sq, criterion, options,
-                                 RStarKnnSearchInto);
 }
 
 void MTreeKnnSearchInto(const MTree& tree, const Hypersphere& sq,
@@ -68,13 +63,6 @@ void MTreeKnnSearchInto(const MTree& tree, const Hypersphere& sq,
   };
   knn_internal::Traverse(root, bound(root), strategy, visit, list, stats,
                          guard);
-}
-
-KnnResult MTreeKnnSearch(const MTree& tree, const Hypersphere& sq,
-                         const DominanceCriterion& criterion,
-                         const KnnOptions& options) {
-  return knn_internal::RunSearch("m", tree, sq, criterion, options,
-                                 MTreeKnnSearchInto);
 }
 
 void VpTreeKnnSearchInto(const VpTree& tree, const Hypersphere& sq,
@@ -113,11 +101,27 @@ void VpTreeKnnSearchInto(const VpTree& tree, const Hypersphere& sq,
   knn_internal::Traverse(root, 0.0, strategy, visit, list, stats, guard);
 }
 
+}  // namespace
+
+KnnResult RStarKnnSearch(const RStarTree& tree, const Hypersphere& sq,
+                         const DominanceCriterion& criterion,
+                         const KnnOptions& options) {
+  return knn_internal::RunSearch("rstar", tree, sq, criterion, options,
+                                 RStarKnnSearchInto);
+}
+
 KnnResult VpTreeKnnSearch(const VpTree& tree, const Hypersphere& sq,
                           const DominanceCriterion& criterion,
                           const KnnOptions& options) {
   return knn_internal::RunSearch("vp", tree, sq, criterion, options,
                                  VpTreeKnnSearchInto);
+}
+
+KnnResult MTreeKnnSearch(const MTree& tree, const Hypersphere& sq,
+                         const DominanceCriterion& criterion,
+                         const KnnOptions& options) {
+  return knn_internal::RunSearch("m", tree, sq, criterion, options,
+                                 MTreeKnnSearchInto);
 }
 
 }  // namespace hyperdom

@@ -12,7 +12,6 @@
 #ifndef HYPERDOM_QUERY_INDEX_KNN_H_
 #define HYPERDOM_QUERY_INDEX_KNN_H_
 
-#include "common/deadline.h"
 #include "dominance/criterion.h"
 #include "index/m_tree.h"
 #include "index/rstar_tree.h"
@@ -20,8 +19,6 @@
 #include "query/knn_types.h"
 
 namespace hyperdom {
-
-class BestKnownList;
 
 /// kNN over an R*-tree. Subtree bound: MinDist(node box, Sq).
 KnnResult RStarKnnSearch(const RStarTree& tree, const Hypersphere& sq,
@@ -38,25 +35,6 @@ KnnResult VpTreeKnnSearch(const VpTree& tree, const Hypersphere& sq,
 KnnResult MTreeKnnSearch(const MTree& tree, const Hypersphere& sq,
                          const DominanceCriterion& criterion,
                          const KnnOptions& options);
-
-// Traversal cores without finalization: each runs its index's search for
-// `sq` into an externally owned list/stats/guard, so a caller can merge
-// several per-shard lists (BestKnownList::MergeFrom) before the final-Sk
-// filter. The list's criterion/k/mode define the pruning; `stats` must be
-// the object the list was built with. The SS-tree counterpart is
-// KnnSearchInto (query/knn.h).
-
-void RStarKnnSearchInto(const RStarTree& tree, const Hypersphere& sq,
-                        SearchStrategy strategy, BestKnownList* list,
-                        KnnStats* stats, TraversalGuard* guard);
-
-void VpTreeKnnSearchInto(const VpTree& tree, const Hypersphere& sq,
-                         SearchStrategy strategy, BestKnownList* list,
-                         KnnStats* stats, TraversalGuard* guard);
-
-void MTreeKnnSearchInto(const MTree& tree, const Hypersphere& sq,
-                        SearchStrategy strategy, BestKnownList* list,
-                        KnnStats* stats, TraversalGuard* guard);
 
 }  // namespace hyperdom
 

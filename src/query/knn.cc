@@ -25,37 +25,15 @@ void KnnSearchInto(const SsTree& tree, const Hypersphere& sq,
                    SearchStrategy strategy, const SearchOverlay* overlay,
                    BestKnownList* list, KnnStats* stats,
                    TraversalGuard* guard) {
-  // Delta rows live outside the tree: score them exhaustively up front,
-  // which also tightens distk before any node is descended. The block
-  // form hands them over in contiguous runs for batched scoring.
-  if (overlay != nullptr) {
-    overlay->ForEachExtraBlock(
-        [&](const EntryView* rows, size_t n) { list->AccessBatch(rows, n); });
-  }
-  const SsTreeNode* root = tree.root();
-  if (root == nullptr) return;
-  const SphereStore& store = tree.store();
-  std::vector<EntryView> leaf_scratch;
-  auto visit = [&](const SsTreeNode* node, const auto& emit_entries,
-                   const auto& emit_child) {
-    if (node->is_leaf()) {
-      knn_internal::EmitLeaf(node->entries(), store, overlay, &leaf_scratch,
-                             emit_entries);
-      return;
-    }
-    for (const auto& child : node->children()) {
-      emit_child(MinDist(child->bounding_sphere(), sq), child.get());
-    }
-  };
-  knn_internal::Traverse(root, MinDist(root->bounding_sphere(), sq), strategy,
-                         visit, list, stats, guard);
+  knn_internal::TraverseSsTree(tree, sq, strategy, overlay, list, stats,
+                               guard);
 }
 
 KnnResult KnnSearcher::Search(const SsTree& tree, const Hypersphere& sq,
                               const SearchOverlay* overlay) const {
   // Pins the reclamation epoch for the whole query: any store version the
   // overlay references stays alive until we return (storage/epoch.h).
-  // Nested guards are cheap, so this is safe under RkNN's subqueries too.
+  // Nested guards are cheap, so a caller may already hold one.
   EpochManager::Guard epoch_guard;
   return knn_internal::RunSearch(
       "ss", tree, sq, *criterion_, options_,

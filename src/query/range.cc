@@ -2,47 +2,51 @@
 
 #include "query/range.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "query/knn_traversal.h"
 #include "storage/epoch.h"
 
 namespace hyperdom {
 
 namespace {
 
-void RangeRecursive(const SsTreeNode* node, const SphereStore& store,
-                    const Hypersphere& sq, double range,
-                    const SearchOverlay* overlay, RangeResult* result,
-                    TraversalGuard* guard) {
-  if (MinDist(node->bounding_sphere(), sq) > range) {
-    ++result->stats.nodes_pruned;
-    return;
-  }
-  if (guard->ShouldStop(result->stats.nodes_visited)) {
-    ++result->stats.nodes_deadline_skipped;
-    return;
-  }
-  ++result->stats.nodes_visited;
-  if (node->is_leaf()) {
-    for (const auto& entry : node->entries()) {
-      if (overlay != nullptr && !overlay->VisibleBase(entry.slot)) continue;
-      ++result->stats.entries_accessed;
-      const SphereView view = store.view(entry.slot);
-      if (MinDist(view, sq.view()) <= range) {
-        result->possible.push_back(
-            DataEntry{MaterializeSphere(view), entry.id});
-        if (MaxDist(view, sq.view()) <= range) {
-          result->certain.push_back(result->possible.back());
+// The range query's list for the DF driver (query/knn_traversal.h): the
+// fixed radius stands in for distk, and each accessed entry is tested for
+// membership on its own, with MinDist and MaxDist.
+class RangeCollector {
+ public:
+  RangeCollector(const Hypersphere& sq, double range, RangeResult* result)
+      : sq_(sq.view()), range_(range), result_(result) {}
+
+  double DistK() const { return range_; }
+
+  void AccessBatch(const EntryView* rows, size_t n) {
+    result_->stats.entries_accessed += n;
+    for (size_t i = 0; i < n; ++i) {
+      const SphereView s = rows[i].sphere;
+      if (MinDist(s, sq_) <= range_) {
+        result_->possible.push_back(
+            DataEntry{MaterializeSphere(s), rows[i].id});
+        if (MaxDist(s, sq_) <= range_) {
+          result_->certain.push_back(result_->possible.back());
         }
       }
     }
-    return;
   }
-  for (const auto& child : node->children()) {
-    RangeRecursive(child.get(), store, sq, range, overlay, result, guard);
-  }
+
+ private:
+  SphereView sq_;
+  double range_;
+  RangeResult* result_;
+};
+
+void SortById(std::vector<DataEntry>* entries) {
+  std::sort(entries->begin(), entries->end(),
+            [](const DataEntry& a, const DataEntry& b) { return a.id < b.id; });
 }
 
 }  // namespace
@@ -57,23 +61,15 @@ RangeResult RangeSearch(const SsTree& tree, const Hypersphere& sq,
   HYPERDOM_SPAN(span, "range/query");
   HYPERDOM_COUNTER_INC(obs::kRangeQueries);
   RangeResult result;
-  // Delta rows are outside the tree; membership is a direct per-row test.
-  if (overlay != nullptr) {
-    overlay->ForEachExtra([&](const EntryView& e) {
-      ++result.stats.entries_accessed;
-      if (MinDist(e.sphere, sq.view()) <= range) {
-        result.possible.push_back(DataEntry{MaterializeSphere(e.sphere), e.id});
-        if (MaxDist(e.sphere, sq.view()) <= range) {
-          result.certain.push_back(result.possible.back());
-        }
-      }
-    });
-  }
-  if (tree.root() == nullptr) return result;
+  RangeCollector collector(sq, range, &result);
   TraversalGuard guard(deadline);
-  RangeRecursive(tree.root(), tree.store(), sq, range, overlay, &result,
-                 &guard);
+  knn_internal::TraverseSsTree(tree, sq, SearchStrategy::kDepthFirst, overlay,
+                               &collector, &result.stats, &guard);
   if (guard.expired()) result.completeness = Completeness::kBestEffort;
+  // Answers arrive in DF's visit order, which depends on the tree layout;
+  // id order is the canonical one, and the one ShardedRange returns.
+  SortById(&result.certain);
+  SortById(&result.possible);
   HYPERDOM_SPAN_ANNOTATE(span, "nodes_visited", result.stats.nodes_visited);
   HYPERDOM_SPAN_ANNOTATE(span, "certain",
                          static_cast<uint64_t>(result.certain.size()));

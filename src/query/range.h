@@ -8,7 +8,8 @@
 // (certain is a subset of possible). This is the range counterpart of the
 // paper's kNN Definition 2 and a staple of the uncertain-database systems
 // the paper cites ([6, 8]); it needs only the Min/MaxDist machinery, no
-// dominance.
+// dominance. It runs on the kNN query's DF driver (query/knn_traversal.h),
+// with the fixed radius as the prune threshold.
 
 #ifndef HYPERDOM_QUERY_RANGE_H_
 #define HYPERDOM_QUERY_RANGE_H_
@@ -52,11 +53,12 @@ struct RangeResult {
   RangeStats stats;
 };
 
-/// Runs the range query over an SS-tree. `range` must be >= 0. An expired
-/// `deadline` stops the traversal; the partial answer is flagged. A
-/// non-null `overlay` (index/overlay.h) hides tombstoned base slots and
-/// contributes its delta rows, each tested directly with Min/MaxDist; the
-/// whole call runs under an epoch guard.
+/// Runs the range query over an SS-tree. `range` must be >= 0. Both sets
+/// come back in ascending id order. An expired `deadline` stops the
+/// traversal; the partial answer is flagged. A non-null `overlay`
+/// (index/overlay.h) hides tombstoned base slots and contributes its delta
+/// rows, each tested directly with Min/MaxDist; the whole call runs under
+/// an epoch guard.
 RangeResult RangeSearch(const SsTree& tree, const Hypersphere& sq,
                         double range,
                         const Deadline& deadline = Deadline::Unbounded(),

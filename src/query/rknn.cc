@@ -4,9 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <queue>
 
-#include "index/ss_tree.h"
 #include "storage/epoch.h"
 
 namespace hyperdom {
@@ -54,112 +52,6 @@ RknnResult RknnFilter(const std::vector<Hypersphere>& data,
       result.answers.push_back(static_cast<uint64_t>(cand));
     }
   }
-  if (guard.expired()) result.completeness = Completeness::kBestEffort;
-  return result;
-}
-
-namespace {
-
-// Lower bound, over entries T inside `region`, of MaxDist(T, s): the
-// closest any T's center can be is MinDist(region-ball, s-center) and its
-// radius can be 0, so  lb = max(0, Dist(c_region, c_s) - r_region) + r_s.
-double CheapestMaxDist(const Hypersphere& region, const SphereView& s) {
-  const double center_gap =
-      DistSpan(region.center().data(), s.center, s.dim) - region.radius();
-  return (center_gap > 0.0 ? center_gap : 0.0) + s.radius;
-}
-
-// Counts dominators of (sq w.r.t. candidate) via a best-first traversal,
-// stopping at k. `self_id` is excluded from the count.
-size_t CountDominators(const SsTree& tree, const Hypersphere& sq,
-                       const SphereView& candidate, uint64_t self_id,
-                       size_t k, const DominanceCriterion& criterion,
-                       RknnIndexStats* stats) {
-  const double bound = MaxDist(sq.view(), candidate);
-  const SphereStore& store = tree.store();
-  using QueueItem = std::pair<double, const SsTreeNode*>;
-  auto cmp = [](const QueueItem& a, const QueueItem& b) {
-    return a.first > b.first;
-  };
-  std::priority_queue<QueueItem, std::vector<QueueItem>, decltype(cmp)> heap(
-      cmp);
-  heap.emplace(CheapestMaxDist(tree.root()->bounding_sphere(), candidate),
-               tree.root());
-  size_t dominators = 0;
-  while (!heap.empty() && dominators < k) {
-    const auto [lb, node] = heap.top();
-    heap.pop();
-    // Dominance of sq w.r.t. the candidate requires MaxDist(T, candidate)
-    // < MaxDist(sq, candidate); nothing under this node can qualify.
-    if (lb >= bound) break;
-    ++stats->nodes_visited;
-    if (node->is_leaf()) {
-      for (const auto& entry : node->entries()) {
-        if (entry.id == self_id) continue;
-        const SphereView view = store.view(entry.slot);
-        if (MaxDist(view, candidate) >= bound) continue;
-        ++stats->dominance_checks;
-        if (criterion.Dominates(view, sq.view(), candidate)) {
-          if (++dominators >= k) break;
-        }
-      }
-    } else {
-      for (const auto& child : node->children()) {
-        const double child_lb =
-            CheapestMaxDist(child->bounding_sphere(), candidate);
-        if (child_lb < bound) heap.emplace(child_lb, child.get());
-      }
-    }
-  }
-  return dominators;
-}
-
-}  // namespace
-
-RknnIndexResult RknnSearch(const SsTree& tree, const Hypersphere& sq,
-                           size_t k, const DominanceCriterion& criterion,
-                           const Deadline& deadline) {
-  assert(k >= 1);
-  EpochManager::Guard epoch_guard;  // one pin for the whole RkNN pipeline
-  RknnIndexResult result;
-  if (tree.root() == nullptr) return result;
-  TraversalGuard guard(deadline);
-
-  // Enumerate every candidate entry once (handles by value — they stay
-  // valid independent of node storage).
-  std::vector<const SsTreeNode*> stack = {tree.root()};
-  std::vector<SsTreeEntry> candidates;
-  while (!stack.empty()) {
-    const SsTreeNode* node = stack.back();
-    stack.pop_back();
-    if (node->is_leaf()) {
-      for (const auto& entry : node->entries()) candidates.push_back(entry);
-    } else {
-      for (const auto& child : node->children()) stack.push_back(child.get());
-    }
-  }
-
-  const SphereStore& store = tree.store();
-  size_t processed = 0;
-  for (const SsTreeEntry& cand : candidates) {
-    // Candidate-granular cancellation: an interrupted dominator count
-    // could undercount and wrongly admit the candidate, so the deadline
-    // is only polled between candidates (see rknn.h).
-    if (guard.ShouldStop(result.stats.nodes_visited)) {
-      result.stats.candidates_deadline_skipped = candidates.size() - processed;
-      break;
-    }
-    const size_t dominators =
-        CountDominators(tree, sq, store.view(cand.slot), cand.id, k,
-                        criterion, &result.stats);
-    if (dominators >= k) {
-      ++result.stats.candidates_pruned;
-    } else {
-      result.answers.push_back(cand.id);
-    }
-    ++processed;
-  }
-  std::sort(result.answers.begin(), result.answers.end());
   if (guard.expired()) result.completeness = Completeness::kBestEffort;
   return result;
 }

@@ -51,34 +51,6 @@ RknnResult RknnFilter(const std::vector<Hypersphere>& data,
                       const DominanceCriterion& criterion,
                       const Deadline& deadline = Deadline::Unbounded());
 
-/// \brief Index-accelerated reverse-kNN over an SS-tree (the filter-refine
-/// shape of Lian & Chen [22]): per candidate S, dominator candidates are
-/// pulled best-first from the tree — a subtree can contain a dominator of
-/// (Sq w.r.t. S) only if its cheapest possible MaxDist to S is below
-/// MaxDist(Sq, S) — and the scan stops at k dominators or at the bound.
-/// Returns exactly RknnFilter's answers; `nodes_visited` counts traversal
-/// work. Entry ids must be the tree's bulk-load positions.
-struct RknnIndexStats {
-  uint64_t dominance_checks = 0;
-  uint64_t candidates_pruned = 0;
-  uint64_t nodes_visited = 0;
-  uint64_t candidates_deadline_skipped = 0;
-};
-
-/// Deadline cancellation is at candidate granularity (see RknnResult);
-/// the node budget applies to the cumulative `nodes_visited` count.
-struct RknnIndexResult {
-  std::vector<uint64_t> answers;
-  Completeness completeness = Completeness::kExact;
-  RknnIndexStats stats;
-};
-
-class SsTree;  // from index/ss_tree.h
-
-RknnIndexResult RknnSearch(const SsTree& tree, const Hypersphere& sq,
-                           size_t k, const DominanceCriterion& criterion,
-                           const Deadline& deadline = Deadline::Unbounded());
-
 }  // namespace hyperdom
 
 #endif  // HYPERDOM_QUERY_RKNN_H_

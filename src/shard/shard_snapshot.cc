@@ -80,10 +80,6 @@ uint64_t ShardedSnapshotSet::CurrentSeq() const {
 
 Status ShardedSnapshotSet::Persist(const ShardedStore& store,
                                    uint64_t* published_seq) {
-  if (store.options().index != ShardIndexKind::kSsTree) {
-    return Status::NotSupported(
-        "sharded snapshots require SS-tree shards");
-  }
   HYPERDOM_SPAN(span, "shard/persist");
   const uint64_t next = CurrentSeq() + 1;
   HYPERDOM_SPAN_ANNOTATE(span, "generation", std::to_string(next));
@@ -143,10 +139,6 @@ Status ShardedSnapshotSet::LoadLatest(
     const std::vector<Hypersphere>& data, const ShardingOptions& options,
     ShardedStore* out, std::vector<SnapshotLoadOutcome>* outcomes,
     uint64_t* seq_out) {
-  if (options.index != ShardIndexKind::kSsTree) {
-    return Status::NotSupported(
-        "sharded snapshots require SS-tree shards");
-  }
   Result<std::string> body = ReadFileToString(ManifestPath());
   if (!body.ok()) {
     return Status::NotFound("no sharded snapshot manifest in '" + dir_ + "'");

@@ -39,17 +39,17 @@
 namespace hyperdom {
 namespace shard {
 
-/// \brief Persists and restores a ShardedStore (SS-tree shards only).
+/// \brief Persists and restores a ShardedStore, one SS-tree snapshot per
+/// shard.
 class ShardedSnapshotSet {
  public:
   explicit ShardedSnapshotSet(std::string dir);
 
   /// Writes one generation file per non-empty shard, then swings the
-  /// manifest. NotSupported unless the store's shards are SS-trees. On
-  /// success reports the published sequence number through `published_seq`
-  /// (when non-null) and prunes generations older than the previous one.
-  /// On failure no manifest update happens and the new generation files
-  /// are removed (no debris).
+  /// manifest. On success reports the published sequence number through
+  /// `published_seq` (when non-null) and prunes generations older than the
+  /// previous one. On failure no manifest update happens and the new
+  /// generation files are removed (no debris).
   Status Persist(const ShardedStore& store, uint64_t* published_seq);
 
   /// Restores a store over `data` from the newest manifest-named

@@ -12,7 +12,6 @@
 #include "common/rng.h"
 #include "exec/parallel_for.h"
 #include "obs/trace.h"
-#include "query/index_knn.h"
 #include "query/knn.h"
 #include "query/knn_traversal.h"
 
@@ -46,6 +45,16 @@ Deadline SplitDeadline(const Deadline& deadline, size_t shard, size_t shards) {
   return d;
 }
 
+// MinDist reads as many query coordinates as the store has dimensions.
+Status CheckQueryDim(const ShardedStore& store, const Hypersphere& sq) {
+  if (store.dim() != 0 && sq.dim() != store.dim()) {
+    return Status::InvalidArgument(
+        "query dimensionality " + std::to_string(sq.dim()) +
+        " does not match store dimensionality " + std::to_string(store.dim()));
+  }
+  return Status::OK();
+}
+
 void SortById(std::vector<DataEntry>* entries) {
   std::sort(entries->begin(), entries->end(),
             [](const DataEntry& a, const DataEntry& b) { return a.id < b.id; });
@@ -65,12 +74,7 @@ Result<KnnResult> ShardedKnn(const ShardedStore& store, const Hypersphere& sq,
         "sharded kNN requires deferred pruning (the merge invariant does "
         "not hold for the eager ablation mode)");
   }
-  // MinDist reads as many query coordinates as the store has dimensions.
-  if (store.dim() != 0 && sq.dim() != store.dim()) {
-    return Status::InvalidArgument(
-        "query dimensionality " + std::to_string(sq.dim()) +
-        " does not match store dimensionality " + std::to_string(store.dim()));
-  }
+  HYPERDOM_RETURN_NOT_OK(CheckQueryDim(store, sq));
   const size_t shards = store.shards();
 
   std::vector<KnnStats> local_stats;
@@ -107,32 +111,9 @@ Result<KnnResult> ShardedKnn(const ShardedStore& store, const Hypersphere& sq,
     HYPERDOM_SPAN_ANNOTATE(span, "shard", static_cast<uint64_t>(j));
     store.CountShardQuery(j);
     const Shard& s = store.shard(j);
-    switch (store.options().index) {
-      case ShardIndexKind::kSsTree:
-        if (s.ss != nullptr) {
-          KnnSearchInto(*s.ss, sq, options.strategy, /*overlay=*/nullptr,
-                        &lists[j], &(*stats_out)[j], &guards[j]);
-        }
-        break;
-      case ShardIndexKind::kRStarTree:
-        if (s.rstar != nullptr) {
-          RStarKnnSearchInto(*s.rstar, sq, options.strategy, &lists[j],
-                             &(*stats_out)[j], &guards[j]);
-        }
-        break;
-      case ShardIndexKind::kVpTree:
-        if (s.vp != nullptr) {
-          VpTreeKnnSearchInto(*s.vp, sq, options.strategy, &lists[j],
-                              &(*stats_out)[j], &guards[j]);
-        }
-        break;
-      case ShardIndexKind::kMTree:
-        if (s.m != nullptr) {
-          MTreeKnnSearchInto(*s.m, sq, options.strategy, &lists[j],
-                             &(*stats_out)[j], &guards[j]);
-        }
-        break;
-    }
+    if (s.ss == nullptr) return;
+    KnnSearchInto(*s.ss, sq, options.strategy, /*overlay=*/nullptr, &lists[j],
+                  &(*stats_out)[j], &guards[j]);
   });
 
   for (size_t j = 0; j < shards; ++j) {
@@ -176,10 +157,7 @@ Result<RangeResult> ShardedRange(const ShardedStore& store,
   if (store.shards() == 0) {
     return Status::InvalidArgument("sharded store is not built");
   }
-  if (store.options().index != ShardIndexKind::kSsTree) {
-    return Status::NotSupported(
-        "sharded range queries require SS-tree shards");
-  }
+  HYPERDOM_RETURN_NOT_OK(CheckQueryDim(store, sq));
   if (range < 0.0) {
     return Status::InvalidArgument("range must be >= 0");
   }

@@ -3,13 +3,13 @@
 // Scatter-gather query engines over a ShardedStore.
 //
 // A query is scattered across the K shards (optionally on a thread pool),
-// each shard runs its index's ordinary traversal into a shard-local
-// best-known list, and the lists are folded with BestKnownList::MergeFrom
-// before one final-Sk filter. The merge invariant (best_known_list.h)
-// makes the merged kNN answer bit-identical to a single unsharded index
-// over the same dataset — independent of K, of the partitioning policy,
-// and of how many threads ran the scatter. Pinned by
-// tests/shard_query_test.cc.
+// each shard runs the ordinary SS-tree traversal (query/knn_traversal.h)
+// into a shard-local best-known list, and the lists are folded with
+// BestKnownList::MergeFrom before one final-Sk filter. The merge
+// invariant (best_known_list.h) makes the merged kNN answer bit-identical
+// to a single unsharded index over the same dataset — independent of K,
+// of the partitioning policy, and of how many threads ran the scatter.
+// Pinned by tests/shard_query_test.cc.
 //
 // Determinism under fault injection: each (query, shard) pair runs inside
 // its own FaultQueryScope whose id is a pure mix of the caller's ambient
@@ -49,22 +49,20 @@ namespace shard {
 /// shard's traversal counters (the merged result's stats are the sum, plus
 /// the merge/filter work itself).
 ///
-/// Fails on an empty store option mismatch or injected faults
-/// ("shard/scatter"); requires kDeferred pruning (the merge invariant does
-/// not hold for the eager ablation mode).
+/// Fails on an unbuilt store, a query of the wrong dimensionality or
+/// injected faults ("shard/scatter"); requires kDeferred pruning (the merge
+/// invariant does not hold for the eager ablation mode).
 Result<KnnResult> ShardedKnn(const ShardedStore& store, const Hypersphere& sq,
                              const DominanceCriterion& criterion,
                              const KnnOptions& options,
                              ThreadPool* pool = nullptr,
                              std::vector<KnnStats>* per_shard_stats = nullptr);
 
-/// Runs the range query of `sq` against every shard (SS-tree shards only;
-/// NotSupported otherwise) and concatenates the per-shard answers. Range
-/// membership is per-entry, so the merged sets equal the unsharded answer
-/// as multisets; both are returned sorted by ascending id (the canonical
-/// order — an unsharded traversal's order depends on tree layout, so id
-/// order is the only K-independent choice). Deadline budget splitting and
-/// completeness propagation match ShardedKnn.
+/// Runs the range query of `sq` against every shard and concatenates the
+/// per-shard answers. Range membership is per-entry, so the merged sets
+/// equal the unsharded answer; both are returned sorted by ascending id,
+/// the order RangeSearch returns too. Deadline budget splitting,
+/// completeness propagation and the dimensionality check match ShardedKnn.
 Result<RangeResult> ShardedRange(const ShardedStore& store,
                                  const Hypersphere& sq, double range,
                                  const Deadline& deadline = Deadline::Unbounded(),

@@ -34,20 +34,6 @@ bool ParseShardPolicy(std::string_view name, ShardPolicy* out) {
   return false;
 }
 
-std::string_view ShardIndexKindName(ShardIndexKind kind) {
-  switch (kind) {
-    case ShardIndexKind::kSsTree:
-      return "ss";
-    case ShardIndexKind::kRStarTree:
-      return "rstar";
-    case ShardIndexKind::kVpTree:
-      return "vp";
-    case ShardIndexKind::kMTree:
-      return "m";
-  }
-  return "unknown";
-}
-
 Status ShardedStore::Partition(const std::vector<Hypersphere>& data,
                                const ShardingOptions& options,
                                ShardedStore* out) {
@@ -96,41 +82,11 @@ Status ShardedStore::Partition(const std::vector<Hypersphere>& data,
 Status ShardedStore::BuildShardIndex(size_t j) {
   Shard& s = shards_[j];
   s.ss.reset();
-  s.rstar.reset();
-  s.vp.reset();
-  s.m.reset();
   if (s.spheres.empty()) return Status::OK();
-  switch (options_.index) {
-    case ShardIndexKind::kSsTree: {
-      auto tree = std::make_unique<SsTree>(dim_);
-      HYPERDOM_RETURN_NOT_OK(tree->BulkLoadStrWithIds(s.spheres, s.ids));
-      s.ss = std::move(tree);
-      return Status::OK();
-    }
-    case ShardIndexKind::kRStarTree: {
-      auto tree = std::make_unique<RStarTree>(dim_);
-      for (size_t i = 0; i < s.spheres.size(); ++i) {
-        HYPERDOM_RETURN_NOT_OK(tree->Insert(s.spheres[i], s.ids[i]));
-      }
-      s.rstar = std::move(tree);
-      return Status::OK();
-    }
-    case ShardIndexKind::kVpTree: {
-      auto tree = std::make_unique<VpTree>();
-      HYPERDOM_RETURN_NOT_OK(tree->BuildWithIds(s.spheres, s.ids));
-      s.vp = std::move(tree);
-      return Status::OK();
-    }
-    case ShardIndexKind::kMTree: {
-      auto tree = std::make_unique<MTree>(dim_);
-      for (size_t i = 0; i < s.spheres.size(); ++i) {
-        HYPERDOM_RETURN_NOT_OK(tree->Insert(s.spheres[i], s.ids[i]));
-      }
-      s.m = std::move(tree);
-      return Status::OK();
-    }
-  }
-  return Status::InvalidArgument("unknown shard index kind");
+  auto tree = std::make_unique<SsTree>(dim_);
+  HYPERDOM_RETURN_NOT_OK(tree->BulkLoadStrWithIds(s.spheres, s.ids));
+  s.ss = std::move(tree);
+  return Status::OK();
 }
 
 void ShardedStore::PublishMetrics() {

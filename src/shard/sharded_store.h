@@ -1,8 +1,8 @@
 // Copyright (c) hyperdom authors. Licensed under the MIT license.
 //
 // The sharded store: one dataset partitioned into K shards, each owning
-// its own columnar arena and index, built by the existing per-index
-// builders. The scatter-gather engines (shard/sharded_query.h) fan a
+// its own columnar arena and SS-tree, bulk-loaded by the SS-tree's STR
+// builder. The scatter-gather engines (shard/sharded_query.h) fan a
 // query across the shards and merge the per-shard best-known lists into
 // an answer bit-identical to a single unsharded index over the same data
 // (the merge contract; see BestKnownList::MergeFrom).
@@ -22,10 +22,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "index/m_tree.h"
-#include "index/rstar_tree.h"
 #include "index/ss_tree.h"
-#include "index/vp_tree.h"
 #include "obs/metrics.h"
 
 namespace hyperdom {
@@ -43,39 +40,23 @@ std::string_view ShardPolicyName(ShardPolicy policy);
 /// Parses "hash"/"kmeans"; false on anything else.
 bool ParseShardPolicy(std::string_view name, ShardPolicy* out);
 
-/// Which index structure each shard builds over its slice.
-enum class ShardIndexKind {
-  kSsTree,
-  kRStarTree,
-  kVpTree,
-  kMTree,
-};
-
-/// "ss" / "rstar" / "vp" / "m".
-std::string_view ShardIndexKindName(ShardIndexKind kind);
-
 /// Options for ShardedStore::Build.
 struct ShardingOptions {
   /// Number of shards (>= 1).
   size_t shards = 1;
   ShardPolicy policy = ShardPolicy::kHash;
-  ShardIndexKind index = ShardIndexKind::kSsTree;
   /// Seed and Lloyd rounds for the k-means policy; ignored under hash.
   uint64_t kmeans_seed = 42;
   size_t kmeans_iterations = 8;
 };
 
 /// \brief One shard: the slice of the dataset it owns (in global order,
-/// with global ids) plus its index. Exactly one tree pointer matching
-/// ShardingOptions.index is set once the store is built; a shard of an
-/// empty dataset has no tree.
+/// with global ids) plus its SS-tree, the paper's index. The tree is set
+/// once the store is built; a shard with an empty slice has none.
 struct Shard {
   std::vector<Hypersphere> spheres;
   std::vector<uint64_t> ids;
   std::unique_ptr<SsTree> ss;
-  std::unique_ptr<RStarTree> rstar;
-  std::unique_ptr<VpTree> vp;
-  std::unique_ptr<MTree> m;
 
   size_t size() const { return spheres.size(); }
 };
@@ -126,7 +107,7 @@ class ShardedStore {
   static Status Partition(const std::vector<Hypersphere>& data,
                           const ShardingOptions& options, ShardedStore* out);
 
-  /// Builds shard `j`'s index from its slice per options().index.
+  /// Builds shard `j`'s SS-tree from its slice.
   Status BuildShardIndex(size_t j);
 
   /// Registers/updates the shard gauges and caches the per-shard counter

@@ -306,7 +306,7 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // Overlay: block enumeration and the batched mutable search path.
 
-TEST(OverlayBatchTest, ForEachExtraBlockMatchesForEachExtra) {
+TEST(OverlayBatchTest, ForEachExtraBlockYieldsVisibleDeltaRows) {
   const size_t dim = 7;  // odd: delta-slab rows on unaligned boundaries
   Rng rng(5400);
   MutableSsTree tree(dim);
@@ -317,18 +317,19 @@ TEST(OverlayBatchTest, ForEachExtraBlockMatchesForEachExtra) {
     ids.push_back(i);
   }
   ASSERT_TRUE(tree.Build(base, ids).ok());
-  // Cross a slab boundary (slab 0 holds 256 rows) and tombstone a few
-  // delta rows so visibility filtering is exercised.
-  for (uint64_t i = 0; i < 300; ++i) {
-    ASSERT_TRUE(tree.Insert(test::RandomSphere(&rng, dim, 2.0), 100 + i).ok());
+  // Cross a slab boundary (slab 0 holds 256 rows) and tombstone every 9th
+  // delta row so visibility filtering is exercised.
+  const size_t kRows = 300;
+  std::vector<Hypersphere> inserted;
+  for (uint64_t r = 0; r < kRows; ++r) {
+    inserted.push_back(test::RandomSphere(&rng, dim, 2.0));
+    ASSERT_TRUE(tree.Insert(inserted.back(), 100 + r).ok());
   }
-  for (uint64_t i = 0; i < 300; i += 9) {
-    ASSERT_TRUE(tree.Remove(100 + i).ok());
+  for (uint64_t r = 0; r < kRows; r += 9) {
+    ASSERT_TRUE(tree.Remove(100 + r).ok());
   }
 
   const MutableSsTree::ReadView view = tree.Pin();
-  std::vector<EntryView> serial;
-  view.ForEachExtra([&](const EntryView& e) { serial.push_back(e); });
   std::vector<EntryView> blocked;
   size_t calls = 0;
   view.ForEachExtraBlock([&](const EntryView* rows, size_t count) {
@@ -336,15 +337,24 @@ TEST(OverlayBatchTest, ForEachExtraBlockMatchesForEachExtra) {
     blocked.insert(blocked.end(), rows, rows + count);
   });
 
+  // Delta row r holds id 100 + r in slot r, in insertion order, minus the
+  // tombstoned rows.
   EXPECT_GE(calls, size_t{1});
-  ASSERT_EQ(serial.size(), blocked.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].id, blocked[i].id) << "row " << i;
-    EXPECT_EQ(serial[i].slot, blocked[i].slot) << "row " << i;
-    EXPECT_EQ(serial[i].sphere.center, blocked[i].sphere.center)
-        << "row " << i;  // same pointer: same slab storage
-    EXPECT_EQ(serial[i].sphere.radius, blocked[i].sphere.radius)
-        << "row " << i;
+  std::vector<uint64_t> expected_rows;
+  for (uint64_t r = 0; r < kRows; ++r) {
+    if (r % 9 != 0) expected_rows.push_back(r);
+  }
+  ASSERT_EQ(blocked.size(), expected_rows.size());
+  for (size_t i = 0; i < blocked.size(); ++i) {
+    const uint64_t r = expected_rows[i];
+    const Hypersphere& want = inserted[r];
+    EXPECT_EQ(blocked[i].id, 100 + r) << "row " << r;
+    EXPECT_EQ(blocked[i].slot, r) << "row " << r;
+    ASSERT_EQ(blocked[i].sphere.dim, dim) << "row " << r;
+    EXPECT_TRUE(std::equal(want.center().begin(), want.center().end(),
+                           blocked[i].sphere.center))
+        << "row " << r;
+    EXPECT_EQ(blocked[i].sphere.radius, want.radius()) << "row " << r;
   }
 }
 

@@ -186,20 +186,6 @@ TEST_F(CliPipelineTest, RangeRejectsMissingRange) {
   EXPECT_EQ(run.exit_code, 1);
 }
 
-TEST_F(CliPipelineTest, ProbKnnCommand) {
-  const CliRun run =
-      RunCli({"probknn", "--data=" + path_, "--query=100,100,100;5",
-              "--k=3", "--tau=0.2", "--samples=100"});
-  EXPECT_EQ(run.exit_code, 0) << run.err;
-  EXPECT_NE(run.out.find("P[top-3] >= 0.2"), std::string::npos);
-}
-
-TEST_F(CliPipelineTest, ProbKnnRejectsBadTau) {
-  const CliRun run = RunCli({"probknn", "--data=" + path_,
-                             "--query=100,100,100;5", "--tau=1.5"});
-  EXPECT_EQ(run.exit_code, 1);
-}
-
 TEST(CliTest, ExpiryCommand) {
   const CliRun holds = RunCli({"expiry", "--sa=2,0;0.5", "--sb=20,0;0.5",
                                "--sq=0,0;0", "--va=1", "--vb=1",

@@ -24,7 +24,6 @@
 #include "index/vp_tree.h"
 #include "query/index_knn.h"
 #include "query/knn.h"
-#include "query/nn_iterator.h"
 #include "query/range.h"
 #include "query/rknn.h"
 
@@ -272,7 +271,7 @@ TEST(RangeDeadlineTest, BudgetYieldsFlaggedSubsets) {
   EXPECT_EQ(Ids(whole.possible), Ids(full.possible));
 }
 
-TEST(RknnDeadlineTest, FilterAndSearchYieldFlaggedSubsets) {
+TEST(RknnDeadlineTest, FilterYieldsFlaggedSubsets) {
   const auto data = TestData(3500, 300);
   const Hypersphere sq = MakeKnnQueries(data, 1, 3501).front();
   HyperbolaCriterion exact;
@@ -289,63 +288,6 @@ TEST(RknnDeadlineTest, FilterAndSearchYieldFlaggedSubsets) {
   EXPECT_GT(part.stats.candidates_deadline_skipped, 0u);
   const std::set<uint64_t> part_ids(part.answers.begin(), part.answers.end());
   EXPECT_TRUE(IsSubset(part_ids, truth));
-
-  SsTree tree(4);
-  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
-  const RknnIndexResult full_idx = RknnSearch(tree, sq, k, exact);
-  ASSERT_EQ(full_idx.completeness, Completeness::kExact);
-  EXPECT_EQ(std::set<uint64_t>(full_idx.answers.begin(),
-                               full_idx.answers.end()),
-            truth);
-
-  const RknnIndexResult part_idx = RknnSearch(
-      tree, sq, k, exact,
-      Deadline::WithNodeBudget(full_idx.stats.nodes_visited / 4 + 1));
-  if (part_idx.completeness == Completeness::kBestEffort) {
-    EXPECT_GT(part_idx.stats.candidates_deadline_skipped, 0u);
-  }
-  EXPECT_TRUE(IsSubset(std::set<uint64_t>(part_idx.answers.begin(),
-                                          part_idx.answers.end()),
-                       truth));
-}
-
-TEST(NnIteratorDeadlineTest, BudgetCutsStreamToAPrefix) {
-  const auto data = TestData(3600, 800);
-  SsTree tree(4);
-  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
-  const Hypersphere sq = MakeKnnQueries(data, 1, 3601).front();
-
-  // The unbounded reference stream.
-  NearestNeighborIterator full(&tree, sq);
-  std::vector<uint64_t> full_ids;
-  std::vector<double> full_dists;
-  while (auto item = full.Next()) {
-    full_ids.push_back(item->entry.id);
-    full_dists.push_back(item->min_dist);
-  }
-  ASSERT_EQ(full_ids.size(), data.size());
-  EXPECT_FALSE(full.expired());
-
-  NearestNeighborIterator bounded(&tree, sq, Deadline::WithNodeBudget(6));
-  std::vector<uint64_t> bounded_ids;
-  double last_dist = 0.0;
-  while (auto item = bounded.Next()) {
-    bounded_ids.push_back(item->entry.id);
-    last_dist = item->min_dist;
-  }
-  EXPECT_TRUE(bounded.expired());
-  EXPECT_LT(bounded_ids.size(), full_ids.size());
-  // The cut stream is exactly a prefix of the full one...
-  ASSERT_LE(bounded_ids.size(), full_ids.size());
-  EXPECT_TRUE(std::equal(bounded_ids.begin(), bounded_ids.end(),
-                         full_ids.begin()));
-  // ...and PendingBound stays a valid floor on everything unstreamed.
-  EXPECT_GE(bounded.PendingBound(), last_dist);
-  for (size_t i = bounded_ids.size(); i < full_dists.size(); ++i) {
-    EXPECT_GE(full_dists[i], bounded.PendingBound());
-  }
-  // Expired is permanent.
-  EXPECT_FALSE(bounded.Next().has_value());
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <set>
 #include <string>
 #include <string_view>
@@ -20,6 +19,7 @@
 #include "dominance/minmax.h"
 #include "eval/workload.h"
 #include "query/knn.h"
+#include "test_util.h"
 
 namespace hyperdom {
 namespace {
@@ -139,22 +139,6 @@ TEST(IndexKnnTest, StatsReflectPruning) {
   EXPECT_FALSE(result.answers.empty());
 }
 
-// FNV-1a over every answer's id and sphere bits, in answer order.
-uint64_t DigestAnswers(uint64_t h, const KnnResult& result) {
-  auto mix = [&h](uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (8 * byte)) & 0xFF;
-      h *= 0x100000001B3ULL;
-    }
-  };
-  for (const auto& e : result.answers) {
-    mix(e.id);
-    for (double c : e.sphere.center()) mix(std::bit_cast<uint64_t>(c));
-    mix(std::bit_cast<uint64_t>(e.sphere.radius()));
-  }
-  return h;
-}
-
 // Pins the work of the shared DF/HS drivers (query/knn_traversal.h) on one
 // seeded dataset: per index and strategy, the summed traversal counters
 // over 20 queries, the final filter's dominance checks (one per candidate
@@ -216,11 +200,11 @@ TEST(IndexKnnTest, TraversalWorkIsPinned) {
     options.k = 10;
     options.strategy = pin.strategy;
     KnnStats sum;
-    uint64_t digest = 0xCBF29CE484222325ULL;
+    uint64_t digest = test::kDigestSeed;
     for (const auto& sq : queries) {
       const KnnResult result = search(pin.index, sq, options);
       sum += result.stats;
-      digest = DigestAnswers(digest, result);
+      digest = test::DigestEntries(digest, result.answers);
     }
     const std::string where = std::string(pin.index) +
                               (pin.strategy == kDf ? " DF" : " HS");
@@ -266,7 +250,7 @@ TEST(IndexKnnTest, EveryCriterionAndEagerModeArePinned) {
   };
   for (const CriterionPin& pin : criterion_pins) {
     const auto criterion = MakeCriterion(pin.kind);
-    uint64_t digest = 0xCBF29CE484222325ULL;
+    uint64_t digest = test::kDigestSeed;
     for (SearchStrategy strategy : {kDf, kHs}) {
       for (size_t k : {1, 10}) {
         KnnOptions options;
@@ -274,7 +258,8 @@ TEST(IndexKnnTest, EveryCriterionAndEagerModeArePinned) {
         options.strategy = strategy;
         const KnnSearcher searcher(criterion.get(), options);
         for (const auto& sq : queries) {
-          digest = DigestAnswers(digest, searcher.Search(tree, sq));
+          digest =
+              test::DigestEntries(digest, searcher.Search(tree, sq).answers);
         }
       }
     }
@@ -306,11 +291,11 @@ TEST(IndexKnnTest, EveryCriterionAndEagerModeArePinned) {
     options.pruning_mode = KnnPruningMode::kEager;
     const KnnSearcher searcher(&exact, options);
     KnnStats sum;
-    uint64_t digest = 0xCBF29CE484222325ULL;
+    uint64_t digest = test::kDigestSeed;
     for (const auto& sq : queries) {
       const KnnResult result = searcher.Search(tree, sq);
       sum += result.stats;
-      digest = DigestAnswers(digest, result);
+      digest = test::DigestEntries(digest, result.answers);
     }
     const std::string where = std::string(pin.strategy == kDf ? "DF" : "HS") +
                               " k=" + std::to_string(pin.k);

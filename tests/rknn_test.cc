@@ -9,7 +9,6 @@
 #include "data/generator.h"
 #include "dominance/hyperbola.h"
 #include "dominance/minmax.h"
-#include "index/ss_tree.h"
 #include "test_util.h"
 
 namespace hyperdom {
@@ -118,60 +117,6 @@ TEST(RknnTest, AllCandidatesWhenQueryIsFar) {
   const Hypersphere far_query({1000.0, 1000.0}, 1.0);
   HyperbolaCriterion c;
   EXPECT_TRUE(RknnFilter(data, far_query, 1, c).answers.empty());
-}
-
-class RknnIndexTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(RknnIndexTest, IndexSearchMatchesLinearFilter) {
-  const size_t k = GetParam();
-  SyntheticSpec spec;
-  spec.n = 400;
-  spec.dim = 3;
-  spec.radius_mean = 5.0;
-  spec.seed = 896 + k;
-  const auto data = GenerateSynthetic(spec);
-  SsTree tree(3);
-  ASSERT_TRUE(tree.BulkLoad(data).ok());
-  HyperbolaCriterion c;
-  for (int qi = 0; qi < 6; ++qi) {
-    const Hypersphere& sq = data[qi * 31];
-    const RknnResult linear = RknnFilter(data, sq, k, c);
-    const RknnIndexResult indexed = RknnSearch(tree, sq, k, c);
-    EXPECT_EQ(indexed.answers, linear.answers) << "k=" << k << " qi=" << qi;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Ks, RknnIndexTest, ::testing::Values(1, 3, 10));
-
-TEST(RknnIndexTest, EmptyTree) {
-  SsTree tree(2);
-  HyperbolaCriterion c;
-  EXPECT_TRUE(RknnSearch(tree, Hypersphere({0.0, 0.0}, 1.0), 1, c)
-                  .answers.empty());
-}
-
-TEST(RknnIndexTest, TraversalStaysLocalOnTightData) {
-  // The index's win over the linear filter is avoiding the O(N) neighbor
-  // sort per candidate: with tight spheres the best-first dominator scan
-  // touches only a handful of nodes per candidate, and its dominance-check
-  // count stays in the same ballpark as the (already short-circuiting)
-  // linear filter.
-  SyntheticSpec spec;
-  spec.n = 3000;
-  spec.dim = 3;
-  spec.radius_mean = 1.0;
-  spec.seed = 897;
-  const auto data = GenerateSynthetic(spec);
-  SsTree tree(3);
-  ASSERT_TRUE(tree.BulkLoad(data).ok());
-  HyperbolaCriterion c;
-  const Hypersphere& sq = data[11];
-  const RknnResult linear = RknnFilter(data, sq, 1, c);
-  const RknnIndexResult indexed = RknnSearch(tree, sq, 1, c);
-  EXPECT_EQ(indexed.answers, linear.answers);
-  EXPECT_LT(indexed.stats.nodes_visited, 20 * data.size());
-  EXPECT_LT(indexed.stats.dominance_checks,
-            2 * linear.stats.dominance_checks + 100);
 }
 
 TEST(RknnTest, StatsCountPrunes) {

@@ -2,9 +2,8 @@
 //
 // Partitioning and shard-build contract of src/shard/sharded_store.h:
 // deterministic layouts, full coverage with global ids, a K=1 hash store
-// whose single shard is the dataset in original order, per-shard builds
-// across all four index kinds, and clean Status propagation from the
-// shard/build fault site.
+// whose single shard is the dataset in original order, one SS-tree per
+// shard, and clean Status propagation from the shard/build fault site.
 
 #include "shard/sharded_store.h"
 
@@ -127,43 +126,21 @@ TEST(ShardedStoreTest, SingleHashShardPreservesDatasetOrder) {
 }
 
 TEST(ShardedStoreTest, BuildsEveryIndexKind) {
+  // Every shard is an SS-tree over exactly its slice.
   const auto data = MakeData(200, 11);
-  for (ShardIndexKind kind :
-       {ShardIndexKind::kSsTree, ShardIndexKind::kRStarTree,
-        ShardIndexKind::kVpTree, ShardIndexKind::kMTree}) {
-    ShardingOptions options;
-    options.shards = 3;
-    options.index = kind;
-    ShardedStore store;
-    ASSERT_TRUE(ShardedStore::Build(data, options, &store).ok())
-        << ShardIndexKindName(kind);
-    size_t total = 0;
-    for (size_t j = 0; j < store.shards(); ++j) {
-      const Shard& s = store.shard(j);
-      switch (kind) {
-        case ShardIndexKind::kSsTree:
-          ASSERT_NE(s.ss, nullptr);
-          EXPECT_EQ(s.ss->size(), s.size());
-          EXPECT_TRUE(s.ss->CheckInvariants().ok());
-          break;
-        case ShardIndexKind::kRStarTree:
-          ASSERT_NE(s.rstar, nullptr);
-          EXPECT_EQ(s.rstar->size(), s.size());
-          break;
-        case ShardIndexKind::kVpTree:
-          ASSERT_NE(s.vp, nullptr);
-          EXPECT_EQ(s.vp->size(), s.size());
-          EXPECT_TRUE(s.vp->CheckInvariants().ok());
-          break;
-        case ShardIndexKind::kMTree:
-          ASSERT_NE(s.m, nullptr);
-          EXPECT_EQ(s.m->size(), s.size());
-          break;
-      }
-      total += s.size();
-    }
-    EXPECT_EQ(total, data.size());
+  ShardingOptions options;
+  options.shards = 3;
+  ShardedStore store;
+  ASSERT_TRUE(ShardedStore::Build(data, options, &store).ok());
+  size_t total = 0;
+  for (size_t j = 0; j < store.shards(); ++j) {
+    const Shard& s = store.shard(j);
+    ASSERT_NE(s.ss, nullptr);
+    EXPECT_EQ(s.ss->size(), s.size());
+    EXPECT_TRUE(s.ss->CheckInvariants().ok());
+    total += s.size();
   }
+  EXPECT_EQ(total, data.size());
 }
 
 TEST(ShardedStoreTest, EmptyDatasetBuildsEmptyShards) {

@@ -2,9 +2,9 @@
 //
 // The scatter-gather contract of src/shard/sharded_query.h: sharded kNN
 // answers are BIT-IDENTICAL to a single unsharded index over the same
-// dataset — for every shard count, partitioning policy, index kind and
-// scatter thread count — and sharded range queries match the unsharded
-// answer in canonical id order. Plus the robustness edges: best-effort
+// dataset — for every shard count, partitioning policy, traversal strategy
+// and scatter thread count — and sharded range queries return the
+// unsharded answer, both in id order. Plus the robustness edges: best-effort
 // subsets under deadlines, fair node-budget splitting, and shard/scatter
 // fault propagation.
 
@@ -19,7 +19,6 @@
 #include "common/rng.h"
 #include "dominance/hyperbola.h"
 #include "exec/thread_pool.h"
-#include "query/index_knn.h"
 #include "query/knn.h"
 #include "query/range.h"
 
@@ -74,37 +73,12 @@ void ExpectIdentical(const std::vector<DataEntry>& got,
 }
 
 KnnResult UnshardedKnn(const std::vector<Hypersphere>& data,
-                       ShardIndexKind kind, const Hypersphere& sq,
+                       const Hypersphere& sq,
                        const DominanceCriterion& criterion,
                        const KnnOptions& options) {
-  switch (kind) {
-    case ShardIndexKind::kSsTree: {
-      SsTree tree(kDim);
-      EXPECT_TRUE(tree.BulkLoadStr(data).ok());
-      const KnnSearcher searcher(&criterion, options);
-      return searcher.Search(tree, sq);
-    }
-    case ShardIndexKind::kRStarTree: {
-      RStarTree tree(kDim);
-      for (size_t i = 0; i < data.size(); ++i) {
-        EXPECT_TRUE(tree.Insert(data[i], i).ok());
-      }
-      return RStarKnnSearch(tree, sq, criterion, options);
-    }
-    case ShardIndexKind::kVpTree: {
-      VpTree tree;
-      EXPECT_TRUE(tree.Build(data).ok());
-      return VpTreeKnnSearch(tree, sq, criterion, options);
-    }
-    case ShardIndexKind::kMTree: {
-      MTree tree(kDim);
-      for (size_t i = 0; i < data.size(); ++i) {
-        EXPECT_TRUE(tree.Insert(data[i], i).ok());
-      }
-      return MTreeKnnSearch(tree, sq, criterion, options);
-    }
-  }
-  return {};
+  SsTree tree(kDim);
+  EXPECT_TRUE(tree.BulkLoadStr(data).ok());
+  return KnnSearcher(&criterion, options).Search(tree, sq);
 }
 
 class ShardedQueryTest : public ::testing::Test {
@@ -121,8 +95,7 @@ TEST_F(ShardedQueryTest, KnnBitIdenticalAcrossShardAndThreadCounts) {
   // Unsharded SS-tree reference, computed once per query.
   std::vector<KnnResult> expected;
   for (const auto& sq : queries) {
-    expected.push_back(
-        UnshardedKnn(data, ShardIndexKind::kSsTree, sq, criterion_, options));
+    expected.push_back(UnshardedKnn(data, sq, criterion_, options));
   }
 
   for (size_t shards : {1u, 2u, 4u, 8u}) {
@@ -151,35 +124,29 @@ TEST_F(ShardedQueryTest, KnnBitIdenticalAcrossPoliciesKindsAndStrategies) {
   const auto data = MakeData(500, 303);
   const auto queries = MakeQueries(4, 404);
 
-  for (ShardIndexKind kind :
-       {ShardIndexKind::kSsTree, ShardIndexKind::kRStarTree,
-        ShardIndexKind::kVpTree, ShardIndexKind::kMTree}) {
-    for (ShardPolicy policy : {ShardPolicy::kHash, ShardPolicy::kKmeans}) {
-      for (SearchStrategy strategy :
-           {SearchStrategy::kBestFirst, SearchStrategy::kDepthFirst}) {
-        KnnOptions options;
-        options.k = 5;
-        options.strategy = strategy;
-        ShardingOptions sharding;
-        sharding.shards = 4;
-        sharding.policy = policy;
-        sharding.index = kind;
-        ShardedStore store;
-        ASSERT_TRUE(ShardedStore::Build(data, sharding, &store).ok());
-        ThreadPool pool(2);
-        for (size_t q = 0; q < queries.size(); ++q) {
-          const KnnResult expected =
-              UnshardedKnn(data, kind, queries[q], criterion_, options);
-          Result<KnnResult> got =
-              ShardedKnn(store, queries[q], criterion_, options, &pool);
-          ASSERT_TRUE(got.ok());
-          ExpectIdentical(
-              got->answers, expected.answers,
-              std::string(ShardIndexKindName(kind)) + "/" +
-                  std::string(ShardPolicyName(policy)) + "/strategy=" +
-                  (strategy == SearchStrategy::kBestFirst ? "hs" : "df") +
-                  " q=" + std::to_string(q));
-        }
+  for (ShardPolicy policy : {ShardPolicy::kHash, ShardPolicy::kKmeans}) {
+    for (SearchStrategy strategy :
+         {SearchStrategy::kBestFirst, SearchStrategy::kDepthFirst}) {
+      KnnOptions options;
+      options.k = 5;
+      options.strategy = strategy;
+      ShardingOptions sharding;
+      sharding.shards = 4;
+      sharding.policy = policy;
+      ShardedStore store;
+      ASSERT_TRUE(ShardedStore::Build(data, sharding, &store).ok());
+      ThreadPool pool(2);
+      for (size_t q = 0; q < queries.size(); ++q) {
+        const KnnResult expected =
+            UnshardedKnn(data, queries[q], criterion_, options);
+        Result<KnnResult> got =
+            ShardedKnn(store, queries[q], criterion_, options, &pool);
+        ASSERT_TRUE(got.ok());
+        ExpectIdentical(
+            got->answers, expected.answers,
+            std::string(ShardPolicyName(policy)) + "/strategy=" +
+                (strategy == SearchStrategy::kBestFirst ? "hs" : "df") +
+                " q=" + std::to_string(q));
       }
     }
   }
@@ -233,8 +200,7 @@ TEST_F(ShardedQueryTest, BestEffortAnswersAreCertifiedSubsets) {
   ASSERT_TRUE(ShardedStore::Build(data, sharding, &store).ok());
 
   for (const auto& sq : queries) {
-    const KnnResult exact = UnshardedKnn(data, ShardIndexKind::kSsTree, sq,
-                                         criterion_, exact_options);
+    const KnnResult exact = UnshardedKnn(data, sq, criterion_, exact_options);
     std::set<uint64_t> exact_ids;
     for (const auto& e : exact.answers) exact_ids.insert(e.id);
 
@@ -292,13 +258,7 @@ TEST_F(ShardedQueryTest, RangeMatchesUnshardedInIdOrder) {
     ThreadPool pool(2);
     for (const auto& sq : queries) {
       const double range = 20.0;
-      RangeResult expected = RangeSearch(unsharded, sq, range);
-      auto by_id = [](const DataEntry& a, const DataEntry& b) {
-        return a.id < b.id;
-      };
-      std::sort(expected.certain.begin(), expected.certain.end(), by_id);
-      std::sort(expected.possible.begin(), expected.possible.end(), by_id);
-
+      const RangeResult expected = RangeSearch(unsharded, sq, range);
       Result<RangeResult> got = ShardedRange(store, sq, range,
                                              Deadline::Unbounded(), &pool);
       ASSERT_TRUE(got.ok());
@@ -311,16 +271,21 @@ TEST_F(ShardedQueryTest, RangeMatchesUnshardedInIdOrder) {
   }
 }
 
-TEST_F(ShardedQueryTest, RangeRequiresSsTreeShards) {
+// MinDist reads as many query coordinates as the store has dimensions, so
+// range refuses a query of the wrong dimensionality exactly as kNN does.
+TEST_F(ShardedQueryTest, RangeRejectsWrongDimensionality) {
   const auto data = MakeData(50, 5);
   ShardingOptions sharding;
   sharding.shards = 2;
-  sharding.index = ShardIndexKind::kVpTree;
   ShardedStore store;
   ASSERT_TRUE(ShardedStore::Build(data, sharding, &store).ok());
-  const auto result = ShardedRange(store, MakeQueries(1, 6)[0], 10.0);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kNotSupported);
+  const Hypersphere narrow({1.0}, 0.5);
+  const auto range = ShardedRange(store, narrow, 10.0);
+  ASSERT_FALSE(range.ok());
+  EXPECT_EQ(range.status().code(), StatusCode::kInvalidArgument);
+  const auto knn = ShardedKnn(store, narrow, criterion_, KnnOptions{});
+  ASSERT_FALSE(knn.ok());
+  EXPECT_EQ(range.status().ToString(), knn.status().ToString());
 }
 
 #if defined(HYPERDOM_FAULT_INJECTION_ENABLED)

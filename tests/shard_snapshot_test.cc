@@ -261,19 +261,6 @@ TEST_F(ShardSnapshotTest, MismatchedOptionsAreRejected) {
       StatusCode::kInvalidArgument);
 }
 
-TEST_F(ShardSnapshotTest, NonSsShardsAreNotSupported) {
-  const auto data = MakeData(50, 66);
-  ShardingOptions options;
-  options.shards = 2;
-  options.index = ShardIndexKind::kVpTree;
-  const ShardedStore store = BuildStore(data, options);
-  ShardedSnapshotSet set(dir_);
-  EXPECT_EQ(set.Persist(store, nullptr).code(), StatusCode::kNotSupported);
-  ShardedStore loaded;
-  EXPECT_EQ(set.LoadLatest(data, options, &loaded, nullptr, nullptr).code(),
-            StatusCode::kNotSupported);
-}
-
 TEST_F(ShardSnapshotTest, PruneKeepsOnlyTheLastTwoGenerations) {
   const auto data = MakeData(120, 67);
   ShardingOptions options;

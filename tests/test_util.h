@@ -7,13 +7,16 @@
 #ifndef HYPERDOM_TESTS_TEST_UTIL_H_
 #define HYPERDOM_TESTS_TEST_UTIL_H_
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "dominance/numeric_oracle.h"
 #include "geometry/hypersphere.h"
+#include "index/entry.h"
 
 namespace hyperdom {
 namespace test {
@@ -73,6 +76,27 @@ inline bool IsBorderline(const Scene& s, double tol = 1e-6) {
 inline std::string SceneToString(const Scene& s) {
   return "Sa=" + s.sa.ToString() + " Sb=" + s.sb.ToString() +
          " Sq=" + s.sq.ToString();
+}
+
+/// FNV-1a offset basis: the seed of a DigestEntries chain.
+constexpr uint64_t kDigestSeed = 0xCBF29CE484222325ULL;
+
+/// Folds every entry's id and sphere bits, in the order given, into the
+/// FNV-1a digest `h`. Pinned-work tests chain it over many answers.
+inline uint64_t DigestEntries(uint64_t h,
+                              const std::vector<DataEntry>& entries) {
+  auto mix = [&h](uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xFF;
+      h *= 0x100000001B3ULL;
+    }
+  };
+  for (const auto& e : entries) {
+    mix(e.id);
+    for (double c : e.sphere.center()) mix(std::bit_cast<uint64_t>(c));
+    mix(std::bit_cast<uint64_t>(e.sphere.radius()));
+  }
+  return h;
 }
 
 }  // namespace test

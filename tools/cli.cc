@@ -37,7 +37,6 @@
 #include "obs/trace.h"
 #include "query/inverse_ranking.h"
 #include "query/knn.h"
-#include "query/probabilistic_knn.h"
 #include "query/range.h"
 #include "server/admin.h"
 #include "server/client.h"
@@ -63,8 +62,6 @@ constexpr char kUsage[] =
     "  rank        --data=FILE --target=ID --query=X,..;R "
     "[--criterion=NAME]\n"
     "  range       --data=FILE --query=X,..;R --range=D\n"
-    "  probknn     --data=FILE --query=X,..;R [--k=10] [--tau=0.5]\n"
-    "              [--samples=400] [--seed=S]\n"
     "  expiry      --sa=X,..;R --sb=X,..;R --sq=X,..;R --va=V --vb=V "
     "--vq=V\n"
     "              [--horizon=100]\n"
@@ -413,52 +410,6 @@ Status CmdRange(const ParsedArgs& args, std::ostream& out) {
       << " possibly within (" << result.stats.entries_accessed
       << " entries accessed, " << result.stats.nodes_pruned
       << " subtrees pruned)\n";
-  return Status::OK();
-}
-
-Status CmdProbKnn(const ParsedArgs& args, std::ostream& out) {
-  auto data = LoadData(args);
-  if (!data.ok()) return data.status();
-  auto query = ParseSphere(args.GetFlag("query"));
-  if (!query.ok()) {
-    return Status::InvalidArgument("--query: " + query.status().message());
-  }
-  if (data->empty() || data->front().dim() != query->dim()) {
-    return Status::InvalidArgument("query dimensionality mismatch");
-  }
-  ProbabilisticKnnOptions options;
-  auto k = RequireUint(args, "k", options.k, /*required=*/false);
-  if (!k.ok()) return k.status();
-  options.k = *k;
-  auto samples = RequireUint(args, "samples", options.samples,
-                             /*required=*/false);
-  if (!samples.ok()) return samples.status();
-  options.samples = *samples;
-  auto seed = RequireUint(args, "seed", options.seed, /*required=*/false);
-  if (!seed.ok()) return seed.status();
-  options.seed = *seed;
-  const std::string tau = args.GetFlag("tau", "0.5");
-  if (!ParseDouble(tau, &options.tau) || options.tau < 0.0 ||
-      options.tau > 1.0) {
-    return Status::InvalidArgument("bad --tau (in [0, 1])");
-  }
-  if (options.k == 0 || options.samples == 0) {
-    return Status::InvalidArgument("--k and --samples must be positive");
-  }
-  const auto criterion = MakeCriterion(CriterionKind::kHyperbola);
-  const auto result = ProbabilisticKnn(*data, *query, *criterion, options);
-  out << result.answers.size() << " objects with P[top-" << options.k
-      << "] >= " << FormatDouble(options.tau) << " ("
-      << result.candidates_pruned
-      << " pruned with certainty-zero probability)\n";
-  size_t shown = 0;
-  for (const auto& c : result.answers) {
-    out << "  #" << c.id << "  p=" << FormatDouble(c.probability, 4) << "\n";
-    if (++shown >= 20 && result.answers.size() > 20) {
-      out << "  ... (" << result.answers.size() - shown << " more)\n";
-      break;
-    }
-  }
   return Status::OK();
 }
 
@@ -1229,8 +1180,6 @@ int Run(const std::vector<std::string>& args, std::ostream& out,
     status = CmdRank(*parsed, out);
   } else if (parsed->command == "range") {
     status = CmdRange(*parsed, out);
-  } else if (parsed->command == "probknn") {
-    status = CmdProbKnn(*parsed, out);
   } else if (parsed->command == "expiry") {
     status = CmdExpiry(*parsed, out);
   } else if (parsed->command == "selfcheck") {

@@ -29,10 +29,7 @@ constexpr std::string_view kAllSites[] = {
     "ss_tree/deserialize",
     "vp_tree/build",
     "vp_tree/build_node",
-    "vp_tree/serialize",
-    "vp_tree/deserialize",
     "rstar_tree/insert",
-    "m_tree/insert",
     // index/snapshot — checksummed persistence envelope.
     "snapshot/write",
     "snapshot/read",

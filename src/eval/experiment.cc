@@ -98,7 +98,6 @@ std::vector<KnnExperimentRow> RunKnnExperiment(
       options.strategy = strategy;
       BatchOptions exec;
       exec.threads = config.threads;
-      exec.seed = config.seed;
       const BatchKnnResult batch =
           BatchKnn(tree, queries, *criterion, options, exec);
 

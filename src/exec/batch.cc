@@ -2,34 +2,58 @@
 
 #include "exec/batch.h"
 
-#include <memory>
-#include <utility>
-
 #include "common/fault.h"
 #include "common/stopwatch.h"
 #include "exec/parallel_for.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "query/index_knn.h"
 #include "query/knn.h"
 
 namespace hyperdom {
 
 namespace {
 
-// The shared shape of the four BatchKnn overloads: `run_one(sq)` executes
-// the index's existing single-query driver.
-template <typename RunOne>
-BatchKnnResult RunBatchKnn(const std::vector<Hypersphere>& queries,
-                           const BatchOptions& exec, const RunOne& run_one) {
+// The batch scaffold: runs `body(i)` once per query index with the
+// per-query fault scope installed, on `exec`'s pool. `body` must be
+// concurrency-safe for distinct indices. Returns the workers used.
+template <typename Body>
+size_t RunBatch(size_t n, const BatchOptions& exec, const Body& body) {
+  const auto run_one = [&body](size_t i) {
+    // Per-query isolation: the fault stream keys on the batch index, so
+    // query i's execution is identical whether it runs first, last, or on
+    // another thread.
+    FaultQueryScope fault_scope(static_cast<uint64_t>(i));
+    body(i);
+  };
+
+  if (exec.pool != nullptr) {
+    ParallelFor(exec.pool, n, run_one);
+    return exec.pool->size();
+  }
+  const size_t threads = ThreadPool::ResolveThreads(exec.threads);
+  if (threads <= 1 || n <= 1) {
+    for (size_t i = 0; i < n; ++i) run_one(i);
+    return 1;
+  }
+  ThreadPool pool(threads);
+  ParallelFor(&pool, n, run_one);
+  return threads;
+}
+
+}  // namespace
+
+BatchKnnResult BatchKnn(const SsTree& tree,
+                        const std::vector<Hypersphere>& queries,
+                        const DominanceCriterion& criterion,
+                        const KnnOptions& options, const BatchOptions& exec) {
   HYPERDOM_SPAN(span, "batch/knn");
+  const KnnSearcher searcher(&criterion, options);
   BatchKnnResult batch;
   batch.results.resize(queries.size());
   Stopwatch watch;
-  batch.stats.threads =
-      RunBatch(queries.size(), exec, [&](QueryContext& ctx) {
-        batch.results[ctx.index] = run_one(queries[ctx.index]);
-      });
+  batch.stats.threads = RunBatch(queries.size(), exec, [&](size_t i) {
+    batch.results[i] = searcher.Search(tree, queries[i]);
+  });
   batch.stats.wall_nanos = watch.ElapsedNs();
   batch.stats.queries = queries.size();
   for (const KnnResult& result : batch.results) {
@@ -49,71 +73,6 @@ BatchKnnResult RunBatchKnn(const std::vector<Hypersphere>& queries,
   return batch;
 }
 
-}  // namespace
-
-size_t RunBatch(size_t n, const BatchOptions& exec,
-                const std::function<void(QueryContext&)>& body) {
-  const Rng base(exec.seed);
-  const auto run_one = [&base, &body](size_t i) {
-    // Per-query isolation: the fault stream keys on the batch index and
-    // the Rng stream forks from it, so query i's execution is identical
-    // whether it runs first, last, or on another thread.
-    FaultQueryScope fault_scope(static_cast<uint64_t>(i));
-    QueryContext ctx{i, base.Fork(static_cast<uint64_t>(i))};
-    body(ctx);
-  };
-
-  if (exec.pool != nullptr) {
-    ParallelFor(exec.pool, n, run_one);
-    return exec.pool->size();
-  }
-  const size_t threads = ThreadPool::ResolveThreads(exec.threads);
-  if (threads <= 1 || n <= 1) {
-    for (size_t i = 0; i < n; ++i) run_one(i);
-    return 1;
-  }
-  ThreadPool pool(threads);
-  ParallelFor(&pool, n, run_one);
-  return threads;
-}
-
-BatchKnnResult BatchKnn(const SsTree& tree,
-                        const std::vector<Hypersphere>& queries,
-                        const DominanceCriterion& criterion,
-                        const KnnOptions& options, const BatchOptions& exec) {
-  const KnnSearcher searcher(&criterion, options);
-  return RunBatchKnn(queries, exec, [&](const Hypersphere& sq) {
-    return searcher.Search(tree, sq);
-  });
-}
-
-BatchKnnResult BatchKnn(const RStarTree& tree,
-                        const std::vector<Hypersphere>& queries,
-                        const DominanceCriterion& criterion,
-                        const KnnOptions& options, const BatchOptions& exec) {
-  return RunBatchKnn(queries, exec, [&](const Hypersphere& sq) {
-    return RStarKnnSearch(tree, sq, criterion, options);
-  });
-}
-
-BatchKnnResult BatchKnn(const VpTree& tree,
-                        const std::vector<Hypersphere>& queries,
-                        const DominanceCriterion& criterion,
-                        const KnnOptions& options, const BatchOptions& exec) {
-  return RunBatchKnn(queries, exec, [&](const Hypersphere& sq) {
-    return VpTreeKnnSearch(tree, sq, criterion, options);
-  });
-}
-
-BatchKnnResult BatchKnn(const MTree& tree,
-                        const std::vector<Hypersphere>& queries,
-                        const DominanceCriterion& criterion,
-                        const KnnOptions& options, const BatchOptions& exec) {
-  return RunBatchKnn(queries, exec, [&](const Hypersphere& sq) {
-    return MTreeKnnSearch(tree, sq, criterion, options);
-  });
-}
-
 BatchRangeResult BatchRange(const SsTree& tree,
                             const std::vector<Hypersphere>& queries,
                             double range, const Deadline& deadline,
@@ -122,9 +81,8 @@ BatchRangeResult BatchRange(const SsTree& tree,
   BatchRangeResult batch;
   batch.results.resize(queries.size());
   Stopwatch watch;
-  batch.threads = RunBatch(queries.size(), exec, [&](QueryContext& ctx) {
-    batch.results[ctx.index] =
-        RangeSearch(tree, queries[ctx.index], range, deadline);
+  batch.threads = RunBatch(queries.size(), exec, [&](size_t i) {
+    batch.results[i] = RangeSearch(tree, queries[i], range, deadline);
   });
   batch.wall_nanos = watch.ElapsedNs();
   batch.queries = queries.size();

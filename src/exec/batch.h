@@ -3,9 +3,8 @@
 // The batch query engine: shard a vector of query hyperspheres across a
 // worker pool, each worker running the existing single-query drivers.
 // Per-query isolation is the unit of parallelism — every query gets its
-// own TraversalGuard (deadline held by value), its own KnnStats, its own
-// fault stream (FaultQueryScope keyed by the query's batch index), and,
-// for stochastic drivers, its own Rng forked as Rng(seed).Fork(index) —
+// own TraversalGuard (deadline held by value), its own KnnStats and its
+// own fault stream (FaultQueryScope keyed by the query's batch index) —
 // so the i-th result is a pure function of (tree, queries[i], options),
 // bit-identical at any thread count. See docs/performance.md.
 //
@@ -18,15 +17,10 @@
 #define HYPERDOM_EXEC_BATCH_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "common/rng.h"
 #include "dominance/criterion.h"
 #include "exec/thread_pool.h"
-#include "index/m_tree.h"
-#include "index/rstar_tree.h"
-#include "index/vp_tree.h"
 #include "query/knn_types.h"
 #include "query/range.h"
 
@@ -38,10 +32,6 @@ struct BatchOptions {
   /// the calling thread (still through the per-query isolation path, so
   /// results match the threaded runs bit for bit).
   size_t threads = 1;
-  /// Base seed for per-query Rng streams (query i gets Rng(seed).Fork(i)).
-  /// The kNN/range drivers are deterministic and ignore it; it feeds
-  /// future stochastic drivers routed through RunBatch().
-  uint64_t seed = 0;
   /// Optional externally owned pool to run on; threads is ignored when
   /// set. The pool must outlive the call.
   ThreadPool* pool = nullptr;
@@ -73,22 +63,10 @@ struct BatchRangeResult {
   size_t threads = 1;
 };
 
-/// Batch kNN over each of the four indexes. `criterion` is shared by all
-/// workers and must be thread-safe for concurrent Decide calls (every
-/// criterion in dominance/ is: they are stateless or use atomics).
+/// Batch kNN over the SS-tree. `criterion` is shared by all workers and
+/// must be thread-safe for concurrent Decide calls (every criterion in
+/// dominance/ is: they are stateless or use atomics).
 BatchKnnResult BatchKnn(const SsTree& tree,
-                        const std::vector<Hypersphere>& queries,
-                        const DominanceCriterion& criterion,
-                        const KnnOptions& options, const BatchOptions& exec);
-BatchKnnResult BatchKnn(const RStarTree& tree,
-                        const std::vector<Hypersphere>& queries,
-                        const DominanceCriterion& criterion,
-                        const KnnOptions& options, const BatchOptions& exec);
-BatchKnnResult BatchKnn(const VpTree& tree,
-                        const std::vector<Hypersphere>& queries,
-                        const DominanceCriterion& criterion,
-                        const KnnOptions& options, const BatchOptions& exec);
-BatchKnnResult BatchKnn(const MTree& tree,
                         const std::vector<Hypersphere>& queries,
                         const DominanceCriterion& criterion,
                         const KnnOptions& options, const BatchOptions& exec);
@@ -99,21 +77,6 @@ BatchRangeResult BatchRange(const SsTree& tree,
                             const std::vector<Hypersphere>& queries,
                             double range, const Deadline& deadline,
                             const BatchOptions& exec);
-
-/// Per-query execution context handed to RunBatch bodies.
-struct QueryContext {
-  size_t index;  ///< the query's position in the batch
-  Rng rng;       ///< independent stream: Rng(exec.seed).Fork(index)
-};
-
-/// \brief Generic batch scaffold: runs `body(ctx)` once per query index
-/// with the per-query fault scope and Rng installed, on `exec`'s pool.
-///
-/// BatchKnn/BatchRange are built on this; a caller with its own per-query
-/// driver can reuse it to inherit the same determinism contract. `body`
-/// must be concurrency-safe for distinct indices. Returns the workers used.
-size_t RunBatch(size_t n, const BatchOptions& exec,
-                const std::function<void(QueryContext&)>& body);
 
 }  // namespace hyperdom
 

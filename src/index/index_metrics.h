@@ -1,6 +1,6 @@
 // Copyright (c) hyperdom authors. Licensed under the MIT license.
 //
-// Per-build observability for the four index structures: an
+// Per-build observability for the three index structures: an
 // IndexBuildRecorder opens an "index/build" span, times the build, and on
 // Finish() publishes hyperdom_index_builds_total{index=},
 // hyperdom_index_build_duration_ns{index=} and the
@@ -24,7 +24,7 @@ namespace hyperdom {
 
 /// \brief RAII per-build instrumentation.
 ///
-/// `index_tag` labels the metrics ("ss"|"rstar"|"m"|"vp"); `method`
+/// `index_tag` labels the metrics ("ss"|"rstar"|"vp"); `method`
 /// distinguishes build strategies in the span ("bulk_load", "str_pack",
 /// "build").
 class IndexBuildRecorder {

@@ -11,7 +11,6 @@
 #include "common/fault.h"
 #include "common/io.h"
 #include "index/ss_tree.h"
-#include "index/vp_tree.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -44,10 +43,12 @@ int64_t SnapshotNowNs() {
 }
 
 constexpr char kSnapMagic[4] = {'H', 'D', 'S', 'P'};
-// v2 wraps store-backed payloads (HDSS v3 / HDVP v2). Any other version,
-// including the retired v1, is kNotSupported: callers rebuild from the
-// data.
+// v2 wraps the store-backed HDSS v3 payload. Any other version, including
+// the retired v1, is kNotSupported: callers rebuild from the data.
 constexpr uint32_t kSnapVersion = 2;
+// The VP-tree's kind, retired with its payload format: kNotSupported,
+// like a retired version, so LoadSnapshotOrRebuild rebuilds.
+constexpr uint32_t kRetiredVpTreeKind = 2;
 
 template <typename T>
 void AppendPod(std::string* out, const T& value) {
@@ -120,8 +121,11 @@ Status ReadEnvelope(const std::string& path, SnapshotInfo* info,
       !ConsumePod(&in, &crc)) {
     return Status::Corruption("truncated header");
   }
-  if (kind != static_cast<uint32_t>(SnapshotKind::kSsTree) &&
-      kind != static_cast<uint32_t>(SnapshotKind::kVpTree)) {
+  if (kind == kRetiredVpTreeKind) {
+    return Status::NotSupported("retired snapshot kind " +
+                                std::to_string(kind) + " (vp-tree)");
+  }
+  if (kind != static_cast<uint32_t>(SnapshotKind::kSsTree)) {
     return Status::Corruption("unknown snapshot kind " +
                               std::to_string(kind));
   }
@@ -137,10 +141,35 @@ Status ReadEnvelope(const std::string& path, SnapshotInfo* info,
   return Status::OK();
 }
 
-// Shared load path: envelope checks, then the tree's own Deserialize.
-template <typename Tree>
-Status LoadSnapshotImpl(const std::string& path, SnapshotKind expected,
-                        Tree* out) {
+}  // namespace
+
+std::string_view SnapshotKindName(SnapshotKind kind) {
+  switch (kind) {
+    case SnapshotKind::kSsTree:
+      return "ss-tree";
+  }
+  return "unknown";
+}
+
+Status SaveSnapshot(const SsTree& tree, const std::string& path) {
+  HYPERDOM_SPAN(span, "snapshot/save");
+  HYPERDOM_SPAN_ANNOTATE(span, "path", path);
+#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
+  const int64_t start_ns = SnapshotNowNs();
+#endif
+  std::ostringstream payload(std::ios::binary);
+  Status status = tree.Serialize(payload);
+  if (status.ok()) {
+    status = WriteEnvelope(path, SnapshotKind::kSsTree, payload.str());
+  }
+#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
+  RecordSnapshotOp("save", status.ok(),
+                   static_cast<uint64_t>(SnapshotNowNs() - start_ns));
+#endif
+  return status;
+}
+
+Status LoadSnapshot(const std::string& path, SsTree* out) {
   HYPERDOM_SPAN(span, "snapshot/load");
   HYPERDOM_SPAN_ANNOTATE(span, "path", path);
 #if defined(HYPERDOM_OBSERVABILITY_ENABLED)
@@ -157,62 +186,11 @@ Status LoadSnapshotImpl(const std::string& path, SnapshotKind expected,
   std::string payload;
   Status read = ReadEnvelope(path, &info, &payload);
   if (!read.ok()) return finish(std::move(read));
-  if (info.kind != expected) {
-    return finish(Status::InvalidArgument(
-        "snapshot holds a " + std::string(SnapshotKindName(info.kind)) +
-        ", expected a " + std::string(SnapshotKindName(expected))));
-  }
   if (!info.crc_ok) {
     return finish(Status::Corruption("snapshot checksum mismatch: " + path));
   }
   std::istringstream in(std::move(payload), std::ios::binary);
-  return finish(Tree::Deserialize(in, out));
-}
-
-template <typename Tree>
-Status SaveSnapshotImpl(const Tree& tree, SnapshotKind kind,
-                        const std::string& path) {
-  HYPERDOM_SPAN(span, "snapshot/save");
-  HYPERDOM_SPAN_ANNOTATE(span, "path", path);
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
-  const int64_t start_ns = SnapshotNowNs();
-#endif
-  std::ostringstream payload(std::ios::binary);
-  Status status = tree.Serialize(payload);
-  if (status.ok()) status = WriteEnvelope(path, kind, payload.str());
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
-  RecordSnapshotOp("save", status.ok(),
-                   static_cast<uint64_t>(SnapshotNowNs() - start_ns));
-#endif
-  return status;
-}
-
-}  // namespace
-
-std::string_view SnapshotKindName(SnapshotKind kind) {
-  switch (kind) {
-    case SnapshotKind::kSsTree:
-      return "ss-tree";
-    case SnapshotKind::kVpTree:
-      return "vp-tree";
-  }
-  return "unknown";
-}
-
-Status SaveSnapshot(const SsTree& tree, const std::string& path) {
-  return SaveSnapshotImpl(tree, SnapshotKind::kSsTree, path);
-}
-
-Status SaveSnapshot(const VpTree& tree, const std::string& path) {
-  return SaveSnapshotImpl(tree, SnapshotKind::kVpTree, path);
-}
-
-Status LoadSnapshot(const std::string& path, SsTree* out) {
-  return LoadSnapshotImpl(path, SnapshotKind::kSsTree, out);
-}
-
-Status LoadSnapshot(const std::string& path, VpTree* out) {
-  return LoadSnapshotImpl(path, SnapshotKind::kVpTree, out);
+  return finish(SsTree::Deserialize(in, out));
 }
 
 Result<SnapshotInfo> VerifySnapshot(const std::string& path) {
@@ -240,26 +218,6 @@ Status LoadSnapshotOrRebuild(const std::string& path,
   SsTree rebuilt(data.empty() ? out->dim() : data.front().dim(),
                  out->options());
   HYPERDOM_RETURN_NOT_OK(rebuilt.BulkLoadStr(data));
-  *out = std::move(rebuilt);
-  *outcome = SnapshotLoadOutcome::kRebuilt;
-  return Status::OK();
-}
-
-Status LoadSnapshotOrRebuild(const std::string& path,
-                             const std::vector<Hypersphere>& data,
-                             VpTree* out, SnapshotLoadOutcome* outcome,
-                             Status* load_error) {
-  HYPERDOM_SPAN(span, "snapshot/load_or_rebuild");
-  const Status loaded = LoadSnapshot(path, out);
-  if (load_error != nullptr) *load_error = loaded;
-  if (loaded.ok()) {
-    *outcome = SnapshotLoadOutcome::kLoaded;
-    return Status::OK();
-  }
-  HYPERDOM_COUNTER_INC(obs::kSnapshotRebuildFallback);
-  HYPERDOM_SPAN_ANNOTATE(span, "rebuild_fallback", loaded.message());
-  VpTree rebuilt(out->options());
-  HYPERDOM_RETURN_NOT_OK(rebuilt.Build(data));
   *out = std::move(rebuilt);
   *outcome = SnapshotLoadOutcome::kRebuilt;
   return Status::OK();

@@ -1,8 +1,7 @@
 // Copyright (c) hyperdom authors. Licensed under the MIT license.
 //
-// Crash-safe, checksummed index snapshots. A snapshot wraps an index's
-// binary serialization (SsTree::Serialize / VpTree::Serialize) in a small
-// envelope —
+// Crash-safe, checksummed index snapshots. A snapshot wraps the SS-tree's
+// binary serialization (SsTree::Serialize) in a small envelope —
 //
 //   magic "HDSP" | u32 version | u32 kind | u64 payload_size |
 //   u32 payload_crc32 | payload bytes
@@ -14,8 +13,10 @@
 // renamed into place, so a crash mid-write leaves either the previous
 // snapshot or none, never a half-written one.
 //
-// Like the underlying tree formats, the envelope is host-endian — a
-// same-machine cache, not an interchange format.
+// Like the underlying tree format, the envelope is host-endian — a
+// same-machine cache, not an interchange format. The SS-tree is the only
+// index that is persisted; the kind field still names it, and the retired
+// kind 2 (the VP-tree's payload) is refused with kNotSupported.
 
 #ifndef HYPERDOM_INDEX_SNAPSHOT_H_
 #define HYPERDOM_INDEX_SNAPSHOT_H_
@@ -31,15 +32,15 @@
 namespace hyperdom {
 
 class SsTree;
-class VpTree;
 
-/// Which index structure a snapshot holds.
+/// Which index structure a snapshot holds. Kind 2 (the VP-tree) is
+/// retired: reading it is kNotSupported, any other unknown kind
+/// kCorruption.
 enum class SnapshotKind : uint32_t {
   kSsTree = 1,
-  kVpTree = 2,
 };
 
-/// "ss-tree" / "vp-tree".
+/// "ss-tree".
 std::string_view SnapshotKindName(SnapshotKind kind);
 
 /// Envelope facts reported by VerifySnapshot().
@@ -51,17 +52,15 @@ struct SnapshotInfo {
   bool crc_ok = false;
 };
 
-/// \name Save / load, per index type. The only file path for an index.
-/// Load* verifies the checksum before deserializing and reports
+/// \name Save / load. The only file path for an index.
+/// LoadSnapshot verifies the checksum before deserializing and reports
 /// kCorruption on any mismatch, truncation, or structural violation, and
 /// kNotSupported on any envelope or tree format version but the current
-/// one (retired versions are never migrated); a failed load leaves `*out`
-/// untouched.
+/// one, or on a retired kind (retired formats are never migrated); a
+/// failed load leaves `*out` untouched.
 /// @{
 Status SaveSnapshot(const SsTree& tree, const std::string& path);
-Status SaveSnapshot(const VpTree& tree, const std::string& path);
 Status LoadSnapshot(const std::string& path, SsTree* out);
-Status LoadSnapshot(const std::string& path, VpTree* out);
 /// @}
 
 /// Reads and checks the envelope (magic, version, kind, size, checksum)
@@ -74,23 +73,16 @@ enum class SnapshotLoadOutcome {
   kRebuilt,  ///< snapshot missing, corrupt or retired; rebuilt from `data`
 };
 
-/// \name Load with rebuild fallback.
-/// Tries LoadSnapshot(); on any failure rebuilds the index from `data`
-/// (STR bulk load for the SS-tree, Build() for the VP-tree) and reports
-/// kRebuilt. Fails only when the rebuild itself fails (e.g. empty `data`
-/// after a corrupt snapshot still yields an empty, valid tree). The load
-/// error that triggered a rebuild is returned through `load_error` when
+/// Load with rebuild fallback: tries LoadSnapshot(); on any failure
+/// rebuilds the SS-tree from `data` by STR bulk load and reports kRebuilt.
+/// Fails only when the rebuild itself fails (e.g. empty `data` after a
+/// corrupt snapshot still yields an empty, valid tree). The load error
+/// that triggered a rebuild is returned through `load_error` when
 /// non-null.
-/// @{
 Status LoadSnapshotOrRebuild(const std::string& path,
                              const std::vector<Hypersphere>& data,
                              SsTree* out, SnapshotLoadOutcome* outcome,
                              Status* load_error = nullptr);
-Status LoadSnapshotOrRebuild(const std::string& path,
-                             const std::vector<Hypersphere>& data,
-                             VpTree* out, SnapshotLoadOutcome* outcome,
-                             Status* load_error = nullptr);
-/// @}
 
 }  // namespace hyperdom
 

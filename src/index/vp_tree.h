@@ -18,7 +18,6 @@
 #define HYPERDOM_INDEX_VP_TREE_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <vector>
 
@@ -86,12 +85,6 @@ class VpTree {
   /// Replaces any previous contents. Fails on inconsistent dimensions.
   Status Build(const std::vector<Hypersphere>& spheres);
 
-  /// Build() with caller-chosen entry ids (`ids[i]` labels `spheres[i]`;
-  /// sizes must match). Used by sharded builds, where each shard indexes a
-  /// subset of the dataset but answers must carry the global ids.
-  Status BuildWithIds(const std::vector<Hypersphere>& spheres,
-                      const std::vector<uint64_t>& ids);
-
   const VpTreeNode* root() const { return root_.get(); }
 
   /// The columnar sphere storage backing every entry; rebuilt by Build().
@@ -106,25 +99,9 @@ class VpTree {
   /// subtree counts are consistent.
   Status CheckInvariants() const;
 
-  /// \brief Writes the tree to `out` in a compact binary format (host
-  /// endianness, same-machine cache format — see vp_tree.cc). Used by the
-  /// checksummed snapshot envelope (index/snapshot.h).
-  Status Serialize(std::ostream& out) const;
-
-  /// \brief Reads a tree written by Serialize() into `*out` (replacing its
-  /// contents). Derived per-node data (max radii, subtree counts) is
-  /// recomputed and CheckInvariants() re-verified, so a successful load is
-  /// structurally sound even against a corrupted stream. Any format
-  /// version but the current one is kNotSupported.
-  static Status Deserialize(std::istream& in, VpTree* out);
-
  private:
   Status BuildRecursive(std::vector<VpTreeEntry> items,
                         std::unique_ptr<VpTreeNode>* out);
-  /// Reads one slot-reference node record against a loaded store.
-  static Status LoadNode(std::istream& in, const SphereStore& store,
-                         size_t leaf_size, size_t depth,
-                         std::unique_ptr<VpTreeNode>* out_node);
 
   VpTreeOptions options_;
   /// Columnar coordinate arena for every entry in the tree.

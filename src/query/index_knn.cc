@@ -37,34 +37,6 @@ void RStarKnnSearchInto(const RStarTree& tree, const Hypersphere& sq,
                          list, stats, guard);
 }
 
-void MTreeKnnSearchInto(const MTree& tree, const Hypersphere& sq,
-                        SearchStrategy strategy, BestKnownList* list,
-                        KnnStats* stats, TraversalGuard* guard) {
-  const MTreeNode* root = tree.root();
-  if (root == nullptr) return;
-  // MinDist from the query sphere to the node's covering ball.
-  auto bound = [&sq](const MTreeNode* node) {
-    const double d = Dist(node->pivot(), sq.center()) -
-                     node->covering_radius() - sq.radius();
-    return d > 0.0 ? d : 0.0;
-  };
-  const SphereStore& store = tree.store();
-  std::vector<EntryView> leaf_scratch;
-  auto visit = [&](const MTreeNode* node, const auto& emit_entries,
-                   const auto& emit_child) {
-    if (node->is_leaf()) {
-      knn_internal::EmitLeaf(node->entries(), store, /*overlay=*/nullptr,
-                             &leaf_scratch, emit_entries);
-      return;
-    }
-    for (const auto& child : node->children()) {
-      emit_child(bound(child.get()), child.get());
-    }
-  };
-  knn_internal::Traverse(root, bound(root), strategy, visit, list, stats,
-                         guard);
-}
-
 void VpTreeKnnSearchInto(const VpTree& tree, const Hypersphere& sq,
                          SearchStrategy strategy, BestKnownList* list,
                          KnnStats* stats, TraversalGuard* guard) {
@@ -115,13 +87,6 @@ KnnResult VpTreeKnnSearch(const VpTree& tree, const Hypersphere& sq,
                           const KnnOptions& options) {
   return knn_internal::RunSearch("vp", tree, sq, criterion, options,
                                  VpTreeKnnSearchInto);
-}
-
-KnnResult MTreeKnnSearch(const MTree& tree, const Hypersphere& sq,
-                         const DominanceCriterion& criterion,
-                         const KnnOptions& options) {
-  return knn_internal::RunSearch("m", tree, sq, criterion, options,
-                                 MTreeKnnSearchInto);
 }
 
 }  // namespace hyperdom

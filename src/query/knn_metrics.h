@@ -3,7 +3,7 @@
 // Per-query observability for the kNN searchers: one KnnQueryRecorder per
 // query opens a "knn/query" span, times the query, and publishes the
 // KnnStats counters into the metrics registry under the index's label
-// (index="ss"|"rstar"|"m"|"vp"). The span is annotated with the same
+// (index="ss"|"rstar"|"vp"). The span is annotated with the same
 // counter values that feed the registry, so traces and metrics reconcile
 // exactly by construction.
 //

@@ -7,7 +7,9 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "data/generator.h"
@@ -184,6 +186,79 @@ TEST_F(CliPipelineTest, RangeRejectsMissingRange) {
   const CliRun run =
       RunCli({"range", "--data=" + path_, "--query=100,100,100;5"});
   EXPECT_EQ(run.exit_code, 1);
+}
+
+// The snapshot verb end to end: save, verify the envelope, load; then a
+// flipped payload byte fails a plain load and rebuilds from --data.
+TEST_F(CliPipelineTest, SnapshotSaveVerifyLoadAndRebuild) {
+  const std::string snap = path_ + ".snap";
+  const CliRun save = RunCli(
+      {"snapshot", "--op=save", "--file=" + snap, "--data=" + path_});
+  ASSERT_EQ(save.exit_code, 0) << save.err;
+  EXPECT_NE(save.out.find("saved ss-tree snapshot of 500 spheres"),
+            std::string::npos)
+      << save.out;
+
+  const CliRun verify = RunCli({"snapshot", "--op=verify", "--file=" + snap});
+  EXPECT_EQ(verify.exit_code, 0) << verify.err;
+  EXPECT_NE(verify.out.find("kind=ss-tree version=2"), std::string::npos)
+      << verify.out;
+  EXPECT_NE(verify.out.find("checksum=OK"), std::string::npos) << verify.out;
+
+  const CliRun load = RunCli({"snapshot", "--op=load", "--file=" + snap});
+  EXPECT_EQ(load.exit_code, 0) << load.err;
+  EXPECT_NE(load.out.find("loaded ss-tree snapshot: 500 spheres"),
+            std::string::npos)
+      << load.out;
+
+  std::string bytes;
+  {
+    std::ifstream in(snap, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(bytes.size(), 64u);
+  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x01);
+  {
+    std::ofstream out(snap, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  const CliRun corrupt = RunCli({"snapshot", "--op=load", "--file=" + snap});
+  EXPECT_EQ(corrupt.exit_code, 1);
+  EXPECT_NE(corrupt.err.find("checksum mismatch"), std::string::npos)
+      << corrupt.err;
+  const CliRun rebuilt = RunCli(
+      {"snapshot", "--op=load", "--file=" + snap, "--data=" + path_});
+  EXPECT_EQ(rebuilt.exit_code, 0) << rebuilt.err;
+  EXPECT_NE(rebuilt.out.find("rebuilt ss-tree from --data (500 spheres)"),
+            std::string::npos)
+      << rebuilt.out;
+  std::remove(snap.c_str());
+}
+
+// A flag the verb does not read is a usage error naming the verb and the
+// flag, never a silent run of the default path.
+TEST_F(CliPipelineTest, UnknownFlagIsAUsageError) {
+  const CliRun typo = RunCli({"knn", "--data=" + path_,
+                              "--query=100,100,100;5", "--certifed=1"});
+  EXPECT_EQ(typo.exit_code, 2);
+  EXPECT_TRUE(typo.out.empty()) << typo.out;
+  EXPECT_NE(typo.err.find("'knn'"), std::string::npos) << typo.err;
+  EXPECT_NE(typo.err.find("--certifed"), std::string::npos) << typo.err;
+
+  const std::string snap = path_ + ".snap";
+  const CliRun index = RunCli({"snapshot", "--op=save", "--index=vp",
+                               "--file=" + snap, "--data=" + path_});
+  EXPECT_EQ(index.exit_code, 2);
+  EXPECT_NE(index.err.find("'snapshot'"), std::string::npos) << index.err;
+  EXPECT_NE(index.err.find("--index"), std::string::npos) << index.err;
+  std::ifstream written(snap, std::ios::binary);
+  EXPECT_FALSE(written.good()) << "a refused command must not run";
+
+  // Global flags are taken by every verb.
+  const CliRun global = RunCli(
+      {"knn", "--data=" + path_, "--query=100,100,100;5", "--seed=3"});
+  EXPECT_EQ(global.exit_code, 0) << global.err;
 }
 
 TEST(CliTest, ExpiryCommand) {

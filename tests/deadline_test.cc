@@ -18,7 +18,6 @@
 #include "data/generator.h"
 #include "dominance/hyperbola.h"
 #include "eval/workload.h"
-#include "index/m_tree.h"
 #include "index/rstar_tree.h"
 #include "index/ss_tree.h"
 #include "index/vp_tree.h"
@@ -194,8 +193,6 @@ TEST_P(KnnDeadlineTest, AlternativeIndexesYieldFlaggedSubsets) {
   ASSERT_TRUE(rstar.BulkLoad(data).ok());
   VpTree vp;
   ASSERT_TRUE(vp.Build(data).ok());
-  MTree mtree(4);
-  ASSERT_TRUE(mtree.BulkLoad(data).ok());
 
   HyperbolaCriterion exact;
   KnnOptions options;
@@ -219,8 +216,6 @@ TEST_P(KnnDeadlineTest, AlternativeIndexesYieldFlaggedSubsets) {
           RStarKnnSearch(rstar, sq, exact, bounded), "R*-tree");
     check(VpTreeKnnSearch(vp, sq, exact, options),
           VpTreeKnnSearch(vp, sq, exact, bounded), "VP-tree");
-    check(MTreeKnnSearch(mtree, sq, exact, options),
-          MTreeKnnSearch(mtree, sq, exact, bounded), "M-tree");
   }
 }
 

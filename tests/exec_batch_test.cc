@@ -3,7 +3,7 @@
 // The batch query engine (src/exec/batch.h). The central contract: a
 // batch run is bit-identical to the serial single-query drivers at ANY
 // thread count — same answers in the same order, same completeness flags,
-// same traversal counters — for every index, in exact and best-effort
+// same traversal counters — for kNN and range, in exact and best-effort
 // (deadline-bounded) runs, and with the fault registry armed. Best-effort
 // determinism is tested with node budgets and zero wall budgets only;
 // both expire deterministically (a live wall clock would not).
@@ -19,7 +19,6 @@
 #include "data/generator.h"
 #include "dominance/hyperbola.h"
 #include "eval/workload.h"
-#include "query/index_knn.h"
 #include "query/knn.h"
 
 namespace hyperdom {
@@ -121,39 +120,6 @@ TEST_P(BatchKnnIdenticalTest, SsTreeMatchesSerialAtEveryThreadCount) {
     const BatchKnnResult batch =
         BatchKnn(tree, queries, criterion, options, exec);
     CheckKnnBatchAgainstReference(reference, batch, threads);
-  }
-}
-
-TEST_P(BatchKnnIdenticalTest, AlternativeIndexesMatchSerial) {
-  const auto data = TestData(7200, 800);
-  RStarTree rstar(4);
-  ASSERT_TRUE(rstar.BulkLoad(data).ok());
-  VpTree vp;
-  ASSERT_TRUE(vp.Build(data).ok());
-  MTree mtree(4);
-  ASSERT_TRUE(mtree.BulkLoad(data).ok());
-  HyperbolaCriterion criterion;
-  const KnnOptions options = Options();
-  const auto queries = MakeKnnQueries(data, 25, 7201);
-
-  std::vector<KnnResult> ref_rstar, ref_vp, ref_mtree;
-  for (const auto& sq : queries) {
-    ref_rstar.push_back(RStarKnnSearch(rstar, sq, criterion, options));
-    ref_vp.push_back(VpTreeKnnSearch(vp, sq, criterion, options));
-    ref_mtree.push_back(MTreeKnnSearch(mtree, sq, criterion, options));
-  }
-
-  for (size_t threads : kThreadCounts) {
-    BatchOptions exec;
-    exec.threads = threads;
-    CheckKnnBatchAgainstReference(
-        ref_rstar, BatchKnn(rstar, queries, criterion, options, exec),
-        threads);
-    CheckKnnBatchAgainstReference(
-        ref_vp, BatchKnn(vp, queries, criterion, options, exec), threads);
-    CheckKnnBatchAgainstReference(
-        ref_mtree, BatchKnn(mtree, queries, criterion, options, exec),
-        threads);
   }
 }
 
@@ -306,33 +272,6 @@ TEST(BatchKnnFaultTest, ArmedRandomFaultsAreThreadCountInvariant) {
 }
 
 #endif  // HYPERDOM_FAULT_INJECTION_ENABLED
-
-TEST(RunBatchTest, ForksIndependentPerQueryRngStreams) {
-  constexpr size_t kN = 16;
-  std::vector<uint64_t> draws(kN, 0);
-  BatchOptions exec;
-  exec.threads = 1;
-  exec.seed = 42;
-  RunBatch(kN, exec, [&draws](QueryContext& ctx) {
-    draws[ctx.index] = ctx.rng.NextU64();
-  });
-  // Streams match Rng(seed).Fork(i) exactly and are pairwise distinct.
-  const Rng base(42);
-  for (size_t i = 0; i < kN; ++i) {
-    Rng expected = base.Fork(i);
-    EXPECT_EQ(draws[i], expected.NextU64()) << "stream " << i;
-    for (size_t j = i + 1; j < kN; ++j) {
-      EXPECT_NE(draws[i], draws[j]) << i << " vs " << j;
-    }
-  }
-  // And the same streams at 8 threads.
-  std::vector<uint64_t> threaded(kN, 0);
-  exec.threads = 8;
-  RunBatch(kN, exec, [&threaded](QueryContext& ctx) {
-    threaded[ctx.index] = ctx.rng.NextU64();
-  });
-  EXPECT_EQ(draws, threaded);
-}
 
 }  // namespace
 }  // namespace hyperdom

@@ -1,7 +1,7 @@
 // Copyright (c) hyperdom authors. Licensed under the MIT license.
 //
 // Fault-injection sweeps (common/fault.h). A workload touching every
-// fallible subsystem — CSV I/O, all four index builds, snapshot
+// fallible subsystem — CSV I/O, all three index builds, snapshot
 // save/load, the certified escalation chain — is run with each site armed
 // in turn: every failure must surface as a clean Status naming the site
 // (or, for the certified degrade sites, as a conservative verdict), never
@@ -28,7 +28,6 @@
 #include "dominance/criterion.h"
 #include "dominance/hyperbola.h"
 #include "eval/workload.h"
-#include "index/m_tree.h"
 #include "index/mutable_ss_tree.h"
 #include "index/rotation.h"
 #include "index/rstar_tree.h"
@@ -71,7 +70,6 @@ Status RunFallibleWorkload(const std::vector<Hypersphere>& data,
                            const std::string& tag) {
   const std::string csv_path = WorkloadPath(tag + ".csv");
   const std::string ss_path = WorkloadPath(tag + "_ss.snap");
-  const std::string vp_path = WorkloadPath(tag + "_vp.snap");
 
   HYPERDOM_RETURN_NOT_OK(SaveSpheresCsv(csv_path, data));
   auto reloaded = LoadSpheresCsv(csv_path);
@@ -91,17 +89,10 @@ Status RunFallibleWorkload(const std::vector<Hypersphere>& data,
 
   VpTree vp;
   HYPERDOM_RETURN_NOT_OK(vp.Build(data));
-  HYPERDOM_RETURN_NOT_OK(SaveSnapshot(vp, vp_path));
-  VpTree vp_loaded;
-  HYPERDOM_RETURN_NOT_OK(LoadSnapshot(vp_path, &vp_loaded));
 
   RStarTree rstar(3);
   for (size_t i = 0; i < data.size(); ++i) {
     HYPERDOM_RETURN_NOT_OK(rstar.Insert(data[i], i));
-  }
-  MTree mtree(3);
-  for (size_t i = 0; i < data.size(); ++i) {
-    HYPERDOM_RETURN_NOT_OK(mtree.Insert(data[i], i));
   }
 
   // Certified chain: tier 1 (certified/quartic) runs on every call.
@@ -134,7 +125,6 @@ Status RunFallibleWorkload(const std::vector<Hypersphere>& data,
 
   std::remove(csv_path.c_str());
   std::remove(ss_path.c_str());
-  std::remove(vp_path.c_str());
   return Status::OK();
 }
 

@@ -1,9 +1,9 @@
 // Copyright (c) hyperdom authors. Licensed under the MIT license.
 //
-// Cross-index equivalence: all four indexes — SS-tree, R*-tree, VP-tree,
-// M-tree — must return exactly the Definition-2 answer set when searched
-// with the exact criterion in deferred mode, i.e. identical to each other
-// and to the linear scan, for both traversal strategies.
+// Cross-index equivalence: all three indexes — SS-tree, R*-tree, VP-tree —
+// must return exactly the Definition-2 answer set when searched with the
+// exact criterion in deferred mode, i.e. identical to each other and to
+// the linear scan, for both traversal strategies.
 
 #include "query/index_knn.h"
 
@@ -48,8 +48,6 @@ TEST_P(IndexEquivalenceTest, AllIndexesMatchLinearScan) {
   ASSERT_TRUE(rstar.BulkLoad(data).ok());
   VpTree vp;
   ASSERT_TRUE(vp.Build(data).ok());
-  MTree mtree(4);
-  ASSERT_TRUE(mtree.BulkLoad(data).ok());
 
   HyperbolaCriterion exact;
   KnnOptions options;
@@ -64,8 +62,6 @@ TEST_P(IndexEquivalenceTest, AllIndexesMatchLinearScan) {
         << "R*-tree";
     EXPECT_EQ(Ids(VpTreeKnnSearch(vp, sq, exact, options)), truth)
         << "VP-tree";
-    EXPECT_EQ(Ids(MTreeKnnSearch(mtree, sq, exact, options)), truth)
-        << "M-tree";
   }
 }
 
@@ -84,8 +80,6 @@ TEST(IndexKnnTest, EmptyIndexesGiveEmptyResults) {
   VpTree vp;
   ASSERT_TRUE(vp.Build({}).ok());
   EXPECT_TRUE(VpTreeKnnSearch(vp, sq, exact, options).answers.empty());
-  MTree mtree(2);
-  EXPECT_TRUE(MTreeKnnSearch(mtree, sq, exact, options).answers.empty());
 }
 
 TEST(IndexKnnTest, WeakCriterionSupersetOnEveryIndex) {
@@ -98,8 +92,6 @@ TEST(IndexKnnTest, WeakCriterionSupersetOnEveryIndex) {
   ASSERT_TRUE(rstar.BulkLoad(data).ok());
   VpTree vp;
   ASSERT_TRUE(vp.Build(data).ok());
-  MTree mtree(3);
-  ASSERT_TRUE(mtree.BulkLoad(data).ok());
 
   HyperbolaCriterion exact;
   MinMaxCriterion weak;
@@ -109,8 +101,7 @@ TEST(IndexKnnTest, WeakCriterionSupersetOnEveryIndex) {
     const auto truth = Ids(KnnLinearScan(data, sq, options.k, exact));
     for (const auto& result :
          {RStarKnnSearch(rstar, sq, weak, options),
-          VpTreeKnnSearch(vp, sq, weak, options),
-          MTreeKnnSearch(mtree, sq, weak, options)}) {
+          VpTreeKnnSearch(vp, sq, weak, options)}) {
       const auto weak_ids = Ids(result);
       for (uint64_t id : truth) {
         EXPECT_TRUE(weak_ids.count(id)) << "lost an exact answer";
@@ -162,15 +153,12 @@ TEST(IndexKnnTest, TraversalWorkIsPinned) {
   ASSERT_TRUE(rstar.BulkLoad(data).ok());
   VpTree vp;
   ASSERT_TRUE(vp.Build(data).ok());
-  MTree mtree(4);
-  ASSERT_TRUE(mtree.BulkLoad(data).ok());
   HyperbolaCriterion exact;
   auto search = [&](std::string_view index, const Hypersphere& sq,
                     const KnnOptions& options) {
     if (index == "ss") return KnnSearcher(&exact, options).Search(ss_tree, sq);
     if (index == "rstar") return RStarKnnSearch(rstar, sq, exact, options);
-    if (index == "vp") return VpTreeKnnSearch(vp, sq, exact, options);
-    return MTreeKnnSearch(mtree, sq, exact, options);
+    return VpTreeKnnSearch(vp, sq, exact, options);
   };
 
   struct Pin {
@@ -190,8 +178,6 @@ TEST(IndexKnnTest, TraversalWorkIsPinned) {
       {"rstar", kHs, 2287, 3226, 35048, 6834},
       {"vp", kDf, 10585, 1595, 45796, 8797},
       {"vp", kHs, 10007, 1715, 42526, 7233},
-      {"m", kDf, 5189, 2071, 72732, 11060},
-      {"m", kHs, 4741, 2519, 66130, 9516},
   };
   // Every index returns the same Definition-2 answers in the same order.
   constexpr uint64_t kAnswerDigest = 0x7050b4efe4a42475ULL;

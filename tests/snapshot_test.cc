@@ -2,7 +2,7 @@
 //
 // Crash-safe snapshot envelope (index/snapshot.h): round-trips must
 // preserve query answers exactly, and any corruption — bit flips,
-// truncation, a wrong kind — or a retired or unknown format version must
+// truncation, an unknown kind — or a retired format version or kind must
 // be detected before the tree structure is trusted, falling back to a
 // rebuild when the raw data is available.
 
@@ -21,8 +21,6 @@
 #include "dominance/hyperbola.h"
 #include "eval/workload.h"
 #include "index/ss_tree.h"
-#include "index/vp_tree.h"
-#include "query/index_knn.h"
 #include "query/knn.h"
 
 namespace hyperdom {
@@ -89,26 +87,6 @@ TEST(SnapshotTest, SsTreeRoundTripPreservesQueryAnswers) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotTest, VpTreeRoundTripPreservesQueryAnswers) {
-  const auto data = TestData(903);
-  VpTree tree;
-  ASSERT_TRUE(tree.Build(data).ok());
-  const std::string path = TestPath("vp_roundtrip.snap");
-  ASSERT_TRUE(SaveSnapshot(tree, path).ok());
-
-  VpTree loaded;
-  ASSERT_TRUE(LoadSnapshot(path, &loaded).ok());
-  EXPECT_EQ(loaded.size(), tree.size());
-  EXPECT_EQ(loaded.dim(), tree.dim());
-
-  HyperbolaCriterion exact;
-  for (const auto& sq : MakeKnnQueries(data, 8, 904)) {
-    EXPECT_EQ(Ids(VpTreeKnnSearch(loaded, sq, exact, KnnOptions{})),
-              Ids(VpTreeKnnSearch(tree, sq, exact, KnnOptions{})));
-  }
-  std::remove(path.c_str());
-}
-
 TEST(SnapshotTest, VerifyReportsEnvelopeFacts) {
   const auto data = TestData(905, 200);
   SsTree tree(3);
@@ -164,8 +142,8 @@ TEST(SnapshotTest, BitFlipsAreRejectedNotTrusted) {
 
 TEST(SnapshotTest, TruncationIsRejected) {
   const auto data = TestData(908, 150);
-  VpTree tree;
-  ASSERT_TRUE(tree.Build(data).ok());
+  SsTree tree(3);
+  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
   const std::string path = TestPath("truncate.snap");
   ASSERT_TRUE(SaveSnapshot(tree, path).ok());
   const std::string pristine = ReadFile(path);
@@ -173,24 +151,10 @@ TEST(SnapshotTest, TruncationIsRejected) {
   for (size_t keep : {size_t{0}, size_t{3}, size_t{12}, size_t{23},
                       pristine.size() / 2, pristine.size() - 1}) {
     WriteFile(path, pristine.substr(0, keep));
-    VpTree loaded;
+    SsTree loaded(1);
     EXPECT_FALSE(LoadSnapshot(path, &loaded).ok()) << "kept " << keep;
     EXPECT_EQ(loaded.size(), 0u);
   }
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotTest, KindMismatchIsRejected) {
-  const auto data = TestData(909, 100);
-  SsTree tree(3);
-  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
-  const std::string path = TestPath("kind.snap");
-  ASSERT_TRUE(SaveSnapshot(tree, path).ok());
-
-  VpTree wrong;
-  const Status status = LoadSnapshot(path, &wrong);
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
-  EXPECT_EQ(wrong.size(), 0u);
   std::remove(path.c_str());
 }
 
@@ -231,7 +195,7 @@ TEST(SnapshotTest, LoadOrRebuildFallsBackOnMissingFile) {
   const std::string path = TestPath("missing.snap");
   std::remove(path.c_str());
 
-  VpTree recovered;
+  SsTree recovered(1);
   SnapshotLoadOutcome outcome = SnapshotLoadOutcome::kLoaded;
   ASSERT_TRUE(LoadSnapshotOrRebuild(path, data, &recovered, &outcome).ok());
   EXPECT_EQ(outcome, SnapshotLoadOutcome::kRebuilt);
@@ -239,10 +203,11 @@ TEST(SnapshotTest, LoadOrRebuildFallsBackOnMissingFile) {
 }
 
 // ---------------------------------------------------------------------------
-// Retired and future format versions. Only HDSP v2 envelopes around HDSS v3
-// or HDVP v2 payloads load. Anything else is refused with kNotSupported,
-// never migrated, and LoadSnapshotOrRebuild rebuilds from the data. The
-// refusal comes right after the version field, so each retired format is
+// Retired and future formats. Only HDSP v2 envelopes of kind 1 around HDSS
+// v3 payloads load. A retired or future version, or the retired kind 2
+// (the VP-tree's HDVP payload), is refused with kNotSupported, never
+// migrated, and LoadSnapshotOrRebuild rebuilds from the data. The refusal
+// comes right after the version or kind field, so each retired format is
 // written as its header alone (magic + version).
 // ---------------------------------------------------------------------------
 
@@ -257,24 +222,28 @@ std::string FormatHeader(const char* magic, uint32_t version) {
   return out;
 }
 
-// A current (v2) envelope with a valid checksum around `payload`.
-std::string CurrentEnvelope(SnapshotKind kind, const std::string& payload) {
+// A current (v2) envelope of raw `kind` with a valid checksum around
+// `payload`.
+std::string CurrentEnvelope(uint32_t kind, const std::string& payload) {
   std::string out = FormatHeader("HDSP", 2);
-  AppendPod(&out, static_cast<uint32_t>(kind));
+  AppendPod(&out, kind);
   AppendPod(&out, static_cast<uint64_t>(payload.size()));
   AppendPod(&out, Crc32Of(payload.data(), payload.size()));
   out += payload;
   return out;
 }
 
-template <typename Tree>
+constexpr uint32_t kSsTreeKind = static_cast<uint32_t>(SnapshotKind::kSsTree);
+
+// LoadSnapshot refuses the file with kNotSupported naming `reason`, and
+// LoadSnapshotOrRebuild rebuilds from `data`.
 void ExpectRefusedThenRebuilt(const std::string& path,
                               const std::vector<Hypersphere>& data,
-                              Tree empty) {
-  Tree loaded = std::move(empty);
+                              const std::string& reason) {
+  SsTree loaded(3);
   const Status status = LoadSnapshot(path, &loaded);
   EXPECT_EQ(status.code(), StatusCode::kNotSupported) << status.ToString();
-  EXPECT_NE(status.message().find("version"), std::string::npos)
+  EXPECT_NE(status.message().find(reason), std::string::npos)
       << status.ToString();
   EXPECT_EQ(loaded.size(), 0u) << "a refused load must not fill the tree";
 
@@ -293,25 +262,45 @@ TEST(SnapshotVersionTest, RetiredAndFutureVersionsAreNotSupported) {
   {
     SCOPED_TRACE("HDSP v1 envelope");
     WriteFile(path, FormatHeader("HDSP", 1));
-    ExpectRefusedThenRebuilt(path, data, SsTree(3));
+    ExpectRefusedThenRebuilt(path, data, "version");
   }
   {
     SCOPED_TRACE("HDSP v3 envelope");
     WriteFile(path, FormatHeader("HDSP", 3));
-    ExpectRefusedThenRebuilt(path, data, SsTree(3));
+    ExpectRefusedThenRebuilt(path, data, "version");
   }
   {
     SCOPED_TRACE("HDSS v2 payload in an HDSP v2 envelope");
-    WriteFile(path, CurrentEnvelope(SnapshotKind::kSsTree,
-                                    FormatHeader("HDSS", 2)));
-    ExpectRefusedThenRebuilt(path, data, SsTree(3));
+    WriteFile(path, CurrentEnvelope(kSsTreeKind, FormatHeader("HDSS", 2)));
+    ExpectRefusedThenRebuilt(path, data, "version");
   }
   {
-    SCOPED_TRACE("HDVP v1 payload in an HDSP v2 envelope");
-    WriteFile(path, CurrentEnvelope(SnapshotKind::kVpTree,
-                                    FormatHeader("HDVP", 1)));
-    ExpectRefusedThenRebuilt(path, data, VpTree());
+    SCOPED_TRACE("kind 2 (HDVP v2 payload) in an HDSP v2 envelope");
+    WriteFile(path, CurrentEnvelope(2, FormatHeader("HDVP", 2)));
+    const auto info = VerifySnapshot(path);
+    EXPECT_EQ(info.status().code(), StatusCode::kNotSupported)
+        << info.status().ToString();
+    EXPECT_NE(info.status().message().find("vp-tree"), std::string::npos)
+        << info.status().ToString();
+    ExpectRefusedThenRebuilt(path, data, "vp-tree");
   }
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotVersionTest, UnknownKindIsCorruption) {
+  const auto data = TestData(919, 40);
+  const std::string path = TestPath("unknown_kind.snap");
+  WriteFile(path, CurrentEnvelope(3, FormatHeader("HDSS", 3)));
+  EXPECT_EQ(VerifySnapshot(path).status().code(), StatusCode::kCorruption);
+  SsTree loaded(1);
+  const Status status = LoadSnapshot(path, &loaded);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  EXPECT_EQ(loaded.size(), 0u);
+
+  SnapshotLoadOutcome outcome = SnapshotLoadOutcome::kLoaded;
+  ASSERT_TRUE(LoadSnapshotOrRebuild(path, data, &loaded, &outcome).ok());
+  EXPECT_EQ(outcome, SnapshotLoadOutcome::kRebuilt);
+  EXPECT_EQ(loaded.size(), data.size());
   std::remove(path.c_str());
 }
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <numeric>
 #include <optional>
+#include <string_view>
 #include <thread>
 
 #include <cmath>
@@ -31,7 +32,6 @@
 #include "index/mutable_ss_tree.h"
 #include "index/snapshot.h"
 #include "index/ss_tree.h"
-#include "index/vp_tree.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -68,8 +68,7 @@ constexpr char kUsage[] =
     "  experiment  --data=FILE [--queries=10000] [--repeats=3] [--seed=S]\n"
     "  selfcheck   [--scenes=20000] [--dim=4] [--mu=10] [--seed=S]\n"
     "              [--certified=1]\n"
-    "  snapshot    --op=save|load|verify --file=SNAP [--index=ss|vp]\n"
-    "              [--data=FILE]\n"
+    "  snapshot    --op=save|load|verify --file=SNAP [--data=FILE]\n"
     "  serve       --data=FILE [--port=0] [--host=127.0.0.1] [--threads=0]\n"
     "              [--queue-capacity=128] [--max-connections=256]\n"
     "              [--io-timeout-ms=5000] [--criterion=NAME] [--mutable=1]\n"
@@ -86,10 +85,13 @@ constexpr char kUsage[] =
     "criteria: minmax, mbr, gp, trigonometric, hyperbola, oracle, certified\n"
     "--certified=1 routes dominance through the certified engine and reports\n"
     "uncertainty rates and escalation-tier counters.\n"
-    "global flags: --fault-rate=P and --fault-site=SITE arm the fault-\n"
-    "injection registry (seeded by --seed) before the command runs;\n"
-    "--deadline-ms / --node-budget bound a query, degrading gracefully to a\n"
-    "flagged best-effort answer.\n"
+    "global flags, taken by every command: --fault-rate=P or\n"
+    "--fault-site=SITE [--fault-nth=N] arm the fault-injection registry\n"
+    "(seeded by --seed) before the command runs; --seed, --metrics-out,\n"
+    "--trace-out, --log-level and --log-out. Any other flag that its command\n"
+    "does not list above is a usage error (exit 2).\n"
+    "knn --deadline-ms and knn/query --node-budget bound a query, degrading\n"
+    "gracefully to a flagged best-effort answer.\n"
     "observability: --metrics-out=FILE dumps every metric after the command\n"
     "(.json extension selects the JSON export, anything else Prometheus\n"
     "text); --trace-out=FILE records spans and writes a Chrome trace_event\n"
@@ -291,7 +293,6 @@ Status CmdKnn(const ParsedArgs& args, std::ostream& out) {
         MakeKnnQueries(*data, *workload_size, *seed);
     BatchOptions exec;
     exec.threads = static_cast<size_t>(*threads);
-    exec.seed = *seed;
     const BatchKnnResult batch =
         BatchKnn(tree, queries, *criterion, options, exec);
     const KnnStats& totals = batch.stats.totals;
@@ -573,65 +574,37 @@ Status CmdSnapshot(const ParsedArgs& args, std::ostream& out) {
     return Status::OK();
   }
 
-  const std::string index = args.GetFlag("index", "ss");
-  if (index != "ss" && index != "vp") {
-    return Status::InvalidArgument("bad --index (ss|vp)");
-  }
-
   if (op == "save") {
     auto data = LoadData(args);
     if (!data.ok()) return data.status();
     if (data->empty()) return Status::InvalidArgument("dataset is empty");
-    if (index == "ss") {
-      SsTree tree(data->front().dim());
-      HYPERDOM_RETURN_NOT_OK(tree.BulkLoadStr(*data));
-      HYPERDOM_RETURN_NOT_OK(SaveSnapshot(tree, file));
-    } else {
-      VpTree tree;
-      HYPERDOM_RETURN_NOT_OK(tree.Build(*data));
-      HYPERDOM_RETURN_NOT_OK(SaveSnapshot(tree, file));
-    }
-    out << "saved " << index << "-tree snapshot of " << data->size()
-        << " spheres to " << file << "\n";
+    SsTree tree(data->front().dim());
+    HYPERDOM_RETURN_NOT_OK(tree.BulkLoadStr(*data));
+    HYPERDOM_RETURN_NOT_OK(SaveSnapshot(tree, file));
+    out << "saved ss-tree snapshot of " << data->size() << " spheres to "
+        << file << "\n";
     return Status::OK();
   }
 
   // op == "load": with --data, fall back to a rebuild when the snapshot is
-  // missing or corrupt; without it, a clean load is the only option.
-  const bool have_data = !args.GetFlag("data").empty();
-  std::vector<Hypersphere> data;
-  if (have_data) {
-    auto loaded = LoadData(args);
-    if (!loaded.ok()) return loaded.status();
-    data = std::move(*loaded);
-  }
-  size_t size = 0;
+  // missing, corrupt or retired; without it, a clean load is the only
+  // option.
+  SsTree tree(1);
   SnapshotLoadOutcome outcome = SnapshotLoadOutcome::kLoaded;
   Status load_error;
-  if (index == "ss") {
-    SsTree tree(1);
-    if (have_data) {
-      HYPERDOM_RETURN_NOT_OK(
-          LoadSnapshotOrRebuild(file, data, &tree, &outcome, &load_error));
-    } else {
-      HYPERDOM_RETURN_NOT_OK(LoadSnapshot(file, &tree));
-    }
-    size = tree.size();
+  if (!args.GetFlag("data").empty()) {
+    auto data = LoadData(args);
+    if (!data.ok()) return data.status();
+    HYPERDOM_RETURN_NOT_OK(
+        LoadSnapshotOrRebuild(file, *data, &tree, &outcome, &load_error));
   } else {
-    VpTree tree;
-    if (have_data) {
-      HYPERDOM_RETURN_NOT_OK(
-          LoadSnapshotOrRebuild(file, data, &tree, &outcome, &load_error));
-    } else {
-      HYPERDOM_RETURN_NOT_OK(LoadSnapshot(file, &tree));
-    }
-    size = tree.size();
+    HYPERDOM_RETURN_NOT_OK(LoadSnapshot(file, &tree));
   }
   if (outcome == SnapshotLoadOutcome::kRebuilt) {
-    out << "snapshot unusable (" << load_error.ToString() << "); rebuilt "
-        << index << "-tree from --data (" << size << " spheres)\n";
+    out << "snapshot unusable (" << load_error.ToString()
+        << "); rebuilt ss-tree from --data (" << tree.size() << " spheres)\n";
   } else {
-    out << "loaded " << index << "-tree snapshot: " << size << " spheres\n";
+    out << "loaded ss-tree snapshot: " << tree.size() << " spheres\n";
   }
   return Status::OK();
 }
@@ -1091,6 +1064,59 @@ Status WriteObservabilityOutputs([[maybe_unused]] const ParsedArgs& args,
   return Status::OK();
 }
 
+Status CmdHelp(const ParsedArgs& /*args*/, std::ostream& out) {
+  out << kUsage;
+  return Status::OK();
+}
+
+// One row per command: its handler and the flags it reads, space-separated.
+// Run() refuses any other flag that is not in kGlobalFlags, so a typo such
+// as --certifed fails loudly instead of running the default path.
+struct Verb {
+  std::string_view name;
+  Status (*run)(const ParsedArgs& args, std::ostream& out);
+  std::string_view flags;
+};
+
+constexpr Verb kVerbs[] = {
+    {"generate", CmdGenerate, "out n dim mu centers radii"},
+    {"dominate", CmdDominate, "sa sb sq criterion"},
+    {"knn", CmdKnn,
+     "data query k criterion strategy certified deadline-ms node-budget "
+     "queries threads"},
+    {"rank", CmdRank, "data target query criterion"},
+    {"range", CmdRange, "data query range"},
+    {"expiry", CmdExpiry, "sa sb sq va vb vq horizon"},
+    {"selfcheck", CmdSelfCheck, "scenes dim mu certified"},
+    {"snapshot", CmdSnapshot, "op file data"},
+    {"experiment", CmdExperiment, "data queries repeats"},
+    {"serve", CmdServe,
+     "data port host threads queue-capacity max-connections io-timeout-ms "
+     "criterion mutable admin-port slow-query-ms shards shard-policy"},
+    {"query", CmdQuery,
+     "server query k strategy budget-ms node-budget timeout-ms attempts"},
+    {"insert", CmdInsert, "server id sphere budget-ms timeout-ms attempts"},
+    {"remove", CmdRemove, "server id budget-ms timeout-ms attempts"},
+    {"metrics", CmdMetrics, ""},
+    {"help", CmdHelp, ""},
+};
+
+// Read by every command: ArmFaultsFromFlags, SetupObservabilityFromFlags
+// and WriteObservabilityOutputs, plus the --seed several commands share.
+constexpr std::string_view kGlobalFlags =
+    "fault-rate fault-site fault-nth seed metrics-out trace-out log-level "
+    "log-out";
+
+// True iff `flag` is one of the space-separated names in `list`.
+bool ListsFlag(std::string_view list, std::string_view flag) {
+  while (!list.empty()) {
+    const size_t end = std::min(list.find(' '), list.size());
+    if (list.substr(0, end) == flag) return true;
+    list.remove_prefix(std::min(end + 1, list.size()));
+  }
+  return false;
+}
+
 }  // namespace
 
 std::string ParsedArgs::GetFlag(const std::string& key,
@@ -1159,6 +1185,22 @@ int Run(const std::vector<std::string>& args, std::ostream& out,
     err << "error: " << parsed.status().ToString() << "\n" << kUsage;
     return 2;
   }
+  const Verb* verb = nullptr;
+  for (const Verb& candidate : kVerbs) {
+    if (candidate.name == parsed->command) verb = &candidate;
+  }
+  if (verb == nullptr) {
+    err << "error: unknown command '" << parsed->command << "'\n" << kUsage;
+    return 2;
+  }
+  for (const auto& entry : parsed->flags) {
+    const std::string& flag = entry.first;
+    if (!ListsFlag(verb->flags, flag) && !ListsFlag(kGlobalFlags, flag)) {
+      err << "error: command '" << verb->name << "' does not take --" << flag
+          << " (hyperdom_cli help lists each command's flags)\n";
+      return 2;
+    }
+  }
   const Status armed = ArmFaultsFromFlags(*parsed);
   if (!armed.ok()) {
     err << "error: " << armed.ToString() << "\n";
@@ -1169,42 +1211,7 @@ int Run(const std::vector<std::string>& args, std::ostream& out,
     err << "error: " << observing.ToString() << "\n";
     return 2;
   }
-  Status status;
-  if (parsed->command == "generate") {
-    status = CmdGenerate(*parsed, out);
-  } else if (parsed->command == "dominate") {
-    status = CmdDominate(*parsed, out);
-  } else if (parsed->command == "knn") {
-    status = CmdKnn(*parsed, out);
-  } else if (parsed->command == "rank") {
-    status = CmdRank(*parsed, out);
-  } else if (parsed->command == "range") {
-    status = CmdRange(*parsed, out);
-  } else if (parsed->command == "expiry") {
-    status = CmdExpiry(*parsed, out);
-  } else if (parsed->command == "selfcheck") {
-    status = CmdSelfCheck(*parsed, out);
-  } else if (parsed->command == "snapshot") {
-    status = CmdSnapshot(*parsed, out);
-  } else if (parsed->command == "experiment") {
-    status = CmdExperiment(*parsed, out);
-  } else if (parsed->command == "serve") {
-    status = CmdServe(*parsed, out);
-  } else if (parsed->command == "query") {
-    status = CmdQuery(*parsed, out);
-  } else if (parsed->command == "insert") {
-    status = CmdInsert(*parsed, out);
-  } else if (parsed->command == "remove") {
-    status = CmdRemove(*parsed, out);
-  } else if (parsed->command == "metrics") {
-    status = CmdMetrics(*parsed, out);
-  } else if (parsed->command == "help") {
-    out << kUsage;
-    return 0;
-  } else {
-    err << "error: unknown command '" << parsed->command << "'\n" << kUsage;
-    return 2;
-  }
+  Status status = verb->run(*parsed, out);
   if (status.ok()) {
     status = WriteObservabilityOutputs(*parsed, err);
   }

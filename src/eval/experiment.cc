@@ -9,6 +9,7 @@
 #include "eval/measures.h"
 #include "eval/workload.h"
 #include "exec/batch.h"
+#include "index/ss_tree.h"
 
 namespace hyperdom {
 
@@ -70,7 +71,7 @@ std::vector<KnnExperimentRow> RunKnnExperiment(
     const std::vector<Hypersphere>& data, const KnnExperimentConfig& config) {
   HYPERDOM_SCOPED_TIMER_L(run_timer, obs::kExperimentDuration, "phase",
                           "knn");
-  SsTree tree(data.empty() ? 0 : data.front().dim(), config.tree_options);
+  SsTree tree(data.empty() ? 0 : data.front().dim());
   Status st = tree.BulkLoad(data);
   (void)st;  // generated data is well-formed; surfaced via tests otherwise
 

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "dominance/criterion.h"
-#include "index/ss_tree.h"
 #include "query/knn.h"
 
 namespace hyperdom {
@@ -56,7 +55,6 @@ struct KnnExperimentConfig {
   /// Worker threads for the query workload (0 = hardware concurrency).
   /// Results are bit-identical at any value; only wall time changes.
   size_t threads = 1;
-  SsTreeOptions tree_options;
   /// Pruning criteria (the paper omits Trigonometric here: an incorrect
   /// criterion can drop true kNN answers).
   std::vector<CriterionKind> criteria = {

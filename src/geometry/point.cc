@@ -312,10 +312,6 @@ void AddInPlaceSpan(double* acc, const double* x, size_t dim) {
   for (size_t i = 0; i < dim; ++i) acc[i] += x[i];
 }
 
-void SubInPlaceSpan(double* acc, const double* x, size_t dim) {
-  for (size_t i = 0; i < dim; ++i) acc[i] -= x[i];
-}
-
 double Dot(const Point& a, const Point& b) {
   assert(a.size() == b.size());
   return DotSpan(a.data(), b.data(), a.size());

@@ -116,7 +116,7 @@ struct MutableSsTree::DeltaLog {
 /// An immutable bulk-loaded tree plus mutable per-slot tombstone words.
 /// Everything except `deleted_at` is frozen after construction.
 struct MutableSsTree::BaseState {
-  BaseState(size_t dim, const SsTreeOptions& opts) : tree(dim, opts) {}
+  explicit BaseState(size_t dim) : tree(dim) {}
 
   uint64_t DeletedAt(uint32_t slot) const {
     return deleted_at == nullptr
@@ -241,7 +241,7 @@ MutableSsTree::ReadView MutableSsTree::Pin() const { return ReadView(this); }
 MutableSsTree::MutableSsTree(size_t dim, MutableSsTreeOptions options)
     : dim_(dim), options_(std::move(options)) {
   auto* v = new TreeVersion;
-  v->base = std::make_shared<BaseState>(dim_, options_.tree);
+  v->base = std::make_shared<BaseState>(dim_);
   v->delta = std::make_shared<DeltaLog>(dim_);
   head_.store(v, std::memory_order_seq_cst);
 }
@@ -369,7 +369,7 @@ Status MutableSsTree::Build(const std::vector<Hypersphere>& spheres,
   }
   if (compacting_) return Status::Conflict("compaction in progress");
 
-  auto base = std::make_shared<BaseState>(dim_, options_.tree);
+  auto base = std::make_shared<BaseState>(dim_);
   HYPERDOM_RETURN_NOT_OK(base->tree.BulkLoadStrWithIds(spheres, ids));
   base->slot_ids = ids;
   const size_t n = base->tree.store().size();
@@ -457,7 +457,7 @@ Status MutableSsTree::CompactBuild() {
   HYPERDOM_FAULT_POINT("store/compact");
   if (options_.compaction_hook) options_.compaction_hook();
 
-  auto base = std::make_shared<BaseState>(dim_, options_.tree);
+  auto base = std::make_shared<BaseState>(dim_);
   HYPERDOM_RETURN_NOT_OK(base->tree.BulkLoadStrWithIds(spheres, ids));
   base->slot_ids = ids;
   const size_t n = base->tree.store().size();

@@ -58,8 +58,6 @@ namespace hyperdom {
 
 /// Tuning for MutableSsTree.
 struct MutableSsTreeOptions {
-  /// Options for the bulk-loaded base trees (Build and compaction).
-  SsTreeOptions tree;
   /// Auto-compaction triggers once the delta holds at least this many
   /// rows...
   size_t compact_min_delta = 4096;

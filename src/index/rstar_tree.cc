@@ -118,7 +118,7 @@ Status RStarTree::Insert(const Hypersphere& sphere, uint64_t id) {
     root_ = std::make_unique<RStarTreeNode>(/*is_leaf=*/true);
   }
   const uint32_t slot = store_->Add(sphere);
-  InsertStored(RStarTreeEntry{slot, id}, /*allow_reinsert=*/true);
+  InsertEntry(RStarTreeEntry{slot, id}, /*allow_reinsert=*/true);
   ++size_;
   return Status::OK();
 }
@@ -132,8 +132,8 @@ Status RStarTree::BulkLoad(const std::vector<Hypersphere>& spheres) {
   return Status::OK();
 }
 
-void RStarTree::InsertStored(const RStarTreeEntry& entry,
-                             bool allow_reinsert) {
+void RStarTree::InsertEntry(const RStarTreeEntry& entry,
+                            bool allow_reinsert) {
   const Mbr box = Mbr::FromSphere(store_->view(entry.slot));
   std::vector<RStarTreeNode*> path;
   RStarTreeNode* node = root_.get();
@@ -153,7 +153,7 @@ void RStarTree::InsertStored(const RStarTreeEntry& entry,
   RefreshMbr(root_.get());
 
   for (const auto& orphan : orphans) {
-    InsertStored(orphan, /*allow_reinsert=*/false);
+    InsertEntry(orphan, /*allow_reinsert=*/false);
   }
 }
 

@@ -110,7 +110,7 @@ class RStarTree {
   /// Core insertion of an already-stored entry; `allow_reinsert` is false
   /// while draining forced-reinsert orphans (whose spheres already live in
   /// the store and must not be re-added).
-  void InsertStored(const RStarTreeEntry& entry, bool allow_reinsert);
+  void InsertEntry(const RStarTreeEntry& entry, bool allow_reinsert);
   /// Chooses the child of `node` for a new box (R*-tree rules).
   RStarTreeNode* ChooseSubtree(RStarTreeNode* node, const Mbr& box) const;
   /// Recomputes `node`'s box from its payload.

@@ -12,7 +12,6 @@
 
 #include "common/fault.h"
 #include "common/str_util.h"
-#include "geometry/min_ball.h"
 #include "index/index_metrics.h"
 
 namespace hyperdom {
@@ -25,20 +24,6 @@ constexpr double kCoverageSlack = 1e-7;
 
 Point Centroid(const Point& center_sum, size_t count) {
   return Scale(center_sum, 1.0 / static_cast<double>(count));
-}
-
-// Exact (bitwise ==) match of a stored row against a caller sphere; the
-// Delete() contract is "this exact id and sphere".
-bool EntryMatches(const SphereStore& store, const StoredEntry& e,
-                  const Hypersphere& sphere, uint64_t id) {
-  if (e.id != id) return false;
-  const SphereView v = store.view(e.slot);
-  if (v.radius != sphere.radius()) return false;
-  const double* c = sphere.center().data();
-  for (size_t i = 0; i < v.dim; ++i) {
-    if (v.center[i] != c[i]) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -65,11 +50,7 @@ Status SsTree::Insert(const Hypersphere& sphere, uint64_t id) {
                                    std::to_string(dim_) + "-d, sphere is " +
                                    std::to_string(sphere.dim()) + "-d");
   }
-  const uint32_t slot = store_->Add(sphere);
-  return InsertStored(SsTreeEntry{slot, id});
-}
-
-Status SsTree::InsertStored(const SsTreeEntry& entry) {
+  const SsTreeEntry entry{store_->Add(sphere), id};
   HYPERDOM_FAULT_POINT("ss_tree/insert");
   if (root_ == nullptr) {
     root_ = std::make_unique<SsTreeNode>(/*is_leaf=*/true);
@@ -222,143 +203,6 @@ Status SsTree::BulkLoadStrWithIds(const std::vector<Hypersphere>& spheres,
   return Status::OK();
 }
 
-Status SsTree::Delete(const Hypersphere& sphere, uint64_t id) {
-  if (root_ == nullptr) return Status::NotFound("tree is empty");
-  if (sphere.dim() != dim_) {
-    return Status::InvalidArgument("dimension mismatch");
-  }
-
-  // Locate the leaf containing the exact (sphere, id) entry, keeping the
-  // path; containment pruning bounds the search.
-  std::vector<SsTreeNode*> path;
-  size_t entry_index = 0;
-  {
-    struct Frame {
-      SsTreeNode* node;
-      size_t next_child;
-    };
-    std::vector<Frame> stack = {{root_.get(), 0}};
-    bool found = false;
-    while (!stack.empty() && !found) {
-      Frame& frame = stack.back();
-      SsTreeNode* node = frame.node;
-      const Hypersphere& bound = node->bounding_;
-      const double slack =
-          1e-7 * (1.0 + bound.radius() + Norm(bound.center()));
-      if (frame.next_child == 0 &&
-          Dist(bound.center(), sphere.center()) + sphere.radius() >
-              bound.radius() + slack) {
-        stack.pop_back();
-        continue;
-      }
-      if (node->is_leaf_) {
-        for (size_t i = 0; i < node->entries_.size(); ++i) {
-          if (EntryMatches(*store_, node->entries_[i], sphere, id)) {
-            entry_index = i;
-            found = true;
-            break;
-          }
-        }
-        if (!found) {
-          stack.pop_back();
-          continue;
-        }
-      } else {
-        if (frame.next_child < node->children_.size()) {
-          SsTreeNode* child = node->children_[frame.next_child].get();
-          ++frame.next_child;
-          stack.push_back({child, 0});
-          continue;
-        }
-        stack.pop_back();
-        continue;
-      }
-      // Found: materialize the path from the stack frames.
-      for (const Frame& f : stack) path.push_back(f.node);
-    }
-    if (path.empty()) return Status::NotFound("no such entry");
-  }
-
-  // Remove the entry and update the bookkeeping along the path. The store
-  // slot is abandoned (the arena is append-only); only the handle goes.
-  SsTreeNode* leaf = path.back();
-  const uint32_t removed_slot = leaf->entries_[entry_index].slot;
-  leaf->entries_.erase(leaf->entries_.begin() +
-                       static_cast<std::ptrdiff_t>(entry_index));
-  for (SsTreeNode* node : path) {
-    SubInPlaceSpan(node->center_sum_.data(), store_->center(removed_slot),
-                   dim_);
-    node->count_ -= 1;
-  }
-  --size_;
-
-  // Dissolve underflowing non-root nodes bottom-up, collecting residents
-  // for reinsertion.
-  std::vector<SsTreeEntry> orphans;
-  for (size_t level_i = path.size(); level_i-- > 1;) {
-    SsTreeNode* node = path[level_i];
-    const size_t occupancy =
-        node->is_leaf_ ? node->entries_.size() : node->children_.size();
-    if (occupancy >= 2) break;
-    // Collect every entry beneath `node`.
-    std::vector<SsTreeEntry> residents;
-    std::vector<SsTreeNode*> walk = {node};
-    while (!walk.empty()) {
-      SsTreeNode* cur = walk.back();
-      walk.pop_back();
-      if (cur->is_leaf_) {
-        for (const auto& e : cur->entries_) residents.push_back(e);
-      } else {
-        for (auto& child : cur->children_) walk.push_back(child.get());
-      }
-    }
-    // Detach from the parent and subtract the residents from the
-    // remaining ancestors.
-    SsTreeNode* parent = path[level_i - 1];
-    for (auto it = parent->children_.begin(); it != parent->children_.end();
-         ++it) {
-      if (it->get() == node) {
-        parent->children_.erase(it);
-        break;
-      }
-    }
-    for (size_t a = 0; a < level_i; ++a) {
-      for (const auto& e : residents) {
-        SubInPlaceSpan(path[a]->center_sum_.data(), store_->center(e.slot),
-                       dim_);
-        path[a]->count_ -= 1;
-      }
-    }
-    path.resize(level_i);  // the dissolved node is gone
-    for (const auto& e : residents) orphans.push_back(e);
-  }
-
-  // Refresh bounds bottom-up along the surviving path.
-  for (size_t level_i = path.size(); level_i-- > 0;) {
-    if (path[level_i]->count_ > 0) RefreshBoundingSphere(path[level_i]);
-  }
-
-  // Root shrinkage: collapse single-child internal roots, drop an empty
-  // root leaf.
-  while (root_ != nullptr && !root_->is_leaf_ &&
-         root_->children_.size() == 1) {
-    root_ = std::move(root_->children_.front());
-  }
-  if (root_ != nullptr && root_->is_leaf_ && root_->entries_.empty()) {
-    root_.reset();
-  }
-
-  // Reinsert the dissolved residents through the stored-entry path (their
-  // spheres already live in the store; re-adding would duplicate slots).
-  // Each InsertStored() increments size_, but the residents were never
-  // subtracted from it.
-  for (const auto& orphan : orphans) {
-    --size_;
-    HYPERDOM_RETURN_NOT_OK(InsertStored(orphan));
-  }
-  return Status::OK();
-}
-
 Status SsTree::InsertRecursive(SsTreeNode* node, const SsTreeEntry& entry,
                                std::unique_ptr<SsTreeNode>* split_off) {
   const double* entry_center = store_->center(entry.slot);
@@ -397,26 +241,6 @@ Status SsTree::InsertRecursive(SsTreeNode* node, const SsTreeEntry& entry,
 }
 
 void SsTree::RefreshBoundingSphere(SsTreeNode* node) {
-  if (options_.bounding_policy == SsTreeBoundingPolicy::kMinBall) {
-    // Near-minimal enclosing ball of the node's regions. The centroid
-    // bookkeeping (center_sum_/count_) stays untouched — it still drives
-    // the insertion descent and the split keys.
-    std::vector<Hypersphere> regions;
-    if (node->is_leaf_) {
-      regions.reserve(node->entries_.size());
-      for (const auto& e : node->entries_) {
-        regions.push_back(store_->Materialize(e.slot));
-      }
-    } else {
-      regions.reserve(node->children_.size());
-      for (const auto& child : node->children_) {
-        regions.push_back(child->bounding_);
-      }
-    }
-    node->bounding_ = MinBallOfSpheres(regions);
-    return;
-  }
-
   const Point center = Centroid(node->center_sum_, node->count_);
   double radius = 0.0;
   if (node->is_leaf_) {
@@ -441,78 +265,8 @@ std::vector<bool> SsTree::ChoosePartition(const std::vector<Point>& keys) const 
                                        static_cast<double>(n))));
   std::vector<bool> to_sibling(n, false);
 
-  if (options_.split_policy == SsTreeSplitPolicy::kTwoMeans) {
-    // SS+-style split: 2-means over the keys, seeded by the farthest pair.
-    size_t pa = 0, pb = 1;
-    double farthest = -1.0;
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        const double d = SquaredDist(keys[i], keys[j]);
-        if (d > farthest) {
-          farthest = d;
-          pa = i;
-          pb = j;
-        }
-      }
-    }
-    Point mean_a = keys[pa];
-    Point mean_b = keys[pb];
-    for (int iter = 0; iter < 8; ++iter) {
-      bool changed = false;
-      for (size_t i = 0; i < n; ++i) {
-        const bool sibling_side =
-            SquaredDist(keys[i], mean_b) < SquaredDist(keys[i], mean_a);
-        if (sibling_side != to_sibling[i]) {
-          to_sibling[i] = sibling_side;
-          changed = true;
-        }
-      }
-      if (!changed && iter > 0) break;
-      // Recompute the means; degenerate empty sides keep the previous one.
-      Point sum_a(dim_, 0.0), sum_b(dim_, 0.0);
-      size_t count_a = 0, count_b = 0;
-      for (size_t i = 0; i < n; ++i) {
-        if (to_sibling[i]) {
-          sum_b = Add(sum_b, keys[i]);
-          ++count_b;
-        } else {
-          sum_a = Add(sum_a, keys[i]);
-          ++count_a;
-        }
-      }
-      if (count_a > 0) mean_a = Scale(sum_a, 1.0 / count_a);
-      if (count_b > 0) mean_b = Scale(sum_b, 1.0 / count_b);
-    }
-    // Min-fill backstop: move the items nearest the other mean across.
-    auto side_count = [&](bool sibling_side) {
-      size_t c = 0;
-      for (bool flag : to_sibling) {
-        if (flag == sibling_side) ++c;
-      }
-      return c;
-    };
-    auto top_up = [&](bool sibling_side, const Point& target_mean) {
-      while (side_count(sibling_side) < min_fill) {
-        size_t best_idx = n;
-        double best_dist = std::numeric_limits<double>::infinity();
-        for (size_t i = 0; i < n; ++i) {
-          if (to_sibling[i] == sibling_side) continue;
-          const double d = SquaredDist(keys[i], target_mean);
-          if (d < best_dist) {
-            best_dist = d;
-            best_idx = i;
-          }
-        }
-        to_sibling[best_idx] = sibling_side;
-      }
-    };
-    top_up(true, mean_b);
-    top_up(false, mean_a);
-    return to_sibling;
-  }
-
-  // White & Jain's original: highest-variance coordinate, minimum summed
-  // variance cut.
+  // White & Jain's split: cut the highest-variance coordinate at the
+  // position minimizing the two sides' summed variance.
   size_t split_dim = 0;
   double best_var = -1.0;
   for (size_t d = 0; d < dim_; ++d) {
@@ -703,8 +457,7 @@ Status CheckNode(const SsTreeNode* node, const SphereStore& store,
 // Persistence. Binary layout (all integers little-endian host-width types,
 // doubles in IEEE host representation — a same-machine cache format):
 //   magic "HDSS" + u32 version
-//   u64 dim, u64 size, u64 max_entries, f64 min_fill_ratio, u32 split_policy,
-//   u32 bounding_policy
+//   u64 dim, u64 size, u64 max_entries, f64 min_fill_ratio, u32 0, u32 0
 //   the SphereStore blob (storage/sphere_store.cc), then recursive node
 //   records:
 //     u8 is_leaf
@@ -712,8 +465,12 @@ Status CheckNode(const SsTreeNode* node, const SphereStore& store,
 //     internal: u64 child_count, then the child records
 // The version is 3. Any other, including the retired inline-sphere
 // version 2, is kNotSupported: snapshot callers rebuild from the data.
-// Centroids and bounding spheres are recomputed on load. Abandoned store
-// slots (from Delete) are serialized too: slots must stay stable.
+// The two u32 fields are written as 0. On read, 0 or 1 is accepted and
+// ignored: builds with a selectable split or bounding policy wrote 1
+// there, and either split leaves a valid tree. Anything else is
+// kCorruption. Centroids and bounding spheres are recomputed on load.
+// Every store slot is serialized, so slots stay stable. Nothing is
+// allocated for a declared count before its records have been read.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -759,8 +516,8 @@ Status SsTree::Serialize(std::ostream& out) const {
   WritePod(out, static_cast<uint64_t>(size_));
   WritePod(out, static_cast<uint64_t>(options_.max_entries));
   WritePod(out, options_.min_fill_ratio);
-  WritePod(out, static_cast<uint32_t>(options_.split_policy));
-  WritePod(out, static_cast<uint32_t>(options_.bounding_policy));
+  WritePod(out, uint32_t{0});  // retired split-policy field
+  WritePod(out, uint32_t{0});  // retired bounding-policy field
   HYPERDOM_RETURN_NOT_OK(store_->SerializeTo(out));
   if (root_ != nullptr) SaveNode(out, root_.get());
   out.flush();
@@ -787,7 +544,6 @@ Status SsTree::LoadNode(std::istream& in, const SphereStore& store,
     return Status::Corruption("node occupancy out of range");
   }
   if (is_leaf == 1) {
-    node->entries_.reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
       uint32_t slot = 0;
       uint64_t id = 0;
@@ -800,7 +556,6 @@ Status SsTree::LoadNode(std::istream& in, const SphereStore& store,
       node->entries_.push_back(SsTreeEntry{slot, id});
     }
   } else {
-    node->children_.reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
       std::unique_ptr<SsTreeNode> child;
       HYPERDOM_RETURN_NOT_OK(
@@ -841,8 +596,6 @@ Status SsTree::Deserialize(std::istream& in, SsTree* out) {
   SsTreeOptions options;
   options.max_entries = max_entries;
   options.min_fill_ratio = min_fill_ratio;
-  options.split_policy = static_cast<SsTreeSplitPolicy>(split_policy);
-  options.bounding_policy = static_cast<SsTreeBoundingPolicy>(bounding_policy);
   SsTree tree(dim, options);
   SphereStore store;
   HYPERDOM_RETURN_NOT_OK(SphereStore::DeserializeFrom(in, &store));
@@ -854,31 +607,11 @@ Status SsTree::Deserialize(std::istream& in, SsTree* out) {
     HYPERDOM_RETURN_NOT_OK(LoadNode(in, *tree.store_, max_entries,
                                     /*depth=*/0, &tree.root_));
     // Recompute derived per-node data bottom-up.
-    struct Rebuilder {
-      SsTree* tree;
-      size_t dim;
-      Status Run(SsTreeNode* node) {
-        node->center_sum_ = Point(dim, 0.0);
-        node->count_ = 0;
-        if (node->is_leaf_) {
-          for (const auto& e : node->entries_) {
-            AddInPlaceSpan(node->center_sum_.data(),
-                           tree->store_->center(e.slot), dim);
-          }
-          node->count_ = node->entries_.size();
-        } else {
-          for (auto& child : node->children_) {
-            HYPERDOM_RETURN_NOT_OK(Run(child.get()));
-            node->center_sum_ = Add(node->center_sum_, child->center_sum_);
-            node->count_ += child->count_;
-          }
-        }
-        tree->RefreshBoundingSphere(node);
-        return Status::OK();
-      }
+    auto rebuild = [&tree](auto& self, SsTreeNode* node) -> void {
+      for (auto& child : node->children_) self(self, child.get());
+      tree.RebuildNodeStats(node);
     };
-    Rebuilder rebuilder{&tree, dim};
-    HYPERDOM_RETURN_NOT_OK(rebuilder.Run(tree.root_.get()));
+    rebuild(rebuild, tree.root_.get());
     if (tree.root_->count_ != size) {
       return Status::Corruption("entry count does not match header");
     }

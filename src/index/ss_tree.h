@@ -12,15 +12,16 @@
 //     SphereView spans over the store's contiguous arena.
 //   * Every node maintains the centroid of the data centers beneath it
 //     (incrementally, via a coordinate sum and a count) and a bounding
-//     radius covering all of its data spheres — the SS-tree's defining
-//     property that yields compact regions in high dimension.
+//     sphere centred there whose radius covers all of its data spheres —
+//     the SS-tree's defining property that yields compact regions in high
+//     dimension.
 //   * Insertion descends to the child whose centroid is nearest the new
-//     center (White & Jain's cheapest-centroid rule). Overflowing nodes are
-//     split by the configured SsTreeSplitPolicy, subject to the options'
+//     center (White & Jain's cheapest-centroid rule). An overflowing node
+//     is split by White & Jain's variance cut, subject to the options'
 //     minimum fill ratio.
-//   * Optional extras beyond White & Jain: SS+-style 2-means splits,
-//     Welzl min-ball node bounds, STR bulk loading, deletion with
-//     underflow dissolution, and binary persistence.
+//   * Beyond White & Jain: STR bulk loading and binary persistence. There
+//     is no in-place delete; the mutable store (index/mutable_ss_tree.h)
+//     deletes by tombstone and compacts by an STR rebuild.
 
 #ifndef HYPERDOM_INDEX_SS_TREE_H_
 #define HYPERDOM_INDEX_SS_TREE_H_
@@ -40,38 +41,12 @@ namespace hyperdom {
 /// SS-tree leaf entries are columnar-store handles.
 using SsTreeEntry = StoredEntry;
 
-/// How an overflowing SS-tree node is split.
-enum class SsTreeSplitPolicy {
-  /// White & Jain's original: cut the highest-variance coordinate at the
-  /// position minimizing the two sides' summed variance.
-  kVarianceCut,
-  /// The SS+-tree refinement (Kurniawati et al. [20]): a 2-means (Lloyd)
-  /// clustering of the item centers, seeded with the farthest pair —
-  /// splits can be oblique, yielding rounder, tighter child spheres.
-  kTwoMeans,
-};
-
-/// How a node's bounding sphere is computed.
-enum class SsTreeBoundingPolicy {
-  /// White & Jain's original: centered at the centroid of the contained
-  /// data centers, radius covering everything. O(items) per refresh.
-  kCentroid,
-  /// Near-minimal enclosing ball (Welzl over the item centers, inflated to
-  /// cover the items' extents; geometry/min_ball.h). Tighter regions and
-  /// better query pruning for a costlier build.
-  kMinBall,
-};
-
 /// Tuning options for SsTree.
 struct SsTreeOptions {
   /// Maximum entries (leaf) or children (internal) per node. Must be >= 4.
   size_t max_entries = 24;
   /// Minimum fill ratio enforced by splits, in (0, 0.5].
   double min_fill_ratio = 0.4;
-  /// Split algorithm; see SsTreeSplitPolicy.
-  SsTreeSplitPolicy split_policy = SsTreeSplitPolicy::kVarianceCut;
-  /// Bounding-sphere algorithm; see SsTreeBoundingPolicy.
-  SsTreeBoundingPolicy bounding_policy = SsTreeBoundingPolicy::kCentroid;
 };
 
 /// \brief SS-tree node. Public so that search strategies (query/knn.cc) and
@@ -137,13 +112,6 @@ class SsTree {
   Status BulkLoadStrWithIds(const std::vector<Hypersphere>& spheres,
                             const std::vector<uint64_t>& ids);
 
-  /// \brief Removes the entry with this exact id and sphere. Underflowing
-  /// nodes (fewer than 2 items) are dissolved and their residents
-  /// re-inserted, so invariants keep holding. NotFound if absent. The
-  /// deleted sphere's store slot is abandoned, not reclaimed (the store is
-  /// append-only; see storage/sphere_store.h).
-  Status Delete(const Hypersphere& sphere, uint64_t id);
-
   /// Root node; null while the tree is empty.
   const SsTreeNode* root() const { return root_.get(); }
 
@@ -178,10 +146,6 @@ class SsTree {
 
  private:
   Status ValidateOptions() const;
-  /// Inserts an already-stored entry (splits, root growth); shared by
-  /// Insert() and the orphan-reinsertion path of Delete(), which must not
-  /// re-add the sphere to the store.
-  Status InsertStored(const SsTreeEntry& entry);
   /// Descends to the leaf chosen by the cheapest-centroid rule, inserts, and
   /// splits overflowing nodes on the way back up.
   Status InsertRecursive(SsTreeNode* node, const SsTreeEntry& entry,
@@ -190,8 +154,8 @@ class SsTree {
   void RefreshBoundingSphere(SsTreeNode* node);
   /// Splits an overflowing node into `*sibling` (the new right half).
   Status SplitNode(SsTreeNode* node, std::unique_ptr<SsTreeNode>* sibling);
-  /// Item partition for the split, by the configured policy: returns, for
-  /// each item key, whether it goes to the new sibling.
+  /// Item partition for the split (White & Jain's variance cut): returns,
+  /// for each item key, whether it goes to the new sibling.
   std::vector<bool> ChoosePartition(const std::vector<Point>& keys) const;
   /// Reads one slot-reference node record against a loaded store.
   static Status LoadNode(std::istream& in, const SphereStore& store,
@@ -202,7 +166,7 @@ class SsTree {
                size_t dim_index, size_t leaf_capacity,
                std::vector<std::unique_ptr<SsTreeNode>>* leaves);
   /// Recomputes a node's centroid bookkeeping and bounding sphere from its
-  /// current payload (bulk-load/delete helper).
+  /// current payload (bulk-load and load helper).
   void RebuildNodeStats(SsTreeNode* node);
 
   size_t dim_;

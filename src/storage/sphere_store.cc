@@ -149,7 +149,6 @@ Status SphereStore::DeserializeFrom(std::istream& in, SphereStore* out) {
     return Status::Corruption("sphere store size implausible");
   }
   SphereStore store(static_cast<size_t>(dim));
-  store.Reserve(static_cast<size_t>(size));
   std::vector<double> row(static_cast<size_t>(dim));
   for (uint64_t i = 0; i < size; ++i) {
     in.read(reinterpret_cast<char*>(row.data()),

@@ -48,9 +48,8 @@ struct EntryView {
 ///
 /// Append-only (plus Clear): slots are stable for the lifetime of the
 /// store, which is what lets indexes reference spheres by slot across
-/// splits, reinserts, and serialization. Deleting an index entry simply
-/// abandons its slot — the arena does not compact. Thread-compatible: safe
-/// for concurrent reads (the batch engine's worker threads resolve views
+/// splits, reinserts, and serialization. Thread-compatible: safe for
+/// concurrent reads (the batch engine's worker threads resolve views
 /// concurrently); mutation requires external exclusion.
 ///
 /// Single-writer/multi-reader appends: once Reserve(n) has sized the
@@ -121,8 +120,10 @@ class SphereStore {
   Status SerializeTo(std::ostream& out) const;
 
   /// \brief Reads the SerializeTo layout, replacing `*out`'s contents.
-  /// Rejects non-finite coordinates, bad radii, and truncation with
-  /// Corruption, and implausible sizes before allocating.
+  /// Rejects non-finite coordinates, bad radii, truncation and implausible
+  /// sizes with Corruption. The arena grows only with the rows actually
+  /// read, so a header declaring more rows than follow cannot drive an
+  /// allocation.
   static Status DeserializeFrom(std::istream& in, SphereStore* out);
 
  private:

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <set>
 #include <string>
@@ -235,14 +236,15 @@ std::string CurrentEnvelope(uint32_t kind, const std::string& payload) {
 
 constexpr uint32_t kSsTreeKind = static_cast<uint32_t>(SnapshotKind::kSsTree);
 
-// LoadSnapshot refuses the file with kNotSupported naming `reason`, and
-// LoadSnapshotOrRebuild rebuilds from `data`.
+// LoadSnapshot refuses the file with `code` (kNotSupported by default)
+// naming `reason`, and LoadSnapshotOrRebuild rebuilds from `data`.
 void ExpectRefusedThenRebuilt(const std::string& path,
                               const std::vector<Hypersphere>& data,
-                              const std::string& reason) {
+                              const std::string& reason,
+                              StatusCode code = StatusCode::kNotSupported) {
   SsTree loaded(3);
   const Status status = LoadSnapshot(path, &loaded);
-  EXPECT_EQ(status.code(), StatusCode::kNotSupported) << status.ToString();
+  EXPECT_EQ(status.code(), code) << status.ToString();
   EXPECT_NE(status.message().find(reason), std::string::npos)
       << status.ToString();
   EXPECT_EQ(loaded.size(), 0u) << "a refused load must not fill the tree";
@@ -252,7 +254,7 @@ void ExpectRefusedThenRebuilt(const std::string& path,
   ASSERT_TRUE(
       LoadSnapshotOrRebuild(path, data, &loaded, &outcome, &load_error).ok());
   EXPECT_EQ(outcome, SnapshotLoadOutcome::kRebuilt);
-  EXPECT_EQ(load_error.code(), StatusCode::kNotSupported);
+  EXPECT_EQ(load_error.code(), code);
   EXPECT_EQ(loaded.size(), data.size());
 }
 
@@ -301,6 +303,115 @@ TEST(SnapshotVersionTest, UnknownKindIsCorruption) {
   ASSERT_TRUE(LoadSnapshotOrRebuild(path, data, &loaded, &outcome).ok());
   EXPECT_EQ(outcome, SnapshotLoadOutcome::kRebuilt);
   EXPECT_EQ(loaded.size(), data.size());
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// The HDSS v3 payload. Its header is magic "HDSS", u32 version 3, u64 dim,
+// u64 size, u64 max_entries, f64 min_fill_ratio, then two u32 fields that
+// once named a split and a bounding policy (index/ss_tree.cc).
+// ---------------------------------------------------------------------------
+
+constexpr size_t kEnvelopeBytes = 24;
+constexpr size_t kSplitFieldOffset = 40;  // in the payload
+constexpr size_t kBoundingFieldOffset = 44;
+
+std::string HdssHeader(uint64_t dim, uint64_t size, uint64_t max_entries) {
+  std::string out = FormatHeader("HDSS", 3);
+  AppendPod(&out, dim);
+  AppendPod(&out, size);
+  AppendPod(&out, max_entries);
+  AppendPod(&out, 0.4);
+  AppendPod(&out, uint32_t{0});
+  AppendPod(&out, uint32_t{0});
+  return out;
+}
+
+std::string PatchU32(std::string bytes, size_t offset, uint32_t value) {
+  std::memcpy(&bytes[offset], &value, sizeof(value));
+  return bytes;
+}
+
+// What SaveSnapshot writes is pinned by the CRC32 of the whole file, for
+// one insertion-built and one STR-built tree. The two retired policy
+// fields are written as 0. A file with 1 in either (as written for a
+// 2-means or min-ball tree) still loads and answers like the original,
+// because either split leaves a valid tree and every bound is recomputed
+// on load; 2 in either is corruption.
+TEST(SnapshotTest, SsTreeBytesArePinned) {
+  const auto data = TestData(920, 500);
+  const std::string path = TestPath("pinned.snap");
+  SsTree inserted(3);
+  ASSERT_TRUE(inserted.BulkLoad(data).ok());
+  ASSERT_TRUE(SaveSnapshot(inserted, path).ok());
+  const std::string inserted_file = ReadFile(path);
+  EXPECT_EQ(Crc32Of(inserted_file.data(), inserted_file.size()),
+            0xF874814Fu);
+
+  SsTree packed(3);
+  ASSERT_TRUE(packed.BulkLoadStr(data).ok());
+  ASSERT_TRUE(SaveSnapshot(packed, path).ok());
+  const std::string packed_file = ReadFile(path);
+  EXPECT_EQ(Crc32Of(packed_file.data(), packed_file.size()), 0xAF9A967Fu);
+
+  const std::string payload = inserted_file.substr(kEnvelopeBytes);
+  ASSERT_EQ(payload.compare(kSplitFieldOffset, 8, std::string(8, '\0')), 0);
+  HyperbolaCriterion exact;
+  KnnSearcher searcher(&exact, KnnOptions{});
+  const auto queries = MakeKnnQueries(data, 5, 921);
+  for (const std::string& patched :
+       {PatchU32(payload, kSplitFieldOffset, 1),
+        PatchU32(payload, kBoundingFieldOffset, 1),
+        PatchU32(PatchU32(payload, kSplitFieldOffset, 1), kBoundingFieldOffset,
+                 1)}) {
+    WriteFile(path, CurrentEnvelope(kSsTreeKind, patched));
+    SsTree loaded(1);
+    ASSERT_TRUE(LoadSnapshot(path, &loaded).ok());
+    EXPECT_TRUE(loaded.CheckInvariants().ok());
+    for (const auto& sq : queries) {
+      EXPECT_EQ(Ids(searcher.Search(loaded, sq)),
+                Ids(searcher.Search(inserted, sq)));
+    }
+  }
+  for (size_t offset : {kSplitFieldOffset, kBoundingFieldOffset}) {
+    WriteFile(path, CurrentEnvelope(kSsTreeKind, PatchU32(payload, offset, 2)));
+    SsTree loaded(1);
+    EXPECT_EQ(LoadSnapshot(path, &loaded).code(), StatusCode::kCorruption)
+        << "field at payload byte " << offset;
+  }
+  std::remove(path.c_str());
+}
+
+// Counts in a checksummed payload that no records back: each load is
+// kCorruption, with nothing allocated for the declared count, and
+// LoadSnapshotOrRebuild rebuilds.
+TEST(SnapshotVersionTest, UnbackedCountsAreCorruption) {
+  const auto data = TestData(922, 40);
+  const std::string path = TestPath("unbacked.snap");
+  {
+    SCOPED_TRACE("a store declaring 2^32 rows of dim 1 and carrying none");
+    std::string payload = HdssHeader(1, 1, 24);
+    AppendPod(&payload, uint64_t{1});
+    AppendPod(&payload, uint64_t{1} << 32);
+    ASSERT_EQ(payload.size(), 64u);
+    WriteFile(path, CurrentEnvelope(kSsTreeKind, payload));
+    ExpectRefusedThenRebuilt(path, data, "truncated",
+                             StatusCode::kCorruption);
+  }
+  {
+    SCOPED_TRACE("a leaf declaring 2^40 entries under max_entries 2^40");
+    std::string payload = HdssHeader(1, 1, uint64_t{1} << 40);
+    AppendPod(&payload, uint64_t{1});  // store: dim 1, one row
+    AppendPod(&payload, uint64_t{1});
+    AppendPod(&payload, 0.5);
+    AppendPod(&payload, 1.0);
+    AppendPod(&payload, uint8_t{1});  // leaf record
+    AppendPod(&payload, uint64_t{1} << 40);
+    ASSERT_EQ(payload.size(), 89u);
+    WriteFile(path, CurrentEnvelope(kSsTreeKind, payload));
+    ExpectRefusedThenRebuilt(path, data, "truncated",
+                             StatusCode::kCorruption);
+  }
   std::remove(path.c_str());
 }
 

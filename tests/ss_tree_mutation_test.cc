@@ -1,7 +1,7 @@
 // Copyright (c) hyperdom authors. Licensed under the MIT license.
 //
-// STR bulk loading and deletion: structural invariants under churn, and
-// query equivalence against the ground truth of the surviving entries.
+// STR bulk loading: structural invariants, completeness, and query
+// equivalence against an insertion-built tree.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "eval/workload.h"
 #include "index/ss_tree.h"
 #include "query/knn.h"
-#include "test_util.h"
 
 namespace hyperdom {
 namespace {
@@ -127,150 +126,6 @@ TEST(StrBulkLoadTest, PacksTighterThanInsertion) {
   ASSERT_TRUE(insert_tree.BulkLoad(data).ok());
   // STR's packed occupancy gives an equal-or-shorter tree.
   EXPECT_LE(str_tree.Height(), insert_tree.Height());
-}
-
-// ---------------------------------------------------------------------------
-// Deletion
-// ---------------------------------------------------------------------------
-
-TEST(SsTreeDeleteTest, DeleteMissingEntryIsNotFound) {
-  SsTree tree(2);
-  EXPECT_EQ(tree.Delete(Hypersphere({1.0, 1.0}, 0.5), 0).code(),
-            StatusCode::kNotFound);
-  ASSERT_TRUE(tree.Insert(Hypersphere({1.0, 1.0}, 0.5), 0).ok());
-  EXPECT_EQ(tree.Delete(Hypersphere({1.0, 1.0}, 0.5), 99).code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(tree.Delete(Hypersphere({2.0, 1.0}, 0.5), 0).code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ(tree.size(), 1u);
-}
-
-TEST(SsTreeDeleteTest, DeleteToEmpty) {
-  SsTree tree(2);
-  ASSERT_TRUE(tree.Insert(Hypersphere({1.0, 1.0}, 0.5), 0).ok());
-  ASSERT_TRUE(tree.Delete(Hypersphere({1.0, 1.0}, 0.5), 0).ok());
-  EXPECT_EQ(tree.size(), 0u);
-  EXPECT_EQ(tree.root(), nullptr);
-  EXPECT_TRUE(tree.CheckInvariants().ok());
-  // Reusable afterwards.
-  ASSERT_TRUE(tree.Insert(Hypersphere({2.0, 2.0}, 0.5), 1).ok());
-  EXPECT_EQ(tree.size(), 1u);
-}
-
-TEST(SsTreeDeleteTest, RandomChurnKeepsInvariants) {
-  Rng rng(7100);
-  SyntheticSpec spec;
-  spec.n = 1500;
-  spec.dim = 3;
-  spec.radius_mean = 6.0;
-  spec.seed = 7101;
-  const auto data = GenerateSynthetic(spec);
-  SsTree tree(3);
-  ASSERT_TRUE(tree.BulkLoad(data).ok());
-
-  std::set<uint64_t> alive;
-  for (uint64_t i = 0; i < data.size(); ++i) alive.insert(i);
-
-  for (int round = 0; round < 700; ++round) {
-    // Delete a random survivor.
-    auto it = alive.begin();
-    std::advance(it, static_cast<long>(rng.UniformU64(alive.size())));
-    const uint64_t victim = *it;
-    ASSERT_TRUE(tree.Delete(data[victim], victim).ok()) << "round " << round;
-    alive.erase(it);
-    if (round % 50 == 0) {
-      ASSERT_TRUE(tree.CheckInvariants().ok())
-          << "round " << round << ": " << tree.CheckInvariants().ToString();
-      EXPECT_EQ(TreeIds(tree), alive);
-    }
-  }
-  EXPECT_EQ(tree.size(), alive.size());
-  EXPECT_TRUE(tree.CheckInvariants().ok());
-}
-
-TEST(SsTreeDeleteTest, QueriesStayExactUnderChurn) {
-  Rng rng(7200);
-  SyntheticSpec spec;
-  spec.n = 800;
-  spec.dim = 3;
-  spec.radius_mean = 5.0;
-  spec.seed = 7201;
-  const auto data = GenerateSynthetic(spec);
-  SsTree tree(3);
-  ASSERT_TRUE(tree.BulkLoad(data).ok());
-
-  std::vector<bool> alive(data.size(), true);
-  HyperbolaCriterion exact;
-  KnnOptions options;
-  options.k = 5;
-  KnnSearcher searcher(&exact, options);
-
-  for (int round = 0; round < 10; ++round) {
-    // Delete a random batch of 40.
-    for (int d = 0; d < 40; ++d) {
-      uint64_t victim = rng.UniformU64(data.size());
-      while (!alive[victim]) victim = rng.UniformU64(data.size());
-      ASSERT_TRUE(tree.Delete(data[victim], victim).ok());
-      alive[victim] = false;
-    }
-    // Exact kNN over the survivors must match a linear scan with remapping.
-    std::vector<Hypersphere> survivors;
-    std::vector<uint64_t> survivor_ids;
-    for (size_t i = 0; i < data.size(); ++i) {
-      if (alive[i]) {
-        survivors.push_back(data[i]);
-        survivor_ids.push_back(static_cast<uint64_t>(i));
-      }
-    }
-    const Hypersphere sq = survivors[rng.UniformU64(survivors.size())];
-    const KnnResult scan = KnnLinearScan(survivors, sq, options.k, exact);
-    std::set<uint64_t> expected;
-    for (const auto& e : scan.answers) expected.insert(survivor_ids[e.id]);
-    EXPECT_EQ(Ids(searcher.Search(tree, sq)), expected) << "round " << round;
-  }
-}
-
-TEST(SsTreeDeleteTest, InterleavedInsertDelete) {
-  Rng rng(7300);
-  SsTree tree(2);
-  std::set<uint64_t> alive;
-  std::vector<Hypersphere> spheres;
-  uint64_t next_id = 0;
-  for (int round = 0; round < 3000; ++round) {
-    if (alive.empty() || rng.NextDouble() < 0.6) {
-      const Hypersphere s = test::RandomSphere(&rng, 2, 4.0);
-      spheres.push_back(s);
-      ASSERT_TRUE(tree.Insert(s, next_id).ok());
-      alive.insert(next_id++);
-    } else {
-      auto it = alive.begin();
-      std::advance(it, static_cast<long>(rng.UniformU64(alive.size())));
-      ASSERT_TRUE(tree.Delete(spheres[*it], *it).ok());
-      alive.erase(it);
-    }
-    if (round % 250 == 0) {
-      ASSERT_TRUE(tree.CheckInvariants().ok())
-          << "round " << round << ": " << tree.CheckInvariants().ToString();
-    }
-  }
-  EXPECT_EQ(TreeIds(tree), alive);
-  EXPECT_TRUE(tree.CheckInvariants().ok());
-}
-
-TEST(SsTreeDeleteTest, WorksOnStrBuiltTrees) {
-  SyntheticSpec spec;
-  spec.n = 1000;
-  spec.dim = 3;
-  spec.seed = 7400;
-  const auto data = GenerateSynthetic(spec);
-  SsTree tree(3);
-  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
-  for (uint64_t i = 0; i < 300; ++i) {
-    ASSERT_TRUE(tree.Delete(data[i], i).ok()) << "i=" << i;
-  }
-  EXPECT_EQ(tree.size(), 700u);
-  EXPECT_TRUE(tree.CheckInvariants().ok())
-      << tree.CheckInvariants().ToString();
 }
 
 }  // namespace

@@ -166,28 +166,22 @@ TEST(SsTreeTest, ZeroRadiusEntries) {
   EXPECT_TRUE(tree.CheckInvariants().ok());
 }
 
-class SsTreeSplitPolicyTest
-    : public ::testing::TestWithParam<SsTreeSplitPolicy> {};
-
-TEST_P(SsTreeSplitPolicyTest, InvariantsHoldUnderEitherPolicy) {
+TEST(SsTreeTest, VarianceCutSplitsKeepInvariants) {
   SyntheticSpec spec;
   spec.n = 4000;
   spec.dim = 4;
   spec.radius_mean = 8.0;
   spec.seed = 806;
   const auto data = GenerateSynthetic(spec);
-  SsTreeOptions options;
-  options.split_policy = GetParam();
-  SsTree tree(4, options);
+  SsTree tree(4);
   ASSERT_TRUE(tree.BulkLoad(data).ok());
   EXPECT_TRUE(tree.CheckInvariants().ok())
       << tree.CheckInvariants().ToString();
   EXPECT_EQ(tree.size(), data.size());
 }
 
-TEST_P(SsTreeSplitPolicyTest, DegenerateDuplicatesSplitSafely) {
+TEST(SsTreeTest, DegenerateDuplicatesSplitSafely) {
   SsTreeOptions options;
-  options.split_policy = GetParam();
   options.max_entries = 4;
   SsTree tree(2, options);
   for (uint64_t i = 0; i < 100; ++i) {
@@ -197,101 +191,37 @@ TEST_P(SsTreeSplitPolicyTest, DegenerateDuplicatesSplitSafely) {
       << tree.CheckInvariants().ToString();
 }
 
-INSTANTIATE_TEST_SUITE_P(Policies, SsTreeSplitPolicyTest,
-                         ::testing::Values(SsTreeSplitPolicy::kVarianceCut,
-                                           SsTreeSplitPolicy::kTwoMeans));
-
-TEST(SsTreeSplitPolicyComparisonTest, TwoMeansGivesNoWorseCoverage) {
-  // The SS+-style split exists to produce tighter child spheres; compare
-  // the total bounding volume proxy (sum of squared radii of leaf-parent
-  // spheres). Not a strict theorem — assert it is at least in the same
-  // ballpark (within 2x), and both trees answer identically elsewhere.
-  SyntheticSpec spec;
-  spec.n = 6000;
-  spec.dim = 4;
-  spec.radius_mean = 5.0;
-  spec.seed = 807;
-  const auto data = GenerateSynthetic(spec);
-  auto radius_mass = [](const SsTree& tree) {
-    double total = 0.0;
-    std::vector<const SsTreeNode*> stack = {tree.root()};
-    while (!stack.empty()) {
-      const SsTreeNode* node = stack.back();
-      stack.pop_back();
-      const double r = node->bounding_sphere().radius();
-      total += r * r;
-      if (!node->is_leaf()) {
-        for (const auto& child : node->children()) {
-          stack.push_back(child.get());
-        }
-      }
-    }
-    return total;
-  };
-  SsTreeOptions variance;
-  SsTree tree_var(4, variance);
-  ASSERT_TRUE(tree_var.BulkLoad(data).ok());
-  SsTreeOptions kmeans;
-  kmeans.split_policy = SsTreeSplitPolicy::kTwoMeans;
-  SsTree tree_km(4, kmeans);
-  ASSERT_TRUE(tree_km.BulkLoad(data).ok());
-  EXPECT_LT(radius_mass(tree_km), 2.0 * radius_mass(tree_var));
-}
-
-class SsTreeBoundingPolicyTest
-    : public ::testing::TestWithParam<SsTreeBoundingPolicy> {};
-
-TEST_P(SsTreeBoundingPolicyTest, InvariantsHoldUnderEitherPolicy) {
+TEST(SsTreeTest, BoundsAreCentredOnTheCentroid) {
   SyntheticSpec spec;
   spec.n = 2500;
   spec.dim = 4;
   spec.radius_mean = 8.0;
   spec.seed = 810;
   const auto data = GenerateSynthetic(spec);
-  SsTreeOptions options;
-  options.bounding_policy = GetParam();
-  SsTree tree(4, options);
+  SsTree tree(4);
   ASSERT_TRUE(tree.BulkLoad(data).ok());
   EXPECT_TRUE(tree.CheckInvariants().ok())
       << tree.CheckInvariants().ToString();
-}
-
-INSTANTIATE_TEST_SUITE_P(Policies, SsTreeBoundingPolicyTest,
-                         ::testing::Values(SsTreeBoundingPolicy::kCentroid,
-                                           SsTreeBoundingPolicy::kMinBall));
-
-TEST(SsTreeBoundingPolicyComparisonTest, MinBallBoundsAreTighter) {
-  SyntheticSpec spec;
-  spec.n = 3000;
-  spec.dim = 4;
-  spec.radius_mean = 5.0;
-  spec.seed = 811;
-  const auto data = GenerateSynthetic(spec);
-  auto radius_mass = [](const SsTree& tree) {
-    double total = 0.0;
-    std::vector<const SsTreeNode*> stack = {tree.root()};
-    while (!stack.empty()) {
-      const SsTreeNode* node = stack.back();
-      stack.pop_back();
-      total += node->bounding_sphere().radius();
-      if (!node->is_leaf()) {
-        for (const auto& child : node->children()) {
-          stack.push_back(child.get());
-        }
+  // White & Jain's bound: every node sphere is centred at the mean of the
+  // data centers beneath it. Returns the subtree's center sum.
+  auto check = [&tree](auto& self, const SsTreeNode* node) -> Point {
+    Point sum(tree.dim(), 0.0);
+    if (node->is_leaf()) {
+      for (const auto& e : node->entries()) {
+        sum = Add(sum, tree.store().Materialize(e.slot).center());
+      }
+    } else {
+      for (const auto& child : node->children()) {
+        sum = Add(sum, self(self, child.get()));
       }
     }
-    return total;
+    const Point centroid =
+        Scale(sum, 1.0 / static_cast<double>(node->subtree_size()));
+    EXPECT_LE(Dist(centroid, node->bounding_sphere().center()),
+              1e-9 * (1.0 + Norm(centroid)));
+    return sum;
   };
-  SsTree centroid_tree(4);
-  ASSERT_TRUE(centroid_tree.BulkLoad(data).ok());
-  SsTreeOptions tight;
-  tight.bounding_policy = SsTreeBoundingPolicy::kMinBall;
-  SsTree min_ball_tree(4, tight);
-  ASSERT_TRUE(min_ball_tree.BulkLoad(data).ok());
-  // Welzl bounds are minimal per node content; the trees' structures can
-  // differ slightly (bounds feed back into nothing structural here, same
-  // splits), so compare aggregate tightness.
-  EXPECT_LE(radius_mass(min_ball_tree), radius_mass(centroid_tree));
+  check(check, tree.root());
 }
 
 // An SS-tree reaches a file only through the checksummed snapshot

@@ -7,6 +7,7 @@
 #ifndef HYPERDOM_BENCH_BENCH_UTIL_H_
 #define HYPERDOM_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -82,6 +83,16 @@ inline bool WriteFile(const std::string& path, const std::string& body) {
 }
 
 }  // namespace internal
+
+/// The value at rank floor(p * (n - 1)) of an ascending `sorted`; 0 when
+/// it is empty.
+inline double Percentile(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) return 0.0;
+  const size_t idx = std::min(
+      sorted.size() - 1,
+      static_cast<size_t>(p * static_cast<double>(sorted.size() - 1)));
+  return sorted[idx];
+}
 
 /// \brief Flag parsing plus machine-readable output for the figure
 /// binaries.

@@ -51,14 +51,6 @@ struct MixResult {
   uint64_t epoch_lag_max = 0;
 };
 
-double Percentile(std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const size_t idx = std::min(
-      sorted.size() - 1,
-      static_cast<size_t>(p * static_cast<double>(sorted.size() - 1)));
-  return sorted[idx];
-}
-
 // One closed-loop worker: per op, a mutation with probability
 // `write_ratio` (alternating insert-heavy with occasional removes of its
 // own rows), otherwise a kNN through a pinned view.
@@ -144,8 +136,8 @@ MixResult RunMix(MutableSsTree* tree, const DominanceCriterion* criterion,
                      tally.query_micros.end());
   }
   std::sort(latencies.begin(), latencies.end());
-  r.p50_micros = Percentile(latencies, 0.50);
-  r.p99_micros = Percentile(latencies, 0.99);
+  r.p50_micros = bench::Percentile(latencies, 0.50);
+  r.p99_micros = bench::Percentile(latencies, 0.99);
   r.mutation_qps =
       wall > 0.0 ? static_cast<double>(r.mutations) / wall : 0.0;
   r.query_qps = wall > 0.0 ? static_cast<double>(r.queries) / wall : 0.0;

@@ -60,14 +60,6 @@ struct SweepResult {
   double best_effort_rate = 0.0;
 };
 
-double Percentile(std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  const size_t idx = std::min(
-      sorted.size() - 1,
-      static_cast<size_t>(p * static_cast<double>(sorted.size() - 1)));
-  return sorted[idx];
-}
-
 // One closed-loop client: `requests` back-to-back kNN calls, every tenth
 // with a 50 us budget — well under one query's service time, so the
 // deadline (started at ADMISSION) expires mid-traversal and the server
@@ -137,9 +129,9 @@ SweepResult RunSweep(uint16_t port, const std::vector<Hypersphere>& queries,
   }
   result.requests = answered + shed + errors;
   std::sort(latencies.begin(), latencies.end());
-  result.p50_micros = Percentile(latencies, 0.50);
-  result.p99_micros = Percentile(latencies, 0.99);
-  result.p999_micros = Percentile(latencies, 0.999);
+  result.p50_micros = bench::Percentile(latencies, 0.50);
+  result.p99_micros = bench::Percentile(latencies, 0.99);
+  result.p999_micros = bench::Percentile(latencies, 0.999);
   result.max_micros = latencies.empty() ? 0.0 : latencies.back();
   result.qps = wall_seconds > 0.0
                    ? static_cast<double>(answered) / wall_seconds

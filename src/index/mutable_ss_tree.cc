@@ -35,6 +35,23 @@ namespace {
 #endif
 }
 
+/// Calls fn(entry) for every leaf entry of `tree`, depth first, last child
+/// first.
+template <typename Fn>
+void ForEachLeafEntry(const SsTree& tree, const Fn& fn) {
+  if (tree.root() == nullptr) return;
+  std::vector<const SsTreeNode*> stack{tree.root()};
+  while (!stack.empty()) {
+    const SsTreeNode* node = stack.back();
+    stack.pop_back();
+    if (node->is_leaf()) {
+      for (const SsTreeEntry& entry : node->entries()) fn(entry);
+    } else {
+      for (const auto& child : node->children()) stack.push_back(child.get());
+    }
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -117,6 +134,21 @@ struct MutableSsTree::DeltaLog {
 /// Everything except `deleted_at` is frozen after construction.
 struct MutableSsTree::BaseState {
   explicit BaseState(size_t dim) : tree(dim) {}
+
+  /// Bulk-loads the tree and sizes the per-slot arrays. The STR build
+  /// stores rows in leaf order, not input order, so the slot map is read
+  /// from the leaves.
+  Status Build(const std::vector<Hypersphere>& spheres,
+               const std::vector<uint64_t>& ids) {
+    HYPERDOM_RETURN_NOT_OK(tree.BulkLoadStrWithIds(spheres, ids));
+    slot_ids.resize(tree.store().size());
+    ForEachLeafEntry(tree,
+                     [this](const SsTreeEntry& e) { slot_ids[e.slot] = e.id; });
+    if (!slot_ids.empty()) {
+      deleted_at.reset(new std::atomic<uint64_t>[slot_ids.size()]());
+    }
+    return Status::OK();
+  }
 
   uint64_t DeletedAt(uint32_t slot) const {
     return deleted_at == nullptr
@@ -370,10 +402,8 @@ Status MutableSsTree::Build(const std::vector<Hypersphere>& spheres,
   if (compacting_) return Status::Conflict("compaction in progress");
 
   auto base = std::make_shared<BaseState>(dim_);
-  HYPERDOM_RETURN_NOT_OK(base->tree.BulkLoadStrWithIds(spheres, ids));
-  base->slot_ids = ids;
-  const size_t n = base->tree.store().size();
-  if (n > 0) base->deleted_at.reset(new std::atomic<uint64_t>[n]());
+  HYPERDOM_RETURN_NOT_OK(base->Build(spheres, ids));
+  ResetLocsLocked(*base);
 
   const TreeVersion* cur = head_.load(std::memory_order_relaxed);
   auto* next = new TreeVersion;
@@ -381,12 +411,6 @@ Status MutableSsTree::Build(const std::vector<Hypersphere>& spheres,
   next->base = std::move(base);
   next->delta = std::make_shared<DeltaLog>(dim_);
   next->live = ids.size();
-
-  locs_.clear();
-  locs_.reserve(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    locs_[ids[i]] = Loc{false, i};
-  }
   PublishLocked(next);
   return Status::OK();
 }
@@ -399,21 +423,10 @@ Status MutableSsTree::BuildFromTree(const SsTree& tree) {
   std::vector<uint64_t> ids;
   spheres.reserve(tree.size());
   ids.reserve(tree.size());
-  if (tree.root() != nullptr) {
-    std::vector<const SsTreeNode*> stack{tree.root()};
-    while (!stack.empty()) {
-      const SsTreeNode* node = stack.back();
-      stack.pop_back();
-      if (node->is_leaf()) {
-        for (const SsTreeEntry& entry : node->entries()) {
-          spheres.push_back(tree.store().Materialize(entry.slot));
-          ids.push_back(entry.id);
-        }
-      } else {
-        for (const auto& child : node->children()) stack.push_back(child.get());
-      }
-    }
-  }
+  ForEachLeafEntry(tree, [&](const SsTreeEntry& entry) {
+    spheres.push_back(tree.store().Materialize(entry.slot));
+    ids.push_back(entry.id);
+  });
   return Build(spheres, ids);
 }
 
@@ -458,10 +471,7 @@ Status MutableSsTree::CompactBuild() {
   if (options_.compaction_hook) options_.compaction_hook();
 
   auto base = std::make_shared<BaseState>(dim_);
-  HYPERDOM_RETURN_NOT_OK(base->tree.BulkLoadStrWithIds(spheres, ids));
-  base->slot_ids = ids;
-  const size_t n = base->tree.store().size();
-  if (n > 0) base->deleted_at.reset(new std::atomic<uint64_t>[n]());
+  HYPERDOM_RETURN_NOT_OK(base->Build(spheres, ids));
 
   auto* next = new TreeVersion;
   next->base = std::move(base);
@@ -471,13 +481,17 @@ Status MutableSsTree::CompactBuild() {
   std::lock_guard<std::mutex> lock(writer_mu_);
   const TreeVersion* cur = head_.load(std::memory_order_relaxed);
   next->version = cur->version + 1;
-  locs_.clear();
-  locs_.reserve(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    locs_[ids[i]] = Loc{false, i};
-  }
+  ResetLocsLocked(*next->base);
   PublishLocked(next);
   return Status::OK();
+}
+
+void MutableSsTree::ResetLocsLocked(const BaseState& base) {
+  locs_.clear();
+  locs_.reserve(base.slot_ids.size());
+  for (uint64_t slot = 0; slot < base.slot_ids.size(); ++slot) {
+    locs_[base.slot_ids[slot]] = Loc{false, slot};
+  }
 }
 
 void MutableSsTree::Freeze() {

@@ -190,6 +190,9 @@ class MutableSsTree {
   /// The build phase of Compact(); runs with compacting_ set and the
   /// writer mutex released.
   Status CompactBuild();
+  /// Points every id at its slot in `base`, dropping the old locations.
+  /// Caller holds writer_mu_.
+  void ResetLocsLocked(const BaseState& base);
   /// Swaps in `next` as the published head and retires the old version.
   /// Caller holds writer_mu_.
   void PublishLocked(const TreeVersion* next);

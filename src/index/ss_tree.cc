@@ -98,23 +98,36 @@ void SsTree::RebuildNodeStats(SsTreeNode* node) {
   RefreshBoundingSphere(node);
 }
 
-void SsTree::StrTile(std::vector<SsTreeEntry>* entries, size_t lo, size_t hi,
-                     size_t dim_index, size_t leaf_capacity,
+void SsTree::StrTile(const std::vector<Hypersphere>& spheres,
+                     const std::vector<uint64_t>& ids,
+                     std::vector<std::pair<double, size_t>>* keyed, size_t lo,
+                     size_t hi, size_t dim_index, size_t leaf_capacity,
                      std::vector<std::unique_ptr<SsTreeNode>>* leaves) {
   const size_t n = hi - lo;
   if (n <= leaf_capacity) {
+    // The leaf's rows go to the store now, so they are contiguous and in
+    // leaf order.
     auto leaf = std::make_unique<SsTreeNode>(/*is_leaf=*/true);
-    leaf->entries_.assign(entries->begin() + lo, entries->begin() + hi);
+    leaf->entries_.reserve(n);
+    for (size_t j = lo; j < hi; ++j) {
+      const size_t i = (*keyed)[j].second;
+      leaf->entries_.push_back(SsTreeEntry{
+          store_->Add(spheres[i]),
+          ids.empty() ? static_cast<uint64_t>(i) : ids[i]});
+    }
     RebuildNodeStats(leaf.get());
     leaves->push_back(std::move(leaf));
     return;
   }
-  const SphereStore& store = *store_;
-  std::sort(entries->begin() + lo, entries->begin() + hi,
-            [dim_index, &store](const SsTreeEntry& a, const SsTreeEntry& b) {
-              return store.center(a.slot)[dim_index] <
-                     store.center(b.slot)[dim_index];
-            });
+  // Each key is read once per slab. The comparator reads only the key, so
+  // the sort makes the same comparisons and moves as a sort of the inputs
+  // by that coordinate, ties included.
+  for (size_t j = lo; j < hi; ++j) {
+    auto& [key, i] = (*keyed)[j];
+    key = spheres[i].center()[dim_index];
+  }
+  std::sort(keyed->begin() + lo, keyed->begin() + hi,
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   const size_t remaining_dims = dim_ - std::min(dim_index, dim_ - 1);
   const double pages = static_cast<double>(n) / leaf_capacity;
   size_t slabs =
@@ -126,8 +139,8 @@ void SsTree::StrTile(std::vector<SsTreeEntry>* entries, size_t lo, size_t hi,
   const size_t slab_size = (n + slabs - 1) / slabs;
   const size_t next_dim = dim_index + 1 < dim_ ? dim_index + 1 : dim_index;
   for (size_t start = lo; start < hi; start += slab_size) {
-    StrTile(entries, start, std::min(start + slab_size, hi), next_dim,
-            leaf_capacity, leaves);
+    StrTile(spheres, ids, keyed, start, std::min(start + slab_size, hi),
+            next_dim, leaf_capacity, leaves);
   }
 }
 
@@ -151,18 +164,16 @@ Status SsTree::BulkLoadStrWithIds(const std::vector<Hypersphere>& spheres,
     return Status::OK();
   }
 
-  std::vector<SsTreeEntry> entries;
-  entries.reserve(spheres.size());
-  store_->Reserve(spheres.size());
-  for (size_t i = 0; i < spheres.size(); ++i) {
-    if (spheres[i].dim() != dim_) {
+  for (const Hypersphere& sphere : spheres) {
+    if (sphere.dim() != dim_) {
       return Status::InvalidArgument(
           "all spheres must share the tree's dimensionality");
     }
-    const uint32_t slot = store_->Add(spheres[i]);
-    entries.push_back(SsTreeEntry{
-        slot, ids.empty() ? static_cast<uint64_t>(i) : ids[i]});
   }
+  // The tiler permutes input indices; the store fills leaf by leaf.
+  std::vector<std::pair<double, size_t>> keyed(spheres.size());
+  for (size_t i = 0; i < keyed.size(); ++i) keyed[i].second = i;
+  store_->Reserve(spheres.size());
 
   // Pack at ~85% occupancy: full packing turns every subsequent insert
   // into a cascade of splits.
@@ -170,7 +181,7 @@ Status SsTree::BulkLoadStrWithIds(const std::vector<Hypersphere>& spheres,
       2,
       static_cast<size_t>(0.85 * static_cast<double>(options_.max_entries)));
   std::vector<std::unique_ptr<SsTreeNode>> level;
-  StrTile(&entries, 0, entries.size(), 0, capacity, &level);
+  StrTile(spheres, ids, &keyed, 0, keyed.size(), 0, capacity, &level);
 
   // Pack levels bottom-up; consecutive nodes are spatially coherent thanks
   // to the tiling order.
@@ -250,9 +261,15 @@ void SsTree::RefreshBoundingSphere(SsTreeNode* node) {
                             store_->radius(e.slot));
     }
   } else {
-    for (const auto& child : node->children_) {
-      radius = std::max(radius, Dist(center, child->bounding_.center()) +
-                                    child->bounding_.radius());
+    const size_t n = node->children_.size();
+    node->child_centers_.resize(n * dim_);
+    node->child_radii_.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      const Hypersphere& child = node->children_[i]->bounding_;
+      std::copy(child.center().begin(), child.center().end(),
+                node->child_centers_.begin() + i * dim_);
+      node->child_radii_[i] = child.radius();
+      radius = std::max(radius, Dist(center, child.center()) + child.radius());
     }
   }
   node->bounding_ = Hypersphere(center, radius);
@@ -394,7 +411,8 @@ namespace {
 
 Status CheckNode(const SsTreeNode* node, const SphereStore& store,
                  const SsTreeOptions& options, bool is_root, size_t depth,
-                 size_t* leaf_depth, size_t* entry_total) {
+                 size_t* leaf_depth, size_t* entry_total,
+                 std::vector<bool>* slot_seen) {
   const Hypersphere& bound = node->bounding_sphere();
   const double slack =
       kCoverageSlack * (1.0 + bound.radius() + Norm(bound.center()));
@@ -419,6 +437,11 @@ Status CheckNode(const SsTreeNode* node, const SphereStore& store,
       if (e.slot >= store.size()) {
         return Status::Corruption("entry slot out of store range");
       }
+      if ((*slot_seen)[e.slot]) {
+        return Status::Corruption("store slot " + std::to_string(e.slot) +
+                                  " referenced twice");
+      }
+      (*slot_seen)[e.slot] = true;
       if (DistSpan(bound.center().data(), store.center(e.slot), store.dim()) +
               store.radius(e.slot) >
           bound.radius() + slack) {
@@ -433,16 +456,29 @@ Status CheckNode(const SsTreeNode* node, const SphereStore& store,
     return Status::OK();
   }
 
+  const size_t dim = bound.dim();
+  if (node->child_centers().size() != occupancy * dim ||
+      node->child_radii().size() != occupancy) {
+    return Status::Corruption("packed child bounds have the wrong size");
+  }
   size_t child_total = 0;
-  for (const auto& child : node->children()) {
+  for (size_t i = 0; i < occupancy; ++i) {
+    const SsTreeNode* child = node->children()[i].get();
     const Hypersphere& cb = child->bounding_sphere();
+    const double packed_radius = node->child_radii()[i];
+    const double child_radius = cb.radius();
+    if (std::memcmp(node->child_centers().data() + i * dim,
+                    cb.center().data(), dim * sizeof(double)) != 0 ||
+        std::memcmp(&packed_radius, &child_radius, sizeof(double)) != 0) {
+      return Status::Corruption("packed child bound differs from the child's");
+    }
     if (Dist(bound.center(), cb.center()) + cb.radius() >
         bound.radius() + slack) {
       return Status::Corruption("child sphere escapes parent sphere");
     }
-    HYPERDOM_RETURN_NOT_OK(CheckNode(child.get(), store, options,
+    HYPERDOM_RETURN_NOT_OK(CheckNode(child, store, options,
                                      /*is_root=*/false, depth + 1, leaf_depth,
-                                     entry_total));
+                                     entry_total, slot_seen));
     child_total += child->subtree_size();
   }
   if (child_total != node->subtree_size()) {
@@ -629,9 +665,10 @@ Status SsTree::CheckInvariants() const {
   }
   size_t leaf_depth = 0;
   size_t entry_total = 0;
+  std::vector<bool> slot_seen(store_->size(), false);
   HYPERDOM_RETURN_NOT_OK(CheckNode(root_.get(), *store_, options_,
-                                   /*is_root=*/true,
-                                   /*depth=*/1, &leaf_depth, &entry_total));
+                                   /*is_root=*/true, /*depth=*/1, &leaf_depth,
+                                   &entry_total, &slot_seen));
   if (entry_total != size_) {
     return Status::Corruption("total entry count mismatch: tree says " +
                               std::to_string(size_) + ", walk found " +

@@ -10,11 +10,18 @@
 //     hold lightweight StoredEntry handles (slot + caller-supplied id),
 //     internal nodes hold child nodes. Traversals resolve handles to
 //     SphereView spans over the store's contiguous arena.
+//   * Memory follows the traversal. An STR-built tree appends each leaf's
+//     rows to the store as the leaf is made, so a leaf's rows are
+//     contiguous and the leaves, read left to right, hold slots 0, 1, 2, …
+//     An insertion-built tree keeps its rows in insertion order.
 //   * Every node maintains the centroid of the data centers beneath it
 //     (incrementally, via a coordinate sum and a count) and a bounding
 //     sphere centred there whose radius covers all of its data spheres —
 //     the SS-tree's defining property that yields compact regions in high
-//     dimension.
+//     dimension. An internal node also keeps a packed copy of its
+//     children's bounding spheres (centres at stride d, radii in a parallel
+//     array), so a traversal bounds every child of a node with one batched
+//     kernel call without touching the child nodes.
 //   * Insertion descends to the child whose centroid is nearest the new
 //     center (White & Jain's cheapest-centroid rule). An overflowing node
 //     is split by White & Jain's variance cut, subject to the options'
@@ -29,6 +36,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -65,6 +73,12 @@ class SsTreeNode {
   const std::vector<std::unique_ptr<SsTreeNode>>& children() const {
     return children_;
   }
+  /// The children's bounding spheres, packed in child order: child i's
+  /// centre is the d doubles at child_centers()[i * d], its radius
+  /// child_radii()[i]. Bit-equal to the children's bounding_sphere(); empty
+  /// for a leaf.
+  const std::vector<double>& child_centers() const { return child_centers_; }
+  const std::vector<double>& child_radii() const { return child_radii_; }
   /// Number of data entries in this subtree.
   size_t subtree_size() const { return count_; }
 
@@ -75,6 +89,9 @@ class SsTreeNode {
   Hypersphere bounding_;
   std::vector<SsTreeEntry> entries_;
   std::vector<std::unique_ptr<SsTreeNode>> children_;
+  /// Packed child bounds; written only by SsTree::RefreshBoundingSphere.
+  std::vector<double> child_centers_;
+  std::vector<double> child_radii_;
   /// Sum of data-sphere centers beneath this node (for the centroid).
   Point center_sum_;
   /// Number of data entries beneath this node.
@@ -102,7 +119,8 @@ class SsTree {
   /// al.): entries are tiled into spatially coherent leaves by recursive
   /// coordinate sorting, then packed bottom-up. Much faster than repeated
   /// insertion and usually tighter. Replaces any previous contents; ids
-  /// are positions in `spheres`.
+  /// are positions in `spheres`. Store rows are in leaf order, not input
+  /// order: read the slot of an id from the leaves.
   Status BulkLoadStr(const std::vector<Hypersphere>& spheres);
 
   /// BulkLoadStr with caller-supplied ids (`ids[i]` tags `spheres[i]`;
@@ -126,10 +144,13 @@ class SsTree {
   /// Height of the tree (0 when empty, 1 for a single leaf).
   size_t Height() const;
 
-  /// \brief Validates structural invariants, for tests:
-  /// every data sphere is covered by each ancestor's bounding sphere, node
-  /// occupancies respect the limits, all leaves at the same depth, and
-  /// subtree counts are consistent. Returns the first violation found.
+  /// \brief Validates structural invariants (the snapshot loader's last
+  /// check, and tests'): every data sphere is covered by each ancestor's
+  /// bounding sphere, node occupancies respect the limits, all leaves at
+  /// the same depth, subtree counts are consistent, no store slot is
+  /// referenced twice, and each internal node's packed child bounds equal
+  /// its children's bounding spheres bit for bit. Returns the first
+  /// violation found.
   Status CheckInvariants() const;
 
   /// \brief Writes the tree to `out` in the compact binary format
@@ -150,7 +171,8 @@ class SsTree {
   /// splits overflowing nodes on the way back up.
   Status InsertRecursive(SsTreeNode* node, const SsTreeEntry& entry,
                          std::unique_ptr<SsTreeNode>* split_off);
-  /// Recomputes `node`'s bounding sphere from its centroid and children.
+  /// Recomputes `node`'s bounding sphere from its centroid and children,
+  /// and repacks an internal node's child bounds.
   void RefreshBoundingSphere(SsTreeNode* node);
   /// Splits an overflowing node into `*sibling` (the new right half).
   Status SplitNode(SsTreeNode* node, std::unique_ptr<SsTreeNode>* sibling);
@@ -161,9 +183,13 @@ class SsTree {
   static Status LoadNode(std::istream& in, const SphereStore& store,
                          size_t max_entries, size_t depth,
                          std::unique_ptr<SsTreeNode>* out_node);
-  /// Recursive STR tiler: packs entries[lo, hi) into leaves.
-  void StrTile(std::vector<SsTreeEntry>* entries, size_t lo, size_t hi,
-               size_t dim_index, size_t leaf_capacity,
+  /// Recursive STR tiler over (key, input index) pairs: packs the inputs
+  /// named by keyed[lo, hi) into leaves, appending each leaf's rows to the
+  /// store as the leaf is made.
+  void StrTile(const std::vector<Hypersphere>& spheres,
+               const std::vector<uint64_t>& ids,
+               std::vector<std::pair<double, size_t>>* keyed, size_t lo,
+               size_t hi, size_t dim_index, size_t leaf_capacity,
                std::vector<std::unique_ptr<SsTreeNode>>* leaves);
   /// Recomputes a node's centroid bookkeeping and bounding sphere from its
   /// current payload (bulk-load and load helper).

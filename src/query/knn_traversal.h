@@ -160,7 +160,9 @@ void EmitLeaf(const Entries& entries, const SphereStore& store,
 /// delta rows live outside the tree: they go to the list first, in
 /// contiguous blocks, which for kNN also tightens distk before any node is
 /// descended. Then DF or HS runs over the tree, skipping the base slots the
-/// overlay hides.
+/// overlay hides. An internal node's child bounds come from its packed
+/// block in one batched kernel call, bit-identical to MinDist on each
+/// child's bounding sphere.
 template <typename List, typename Stats>
 void TraverseSsTree(const SsTree& tree, const Hypersphere& sq,
                     SearchStrategy strategy, const SearchOverlay* overlay,
@@ -174,14 +176,21 @@ void TraverseSsTree(const SsTree& tree, const Hypersphere& sq,
   if (root == nullptr) return;
   const SphereStore& store = tree.store();
   std::vector<EntryView> leaf_scratch;
+  std::vector<double> child_bounds;
   auto visit = [&](const SsTreeNode* node, const auto& emit_entries,
                    const auto& emit_child) {
     if (node->is_leaf()) {
       EmitLeaf(node->entries(), store, overlay, &leaf_scratch, emit_entries);
       return;
     }
-    for (const auto& child : node->children()) {
-      emit_child(MinDist(child->bounding_sphere(), sq), child.get());
+    const auto& children = node->children();
+    child_bounds.resize(children.size());
+    BatchedMinDistSpan(node->child_centers().data(),
+                       node->child_radii().data(), tree.dim(),
+                       children.size(), sq.center().data(), sq.radius(),
+                       child_bounds.data());
+    for (size_t i = 0; i < children.size(); ++i) {
+      emit_child(child_bounds[i], children[i].get());
     }
   };
   Traverse(root, MinDist(root->bounding_sphere(), sq), strategy, visit, list,

@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <istream>
+#include <limits>
+#include <new>
 #include <ostream>
 
 namespace hyperdom {
@@ -18,13 +20,20 @@ namespace {
 // compiler targets under HYPERDOM_NATIVE.
 constexpr size_t kArenaAlign = 64;
 
-double* AllocateArena(size_t doubles) {
-  if (doubles == 0) return nullptr;
+// Allocates room for `rows` rows of `dim` doubles. Throws std::bad_alloc,
+// as the radii vector does, when the byte size overflows size_t (checked
+// before anything is allocated) or the allocation fails.
+double* AllocateArena(size_t rows, size_t dim) {
+  if (rows == 0 || dim == 0) return nullptr;
   // std::aligned_alloc requires the size to be a multiple of the alignment.
-  size_t bytes = doubles * sizeof(double);
+  constexpr size_t kMaxDoubles =
+      (std::numeric_limits<size_t>::max() - (kArenaAlign - 1)) /
+      sizeof(double);
+  if (rows > kMaxDoubles / dim) throw std::bad_alloc();
+  size_t bytes = rows * dim * sizeof(double);
   bytes = (bytes + kArenaAlign - 1) / kArenaAlign * kArenaAlign;
   void* p = std::aligned_alloc(kArenaAlign, bytes);
-  assert(p != nullptr);
+  if (p == nullptr) throw std::bad_alloc();
   return static_cast<double*>(p);
 }
 
@@ -46,7 +55,7 @@ SphereStore::SphereStore(const SphereStore& other)
       size_(other.size_),
       capacity_(other.size_),
       radii_(other.radii_) {
-  coords_ = AllocateArena(size_ * dim_);
+  coords_ = AllocateArena(size_, dim_);
   if (coords_ != nullptr) {
     std::memcpy(coords_, other.coords_, size_ * dim_ * sizeof(double));
   }
@@ -90,7 +99,7 @@ void SphereStore::GrowTo(size_t min_spheres) {
   if (capacity_ >= min_spheres) return;
   size_t next = capacity_ == 0 ? 16 : capacity_ * 2;
   if (next < min_spheres) next = min_spheres;
-  double* grown = AllocateArena(next * dim_);
+  double* grown = AllocateArena(next, dim_);
   if (size_ > 0) {
     std::memcpy(grown, coords_, size_ * dim_ * sizeof(double));
   }

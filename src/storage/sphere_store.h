@@ -11,10 +11,13 @@
 // every O(d) kernel pays a pointer chase before its first multiply. The
 // arena removes both: coordinates of consecutive slots are contiguous
 // (cache- and prefetcher-friendly, SIMD-ready), and resolving a slot is
-// pointer arithmetic. The span kernels in geometry/ run bit-identically on
-// store rows and on Hypersphere vectors, so the two layouts are
-// interchangeable at the arithmetic level (see docs/performance.md,
-// "Data layout").
+// pointer arithmetic. Slot order is the order rows were added, so the
+// owner decides what is contiguous: an STR-built SS-tree adds each leaf's
+// rows together, so a leaf scan reads one run of rows, while an
+// insertion-built tree keeps insertion order. The span kernels in
+// geometry/ run bit-identically on store rows and on Hypersphere vectors,
+// so the two layouts are interchangeable at the arithmetic level (see
+// docs/performance.md, "Data layout").
 
 #ifndef HYPERDOM_STORAGE_SPHERE_STORE_H_
 #define HYPERDOM_STORAGE_SPHERE_STORE_H_
@@ -108,7 +111,9 @@ class SphereStore {
   /// Materializes an owning Hypersphere (copies the row).
   Hypersphere Materialize(uint32_t slot) const;
 
-  /// Pre-sizes the arena for `n` spheres.
+  /// Pre-sizes the arena for `n` spheres. Throws std::bad_alloc, leaving
+  /// the store unchanged, when the arena for `n` rows cannot be allocated
+  /// or its byte size overflows size_t.
   void Reserve(size_t n);
 
   /// Drops every sphere (keeps dim and capacity).

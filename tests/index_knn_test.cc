@@ -131,7 +131,9 @@ TEST(IndexKnnTest, StatsReflectPruning) {
 }
 
 // Pins the work of the shared DF/HS drivers (query/knn_traversal.h) on one
-// seeded dataset: per index and strategy, the summed traversal counters
+// seeded dataset: per index and strategy (the SS-tree both insertion-built,
+// "ss", and STR-built, "ss_str", as every served, sharded and mutable
+// SS-tree is), the summed traversal counters
 // over 20 queries, the final filter's dominance checks (one per candidate
 // past position k, query/best_known_list.h) and a digest of every answer.
 // The counts assume libstdc++'s std::sort and std::priority_queue tie
@@ -149,6 +151,8 @@ TEST(IndexKnnTest, TraversalWorkIsPinned) {
   const auto queries = MakeKnnQueries(data, 20, 2106);
   SsTree ss_tree(4);
   ASSERT_TRUE(ss_tree.BulkLoad(data).ok());
+  SsTree str_tree(4);
+  ASSERT_TRUE(str_tree.BulkLoadStr(data).ok());
   RStarTree rstar(4);
   ASSERT_TRUE(rstar.BulkLoad(data).ok());
   VpTree vp;
@@ -157,6 +161,9 @@ TEST(IndexKnnTest, TraversalWorkIsPinned) {
   auto search = [&](std::string_view index, const Hypersphere& sq,
                     const KnnOptions& options) {
     if (index == "ss") return KnnSearcher(&exact, options).Search(ss_tree, sq);
+    if (index == "ss_str") {
+      return KnnSearcher(&exact, options).Search(str_tree, sq);
+    }
     if (index == "rstar") return RStarKnnSearch(rstar, sq, exact, options);
     return VpTreeKnnSearch(vp, sq, exact, options);
   };
@@ -174,6 +181,8 @@ TEST(IndexKnnTest, TraversalWorkIsPinned) {
   const Pin pins[] = {
       {"ss", kDf, 3759, 2481, 59299, 12744},
       {"ss", kHs, 3026, 3214, 46764, 7984},
+      {"ss_str", kDf, 4066, 1334, 73977, 16799},
+      {"ss_str", kHs, 3337, 2063, 59710, 9557},
       {"rstar", kDf, 2502, 3011, 38856, 8986},
       {"rstar", kHs, 2287, 3226, 35048, 6834},
       {"vp", kDf, 10585, 1595, 45796, 8797},

@@ -348,11 +348,12 @@ TEST(SnapshotTest, SsTreeBytesArePinned) {
   EXPECT_EQ(Crc32Of(inserted_file.data(), inserted_file.size()),
             0xF874814Fu);
 
+  // The STR build stores its rows in leaf order (index/ss_tree.h).
   SsTree packed(3);
   ASSERT_TRUE(packed.BulkLoadStr(data).ok());
   ASSERT_TRUE(SaveSnapshot(packed, path).ok());
   const std::string packed_file = ReadFile(path);
-  EXPECT_EQ(Crc32Of(packed_file.data(), packed_file.size()), 0xAF9A967Fu);
+  EXPECT_EQ(Crc32Of(packed_file.data(), packed_file.size()), 0x97E9B9B4u);
 
   const std::string payload = inserted_file.substr(kEnvelopeBytes);
   ASSERT_EQ(payload.compare(kSplitFieldOffset, 8, std::string(8, '\0')), 0);
@@ -412,6 +413,33 @@ TEST(SnapshotVersionTest, UnbackedCountsAreCorruption) {
     ExpectRefusedThenRebuilt(path, data, "truncated",
                              StatusCode::kCorruption);
   }
+  std::remove(path.c_str());
+}
+
+// A checksummed payload whose leaf references one store slot twice would
+// answer that sphere under two ids and lose the other id's sphere: the
+// load is kCorruption and LoadSnapshotOrRebuild rebuilds.
+TEST(SnapshotVersionTest, SlotReferencedTwiceIsCorruption) {
+  const auto data = TestData(923, 40);
+  const std::string path = TestPath("slot_twice.snap");
+  std::string payload = HdssHeader(2, 3, 24);
+  AppendPod(&payload, uint64_t{2});  // store: dim 2, three rows
+  AppendPod(&payload, uint64_t{3});
+  for (double x : {0.0, 10.0, 20.0}) {
+    AppendPod(&payload, x);
+    AppendPod(&payload, 0.0);
+    AppendPod(&payload, 1.0);
+  }
+  AppendPod(&payload, uint8_t{1});  // one leaf of three entries
+  AppendPod(&payload, uint64_t{3});
+  const uint32_t slots[] = {0, 0, 2};  // entry 1 should name slot 1
+  for (uint64_t id = 0; id < 3; ++id) {
+    AppendPod(&payload, slots[id]);
+    AppendPod(&payload, id);
+  }
+  WriteFile(path, CurrentEnvelope(kSsTreeKind, payload));
+  ExpectRefusedThenRebuilt(path, data, "referenced twice",
+                           StatusCode::kCorruption);
   std::remove(path.c_str());
 }
 

@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <new>
 #include <sstream>
 #include <vector>
 
@@ -74,6 +76,24 @@ TEST(SphereStoreTest, ReservePreventsViewInvalidation) {
   for (int i = 0; i < 99; ++i) store.Add(test::RandomSphere(&rng, 2, 1.0));
   // No reallocation happened within the reserved capacity.
   EXPECT_EQ(store.center(slot), base);
+}
+
+// A row count whose arena byte size overflows size_t is refused with
+// std::bad_alloc before anything is allocated, and the store stays usable.
+TEST(SphereStoreTest, ReserveOverflowThrowsAndLeavesStoreUsable) {
+  SphereStore store(4);
+  const Hypersphere first({1.0, 2.0, 3.0, 4.0}, 0.5);
+  store.Add(first);
+  const size_t capacity = store.capacity();
+  const size_t rows =
+      std::numeric_limits<size_t>::max() / (4 * sizeof(double)) + 1;
+  EXPECT_THROW(store.Reserve(rows), std::bad_alloc);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.capacity(), capacity);
+  const Hypersphere second({5.0, 6.0, 7.0, 8.0}, 1.5);
+  EXPECT_EQ(store.Add(second), 1u);
+  EXPECT_TRUE(store.Materialize(0) == first);
+  EXPECT_TRUE(store.Materialize(1) == second);
 }
 
 TEST(SphereStoreTest, DefaultConstructedAdoptsFirstDim) {

@@ -224,6 +224,36 @@ TEST(SsTreeTest, BoundsAreCentredOnTheCentroid) {
   check(check, tree.root());
 }
 
+// An STR build appends each leaf's rows to the store as the leaf is made:
+// the leaves, read left to right, hold slots 0, 1, 2, ... in order, and
+// each slot holds the sphere its entry's id names.
+TEST(SsTreeTest, StrLeavesHoldSlotsInOrder) {
+  SyntheticSpec spec;
+  spec.n = 3000;
+  spec.dim = 4;
+  spec.seed = 811;
+  const auto data = GenerateSynthetic(spec);
+  SsTree tree(4);
+  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
+  ASSERT_GT(tree.Height(), 2u);
+  EXPECT_TRUE(tree.CheckInvariants().ok())
+      << tree.CheckInvariants().ToString();
+  uint32_t next_slot = 0;
+  auto walk = [&](auto& self, const SsTreeNode* node) -> void {
+    if (!node->is_leaf()) {
+      for (const auto& child : node->children()) self(self, child.get());
+      return;
+    }
+    for (const auto& e : node->entries()) {
+      EXPECT_EQ(e.slot, next_slot++);
+      EXPECT_TRUE(tree.store().Materialize(e.slot) == data[e.id]);
+    }
+  };
+  walk(walk, tree.root());
+  EXPECT_EQ(next_slot, data.size());
+  EXPECT_EQ(tree.store().size(), data.size());
+}
+
 // An SS-tree reaches a file only through the checksummed snapshot
 // envelope (index/snapshot.h).
 class SsTreePersistenceTest : public ::testing::Test {

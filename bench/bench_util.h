@@ -235,7 +235,6 @@ class Reporter {
       }
     }
     if (!metrics_out_.empty()) {
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
       auto& registry = obs::MetricsRegistry::Instance();
       const std::string body = EndsWith(metrics_out_, ".json")
                                    ? registry.RenderJson()
@@ -245,12 +244,6 @@ class Reporter {
                      metrics_out_.c_str());
         return 1;
       }
-#else
-      std::fprintf(stderr,
-                   "error: --metrics-out: observability was compiled out "
-                   "(HYPERDOM_OBSERVABILITY=OFF)\n");
-      return 1;
-#endif  // HYPERDOM_OBSERVABILITY_ENABLED
     }
     return 0;
   }

@@ -104,14 +104,10 @@ thread_local QueryFaultContext t_query_context;
 // A firing is rare (tests arm a single site; random mode runs at low
 // probability), so per-firing registry lookup and a span event are cheap.
 void RecordFiring(std::string_view site) {
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
   obs::MetricsRegistry::Instance()
       .GetCounter(obs::kFaultInjected, "site", site)
       ->Add(1);
   obs::Span::CurrentEvent("fault/" + std::string(site));
-#else
-  (void)site;
-#endif
 }
 
 }  // namespace

@@ -28,10 +28,8 @@
 // thread-local facts — which query fails is then identical at any thread
 // count. ArmSite's "nth execution" stays a process-wide notion either way.
 //
-// The macros compile to nothing when HYPERDOM_FAULT_INJECTION_ENABLED is
-// not defined (CMake option HYPERDOM_FAULT_INJECTION, default ON; release
-// deployments switch it OFF for zero overhead). Even when compiled in, an
-// un-armed registry costs one relaxed atomic load per site execution.
+// Every site is compiled into every build. While the registry is un-armed
+// a site execution costs one relaxed atomic load (docs/robustness.md §6).
 
 #ifndef HYPERDOM_COMMON_FAULT_H_
 #define HYPERDOM_COMMON_FAULT_H_
@@ -154,8 +152,6 @@ class FaultQueryScope {
 
 }  // namespace hyperdom
 
-#if defined(HYPERDOM_FAULT_INJECTION_ENABLED)
-
 /// Fails the enclosing Status/Result-returning function when `site` fires.
 #define HYPERDOM_FAULT_POINT(site)                                   \
   do {                                                               \
@@ -179,15 +175,5 @@ class FaultQueryScope {
   (::hyperdom::FaultRegistry::Instance().armed()           \
        ? ::hyperdom::FaultRegistry::Instance().Hit(site)   \
        : ::hyperdom::Status::OK())
-
-#else
-
-#define HYPERDOM_FAULT_POINT(site) \
-  do {                             \
-  } while (false)
-#define HYPERDOM_FAULT_DEGRADE(site) (false)
-#define HYPERDOM_FAULT_POINT_STATUS(site) (::hyperdom::Status::OK())
-
-#endif  // HYPERDOM_FAULT_INJECTION_ENABLED
 
 #endif  // HYPERDOM_COMMON_FAULT_H_

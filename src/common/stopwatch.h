@@ -48,13 +48,11 @@ class Stopwatch {
   Clock::time_point start_;
 };
 
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
-
 /// \brief RAII timer recording its scope's duration into a registry
 /// histogram on destruction.
 ///
 /// Prefer the HYPERDOM_SCOPED_TIMER / HYPERDOM_SCOPED_TIMER_L macros,
-/// which compile out with observability and cache the histogram handle.
+/// which cache the histogram handle.
 class ScopedTimer {
  public:
   explicit ScopedTimer(obs::Histogram* histogram) : histogram_(histogram) {}
@@ -81,17 +79,6 @@ class ScopedTimer {
       ::hyperdom::obs::MetricsRegistry::Instance().GetHistogram(     \
           def, key, value);                                          \
   ::hyperdom::ScopedTimer var(_hyperdom_timer_##var)
-
-#else
-
-#define HYPERDOM_SCOPED_TIMER(var, def) \
-  do {                                  \
-  } while (false)
-#define HYPERDOM_SCOPED_TIMER_L(var, def, key, value) \
-  do {                                                \
-  } while (false)
-
-#endif  // HYPERDOM_OBSERVABILITY_ENABLED
 
 /// Prevents the compiler from optimizing away a computed value
 /// (google-benchmark's DoNotOptimize, usable outside benchmark binaries).

@@ -17,7 +17,6 @@ int64_t NowNs() {
       .count();
 }
 
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
 std::string VerdictCounterName(std::string_view criterion,
                                std::string_view verdict) {
   std::string name(obs::kCriterionVerdicts.name);
@@ -25,60 +24,41 @@ std::string VerdictCounterName(std::string_view criterion,
   name.append("\",verdict=\"").append(verdict).append("\"}");
   return name;
 }
-#endif
 
 }  // namespace
 
-struct InstrumentedCriterion::Instruments {
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
-  obs::Counter* dominates = nullptr;
-  obs::Counter* not_dominates = nullptr;
-  obs::Counter* uncertain = nullptr;
-  obs::Histogram* latency = nullptr;
-#endif
-};
-
 InstrumentedCriterion::InstrumentedCriterion(
     std::unique_ptr<DominanceCriterion> inner)
-    : inner_(std::move(inner)), instruments_(new Instruments()) {
+    : inner_(std::move(inner)) {
   assert(inner_ != nullptr);
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
   // Handles are resolved per instance, not via the macros' function-local
   // statics: the label value (the criterion's name) differs per instance.
   auto& registry = obs::MetricsRegistry::Instance();
   const std::string_view n = inner_->name();
-  instruments_->dominates = registry.GetCounter(
-      VerdictCounterName(n, "dominates"), obs::kCriterionVerdicts.help);
-  instruments_->not_dominates = registry.GetCounter(
+  dominates_ = registry.GetCounter(VerdictCounterName(n, "dominates"),
+                                   obs::kCriterionVerdicts.help);
+  not_dominates_ = registry.GetCounter(
       VerdictCounterName(n, "not_dominates"), obs::kCriterionVerdicts.help);
-  instruments_->uncertain = registry.GetCounter(
-      VerdictCounterName(n, "uncertain"), obs::kCriterionVerdicts.help);
-  instruments_->latency =
+  uncertain_ = registry.GetCounter(VerdictCounterName(n, "uncertain"),
+                                   obs::kCriterionVerdicts.help);
+  latency_ =
       registry.GetHistogram(obs::kCriterionDecideDuration, "criterion", n);
-#endif
 }
-
-InstrumentedCriterion::~InstrumentedCriterion() = default;
 
 void InstrumentedCriterion::RecordOutcome(Verdict v,
                                           uint64_t elapsed_ns) const {
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
   switch (v) {
     case Verdict::kDominates:
-      instruments_->dominates->Add(1);
+      dominates_->Add(1);
       break;
     case Verdict::kNotDominates:
-      instruments_->not_dominates->Add(1);
+      not_dominates_->Add(1);
       break;
     case Verdict::kUncertain:
-      instruments_->uncertain->Add(1);
+      uncertain_->Add(1);
       break;
   }
-  instruments_->latency->Record(elapsed_ns);
-#else
-  (void)v;
-  (void)elapsed_ns;
-#endif
+  latency_->Record(elapsed_ns);
 }
 
 bool InstrumentedCriterion::Dominates(SphereView sa, SphereView sb,

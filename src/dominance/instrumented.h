@@ -18,6 +18,7 @@
 #include <memory>
 
 #include "dominance/criterion.h"
+#include "obs/metrics.h"
 
 namespace hyperdom {
 
@@ -30,14 +31,11 @@ namespace hyperdom {
 /// hoisted batch kernel), counts every verdict, and records one latency
 /// observation per candidate at the block's mean time, so the histogram's
 /// count still equals the verdict total. Thread-compatible, like the
-/// criteria themselves. When the library is built with
-/// HYPERDOM_OBSERVABILITY=OFF the wrapper still forwards correctly but
-/// records nothing.
+/// criteria themselves.
 class InstrumentedCriterion final : public DominanceCriterion {
  public:
   /// Takes ownership of `inner`, which must not be null.
   explicit InstrumentedCriterion(std::unique_ptr<DominanceCriterion> inner);
-  ~InstrumentedCriterion() override;
 
   using DominanceCriterion::Dominates;
   using DominanceCriterion::DecideVerdict;
@@ -60,8 +58,10 @@ class InstrumentedCriterion final : public DominanceCriterion {
   // Per-instance instrument handles, resolved once in the constructor from
   // the wrapped criterion's name (macro-style static caching would collapse
   // all criterion names onto one label).
-  struct Instruments;
-  std::unique_ptr<Instruments> instruments_;
+  obs::Counter* dominates_ = nullptr;
+  obs::Counter* not_dominates_ = nullptr;
+  obs::Counter* uncertain_ = nullptr;
+  obs::Histogram* latency_ = nullptr;
 };
 
 /// Convenience: MakeCriterion(kind) wrapped in an InstrumentedCriterion.

@@ -2,8 +2,6 @@
 
 #include "index/index_metrics.h"
 
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
-
 #include <chrono>
 
 #include "obs/metrics.h"
@@ -45,5 +43,3 @@ void IndexBuildRecorder::Finish(size_t entries) {
 }
 
 }  // namespace hyperdom
-
-#endif  // HYPERDOM_OBSERVABILITY_ENABLED

@@ -6,9 +6,6 @@
 // hyperdom_index_build_duration_ns{index=} and the
 // hyperdom_index_size_entries{index=} gauge. Builds that fail (Status
 // error) record the span but not the success counters.
-//
-// With HYPERDOM_OBSERVABILITY=OFF the recorder is an empty object and
-// every method is an inline no-op.
 
 #ifndef HYPERDOM_INDEX_INDEX_METRICS_H_
 #define HYPERDOM_INDEX_INDEX_METRICS_H_
@@ -19,8 +16,6 @@
 #include "obs/trace.h"
 
 namespace hyperdom {
-
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
 
 /// \brief RAII per-build instrumentation.
 ///
@@ -39,16 +34,6 @@ class IndexBuildRecorder {
   int64_t start_ns_ = 0;
   obs::Span span_;
 };
-
-#else
-
-class IndexBuildRecorder {
- public:
-  IndexBuildRecorder(std::string_view, std::string_view) {}
-  void Finish(size_t) {}
-};
-
-#endif  // HYPERDOM_OBSERVABILITY_ENABLED
 
 }  // namespace hyperdom
 

@@ -19,11 +19,8 @@ namespace {
 
 // Publishes one mutation attempt under op=insert|remove and
 // result=ok|conflict|error. Mirrors RecordSnapshotOp (index/snapshot.cc);
-// mutations are per-row, but the registry lookup is one hash probe and
-// the macro compiles out entirely without observability.
-[[maybe_unused]] void RecordMutation([[maybe_unused]] const char* op,
-                                     [[maybe_unused]] const Status& status) {
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
+// mutations are per-row, but the registry lookup is one hash probe.
+void RecordMutation(const char* op, const Status& status) {
   const char* result = status.ok() ? "ok"
                        : status.code() == StatusCode::kConflict ? "conflict"
                                                                 : "error";
@@ -32,7 +29,6 @@ namespace {
   name.append("{op=\"").append(op);
   name.append("\",result=\"").append(result).append("\"}");
   reg.GetCounter(std::move(name), obs::kStoreMutations.help)->Add(1);
-#endif
 }
 
 /// Calls fn(entry) for every leaf entry of `tree`, depth first, last child
@@ -443,7 +439,7 @@ Status MutableSsTree::Compact() {
   }
 
   HYPERDOM_SPAN(span, "store/compact");
-  [[maybe_unused]] Stopwatch watch;
+  Stopwatch watch;
   Status status = CompactBuild();
   {
     std::lock_guard<std::mutex> lock(writer_mu_);

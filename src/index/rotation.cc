@@ -23,15 +23,12 @@ constexpr uint64_t kKeepGenerations = 2;
 
 // op=rotate|rotate_fallback under the shared snapshot-ops counter
 // (label assembly mirrors RecordSnapshotOp in snapshot.cc).
-[[maybe_unused]] void RecordRotateOp([[maybe_unused]] const char* op,
-                                     [[maybe_unused]] bool ok) {
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
+void RecordRotateOp(const char* op, bool ok) {
   auto& reg = obs::MetricsRegistry::Instance();
   std::string name(obs::kSnapshotOps.name);
   name.append("{op=\"").append(op);
   name.append("\",result=\"").append(ok ? "ok" : "error").append("\"}");
   reg.GetCounter(std::move(name), obs::kSnapshotOps.help)->Add(1);
-#endif
 }
 
 }  // namespace

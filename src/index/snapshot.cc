@@ -18,28 +18,22 @@ namespace hyperdom {
 
 namespace {
 
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
 int64_t SnapshotNowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-#endif
 
 // Publishes one snapshot operation: counts it under op=save|load and
 // result=ok|error, and records the latency. Snapshot ops are rare, so the
 // per-call registry lookup is fine.
-[[maybe_unused]] void RecordSnapshotOp([[maybe_unused]] const char* op,
-                      [[maybe_unused]] bool ok,
-                      [[maybe_unused]] uint64_t elapsed_ns) {
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
+void RecordSnapshotOp(const char* op, bool ok, uint64_t elapsed_ns) {
   auto& reg = obs::MetricsRegistry::Instance();
   std::string name(obs::kSnapshotOps.name);
   name.append("{op=\"").append(op);
   name.append("\",result=\"").append(ok ? "ok" : "error").append("\"}");
   reg.GetCounter(std::move(name), obs::kSnapshotOps.help)->Add(1);
   reg.GetHistogram(obs::kSnapshotDuration, "op", op)->Record(elapsed_ns);
-#endif
 }
 
 constexpr char kSnapMagic[4] = {'H', 'D', 'S', 'P'};
@@ -154,32 +148,24 @@ std::string_view SnapshotKindName(SnapshotKind kind) {
 Status SaveSnapshot(const SsTree& tree, const std::string& path) {
   HYPERDOM_SPAN(span, "snapshot/save");
   HYPERDOM_SPAN_ANNOTATE(span, "path", path);
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
   const int64_t start_ns = SnapshotNowNs();
-#endif
   std::ostringstream payload(std::ios::binary);
   Status status = tree.Serialize(payload);
   if (status.ok()) {
     status = WriteEnvelope(path, SnapshotKind::kSsTree, payload.str());
   }
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
   RecordSnapshotOp("save", status.ok(),
                    static_cast<uint64_t>(SnapshotNowNs() - start_ns));
-#endif
   return status;
 }
 
 Status LoadSnapshot(const std::string& path, SsTree* out) {
   HYPERDOM_SPAN(span, "snapshot/load");
   HYPERDOM_SPAN_ANNOTATE(span, "path", path);
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
   const int64_t start_ns = SnapshotNowNs();
-#endif
   auto finish = [&](Status status) {
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
     RecordSnapshotOp("load", status.ok(),
                      static_cast<uint64_t>(SnapshotNowNs() - start_ns));
-#endif
     return status;
   };
   SnapshotInfo info;

@@ -14,10 +14,7 @@
 // monitoring read.
 //
 // Call sites use the HYPERDOM_COUNTER_* / HYPERDOM_HISTOGRAM_* macros
-// below. When the CMake option HYPERDOM_OBSERVABILITY is OFF the macros
-// compile to nothing, instrumented code is byte-identical to the
-// uninstrumented version, and — because the obs objects live in their own
-// static library — no registry symbol is pulled into the final binaries.
+// below; they are compiled into every build.
 //
 // Naming convention (see docs/observability.md for the full catalogue):
 // Prometheus style, `hyperdom_` prefix, `_total` suffix on counters,
@@ -514,11 +511,8 @@ inline constexpr MetricDef kLogLines{
 // ---------------------------------------------------------------------------
 // Hot-path macros. Each call site caches its instrument pointer in a
 // function-local static, so after the first execution the cost is the
-// sharded atomic op alone. All of them compile to nothing when
-// HYPERDOM_OBSERVABILITY_ENABLED is not defined.
+// sharded atomic op alone.
 // ---------------------------------------------------------------------------
-
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
 
 #define HYPERDOM_COUNTER_ADD(def, n)                              \
   do {                                                            \
@@ -579,34 +573,5 @@ inline constexpr MetricDef kLogLines{
             def, key, value);                                   \
     _hyperdom_gauge->Set(v);                                    \
   } while (false)
-
-#else
-
-#define HYPERDOM_COUNTER_ADD(def, n) \
-  do {                               \
-  } while (false)
-#define HYPERDOM_COUNTER_INC(def) \
-  do {                            \
-  } while (false)
-#define HYPERDOM_COUNTER_ADD_L(def, key, value, n) \
-  do {                                             \
-  } while (false)
-#define HYPERDOM_COUNTER_INC_L(def, key, value) \
-  do {                                          \
-  } while (false)
-#define HYPERDOM_HISTOGRAM_RECORD(def, v) \
-  do {                                    \
-  } while (false)
-#define HYPERDOM_HISTOGRAM_RECORD_L(def, key, value, v) \
-  do {                                                  \
-  } while (false)
-#define HYPERDOM_GAUGE_SET(def, v) \
-  do {                             \
-  } while (false)
-#define HYPERDOM_GAUGE_SET_L(def, key, value, v) \
-  do {                                           \
-  } while (false)
-
-#endif  // HYPERDOM_OBSERVABILITY_ENABLED
 
 #endif  // HYPERDOM_OBS_METRICS_H_

@@ -21,9 +21,6 @@
 // Span taxonomy (docs/observability.md): knn/query, index/build,
 // snapshot/save, snapshot/load, certified/escalate; event names:
 // deadline_expired, fault/<site>.
-//
-// Like the metrics macros, HYPERDOM_SPAN* compile to nothing when the
-// CMake option HYPERDOM_OBSERVABILITY is OFF.
 
 #ifndef HYPERDOM_OBS_TRACE_H_
 #define HYPERDOM_OBS_TRACE_H_
@@ -150,38 +147,15 @@ class Span {
 }  // namespace obs
 }  // namespace hyperdom
 
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
-
 /// Declares an RAII span named `var` covering the rest of the scope.
 #define HYPERDOM_SPAN(var, name) ::hyperdom::obs::Span var(name)
 
-/// Adds a key/value annotation; the value expression is evaluated only
-/// when observability is compiled in.
+/// Adds a key/value annotation. The value expression is always evaluated;
+/// an inert span (tracer disabled) drops it.
 #define HYPERDOM_SPAN_ANNOTATE(var, key, value) (var).Annotate(key, value)
 
 /// Instant event on the innermost active span of this thread.
 #define HYPERDOM_SPAN_EVENT_CURRENT(name) \
   ::hyperdom::obs::Span::CurrentEvent(name)
-
-#else
-
-namespace hyperdom {
-namespace obs {
-/// Stand-in for Span when observability is compiled out.
-struct NullSpan {};
-}  // namespace obs
-}  // namespace hyperdom
-
-#define HYPERDOM_SPAN(var, name)   \
-  ::hyperdom::obs::NullSpan var{}; \
-  (void)var
-#define HYPERDOM_SPAN_ANNOTATE(var, key, value) \
-  do {                                          \
-  } while (false)
-#define HYPERDOM_SPAN_EVENT_CURRENT(name) \
-  do {                                    \
-  } while (false)
-
-#endif  // HYPERDOM_OBSERVABILITY_ENABLED
 
 #endif  // HYPERDOM_OBS_TRACE_H_

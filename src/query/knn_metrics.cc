@@ -2,8 +2,6 @@
 
 #include "query/knn_metrics.h"
 
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
-
 #include <chrono>
 #include <map>
 #include <mutex>
@@ -108,5 +106,3 @@ void KnnQueryRecorder::Publish(const KnnResult& result) {
 }
 
 }  // namespace hyperdom
-
-#endif  // HYPERDOM_OBSERVABILITY_ENABLED

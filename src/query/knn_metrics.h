@@ -6,10 +6,6 @@
 // (index="ss"|"rstar"|"vp"). The span is annotated with the same
 // counter values that feed the registry, so traces and metrics reconcile
 // exactly by construction.
-//
-// With HYPERDOM_OBSERVABILITY=OFF the recorder is an empty object and
-// every method is an inline no-op — the searchers compile to the pre-PR
-// code with no registry symbols referenced.
 
 #ifndef HYPERDOM_QUERY_KNN_METRICS_H_
 #define HYPERDOM_QUERY_KNN_METRICS_H_
@@ -20,8 +16,6 @@
 #include "query/knn_types.h"
 
 namespace hyperdom {
-
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
 
 /// \brief RAII per-query instrumentation.
 ///
@@ -41,16 +35,6 @@ class KnnQueryRecorder {
   int64_t start_ns_ = 0;
   obs::Span span_;
 };
-
-#else
-
-class KnnQueryRecorder {
- public:
-  explicit KnnQueryRecorder(std::string_view) {}
-  void Publish(const KnnResult&) {}
-};
-
-#endif  // HYPERDOM_OBSERVABILITY_ENABLED
 
 }  // namespace hyperdom
 

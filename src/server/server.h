@@ -91,8 +91,7 @@ struct ServerOptions {
   std::function<void()> worker_start_hook;
 };
 
-/// \brief Counters mirrored into obs metrics, readable directly in tests
-/// (and when observability is compiled out).
+/// \brief Counters mirrored into obs metrics, readable directly in tests.
 struct ServerCounters {
   std::atomic<uint64_t> connections_accepted{0};
   std::atomic<int64_t> active_connections{0};

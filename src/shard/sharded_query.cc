@@ -126,19 +126,15 @@ Result<KnnResult> ShardedKnn(const ShardedStore& store, const Hypersphere& sq,
   // top of the summed per-shard counters below.
   BestKnownList merged(&criterion, &sq, options.k, options.pruning_mode,
                        &result.stats);
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
   const auto merge_start = std::chrono::steady_clock::now();
-#endif
   for (size_t j = 0; j < shards; ++j) {
     merged.MergeFrom(std::move(lists[j]));
   }
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
   HYPERDOM_HISTOGRAM_RECORD(
       obs::kShardMergeDuration,
       static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                 std::chrono::steady_clock::now() - merge_start)
                                 .count()));
-#endif
 
   bool expired = false;
   double pending = std::numeric_limits<double>::infinity();

@@ -90,7 +90,6 @@ Status ShardedStore::BuildShardIndex(size_t j) {
 }
 
 void ShardedStore::PublishMetrics() {
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
   HYPERDOM_GAUGE_SET(obs::kShardCount, static_cast<double>(shards_.size()));
   auto& registry = obs::MetricsRegistry::Instance();
   query_counters_.clear();
@@ -102,7 +101,6 @@ void ShardedStore::PublishMetrics() {
     query_counters_.push_back(
         registry.GetCounter(obs::kShardQueries, "shard", label));
   }
-#endif
 }
 
 Status ShardedStore::Build(const std::vector<Hypersphere>& data,

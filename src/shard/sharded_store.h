@@ -89,14 +89,8 @@ class ShardedStore {
   /// Bumps the per-shard query counter (hyperdom_shard_queries_total
   /// {shard="j"}); the pointers are cached at build time because the
   /// labels are runtime values the literal-only hot-path macros cannot
-  /// register. No-op when observability is compiled out.
-  void CountShardQuery(size_t j) const {
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
-    query_counters_[j]->Inc();
-#else
-    (void)j;
-#endif
-  }
+  /// register.
+  void CountShardQuery(size_t j) const { query_counters_[j]->Inc(); }
 
  private:
   friend class ShardedSnapshotSet;
@@ -118,9 +112,7 @@ class ShardedStore {
   std::vector<Shard> shards_;
   size_t size_ = 0;
   size_t dim_ = 0;
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
   std::vector<obs::Counter*> query_counters_;
-#endif
 };
 
 }  // namespace shard

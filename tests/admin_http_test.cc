@@ -297,7 +297,6 @@ TEST_F(AdminServerIntegrationTest, AdminGarbageNeverTouchesQueryPath) {
   server.Stop();
 }
 
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
 // The background tick must keep the queue-depth gauge fresh with zero
 // traffic: park every worker, fill the queue, wipe the metrics, and the
 // next ticks alone must restore the gauge to the queue size.
@@ -363,7 +362,6 @@ TEST_F(AdminServerIntegrationTest, TickRefreshesGaugesWithParkedWorkers) {
   admin.Stop();
   server.Stop();
 }
-#endif  // HYPERDOM_OBSERVABILITY_ENABLED
 
 }  // namespace
 }  // namespace server

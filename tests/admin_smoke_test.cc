@@ -1,7 +1,7 @@
 // Copyright (c) hyperdom authors. Licensed under the MIT license.
 //
 // Whole-binary smoke test of the admin plane: fork/exec the real
-// hyperdom_server binary with --port=0 --admin-port=0, read both bound
+// `hyperdom_cli serve` with --port=0 --admin-port=0, read both bound
 // ports from its stdout, hit the admin endpoints over real HTTP, run a
 // v2 kNN against the query port, then SIGTERM it and require a clean
 // drain (exit 0). This is the deployment path — one binary, two ports —
@@ -31,8 +31,8 @@ namespace hyperdom {
 namespace server {
 namespace {
 
-#if !defined(HYPERDOM_SERVER_BINARY)
-#error "admin_smoke_test requires HYPERDOM_SERVER_BINARY"
+#if !defined(HYPERDOM_CLI_BINARY)
+#error "admin_smoke_test requires HYPERDOM_CLI_BINARY"
 #endif
 
 // Reads lines from `fd` until `pattern` shows up or `timeout_ms` passes;
@@ -88,7 +88,7 @@ TEST(AdminSmokeTest, RealBinaryServesBothPlanesAndDrainsOnSigterm) {
     ::close(out_pipe[0]);
     ::close(out_pipe[1]);
     const std::string data_flag = "--data=" + csv_path;
-    ::execl(HYPERDOM_SERVER_BINARY, HYPERDOM_SERVER_BINARY,
+    ::execl(HYPERDOM_CLI_BINARY, HYPERDOM_CLI_BINARY, "serve",
             data_flag.c_str(), "--port=0", "--admin-port=0",
             "--slow-query-ms=0", static_cast<char*>(nullptr));
     ::_exit(127);  // exec failed

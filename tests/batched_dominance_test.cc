@@ -131,7 +131,6 @@ TEST_P(BatchedDominanceTest, InstrumentedCriterionForwardsBatches) {
   auto fake = std::make_unique<CountingCriterion>();
   const CountingCriterion* inner = fake.get();
   InstrumentedCriterion wrapped(std::move(fake));
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
   auto& registry = obs::MetricsRegistry::Instance();
   auto verdicts = [&registry](std::string_view verdict) {
     return registry
@@ -146,7 +145,6 @@ TEST_P(BatchedDominanceTest, InstrumentedCriterionForwardsBatches) {
   const uint64_t not_dominates_before = verdicts("not_dominates");
   const uint64_t uncertain_before = verdicts("uncertain");
   const uint64_t observations_before = latency->Snapshot().count;
-#endif
   size_t expect[3] = {0, 0, 0};
   std::vector<Verdict> out(count);
   const size_t blocks[] = {count, 1, 0, count / 2};
@@ -164,7 +162,6 @@ TEST_P(BatchedDominanceTest, InstrumentedCriterionForwardsBatches) {
   EXPECT_EQ(inner->serial_calls, 0u);
   ASSERT_GT(expect[0] * expect[1] * expect[2], 0u)
       << "every verdict kind should appear";
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
   const uint64_t total = expect[0] + expect[1] + expect[2];
   EXPECT_EQ(verdicts("dominates") - dominates_before, expect[0]);
   EXPECT_EQ(verdicts("not_dominates") - not_dominates_before, expect[1]);
@@ -172,7 +169,6 @@ TEST_P(BatchedDominanceTest, InstrumentedCriterionForwardsBatches) {
   // One latency observation per verdict: the histogram count reconciles
   // with hyperdom_criterion_verdicts_total.
   EXPECT_EQ(latency->Snapshot().count - observations_before, total);
-#endif
 }
 
 TEST_P(BatchedDominanceTest, CertifiedEngineStableAtBatchDims) {

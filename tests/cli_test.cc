@@ -11,6 +11,8 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "data/generator.h"
 #include "dominance/criterion.h"
@@ -298,6 +300,38 @@ TEST(CliTest, SelfCheckCommand) {
 TEST(CliTest, SelfCheckRejectsBadArgs) {
   EXPECT_EQ(RunCli({"selfcheck", "--scenes=0"}).exit_code, 1);
   EXPECT_EQ(RunCli({"selfcheck", "--mu=-3"}).exit_code, 1);
+}
+
+// An integer flag whose value does not fit its destination is refused
+// with an error naming the flag, never narrowed (--k=2^32 once went out as
+// k = 0, --timeout-ms=2^32 as a 0 ms timeout). Each case is the first value
+// past the flag's range. The remote verbs aim at a port nothing listens
+// on, and the local ones at a missing file, so only the flag check can
+// name the flag: serve and experiment check their flags before they load
+// the data.
+TEST(CliTest, IntegerFlagsOutsideTheirRangeAreRefused) {
+  const std::string server = "--server=127.0.0.1:1";
+  const std::string query = "--query=1,2,3;1";
+  const std::string data = "--data=/no/such/file.csv";
+  const std::string past_ms = "18446744073709552";  // 2^64 / 1000, rounded up
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {{{"query", server, query, "--k=4294967296"}, "--k"},
+       {{"query", server, query, "--timeout-ms=2147483648"}, "--timeout-ms"},
+       {{"query", server, query, "--timeout-ms=0"}, "--timeout-ms"},
+       {{"query", server, query, "--attempts=2147483648"}, "--attempts"},
+       {{"query", server, query, "--budget-ms=" + past_ms}, "--budget-ms"},
+       {{"remove", server, "--id=1", "--budget-ms=" + past_ms}, "--budget-ms"},
+       {{"serve", data, "--io-timeout-ms=2147483648"}, "--io-timeout-ms"},
+       {{"serve", data, "--io-timeout-ms=0"}, "--io-timeout-ms"},
+       {{"serve", data, "--slow-query-ms=" + past_ms}, "--slow-query-ms"},
+       {{"serve", data, "--port=65536"}, "--port"},
+       {{"experiment", data, "--repeats=2147483648"}, "--repeats"}};
+  for (const auto& [args, flag] : cases) {
+    const CliRun run = RunCli(args);
+    EXPECT_EQ(run.exit_code, 1) << args.back() << ": " << run.err;
+    EXPECT_NE(run.err.find("bad " + flag + ": '"), std::string::npos)
+        << args.back() << ": " << run.err;
+  }
 }
 
 TEST_F(CliPipelineTest, MissingFileErrors) {

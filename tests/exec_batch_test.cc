@@ -228,8 +228,6 @@ TEST(BatchKnnTest, ExternallyOwnedPoolIsUsedAndResultsMatch) {
   }
 }
 
-#if defined(HYPERDOM_FAULT_INJECTION_ENABLED)
-
 // With ArmRandom active, the certified criterion's degrade sites fire
 // inside query execution. FaultQueryScope must make which queries get hit
 // a pure function of (seed, query index) — so batch runs are identical at
@@ -270,8 +268,6 @@ TEST(BatchKnnFaultTest, ArmedRandomFaultsAreThreadCountInvariant) {
     ExpectSameKnnResult(want.results[qi], again.results[qi], qi, 8);
   }
 }
-
-#endif  // HYPERDOM_FAULT_INJECTION_ENABLED
 
 }  // namespace
 }  // namespace hyperdom

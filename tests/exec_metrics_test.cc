@@ -9,8 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
-
 #include <atomic>
 #include <vector>
 
@@ -121,11 +119,3 @@ TEST(ExecMetricsTest, PoolRegistersItsInstruments) {
 
 }  // namespace
 }  // namespace hyperdom
-
-#else
-
-TEST(ExecMetricsTest, SkippedWithoutObservability) {
-  GTEST_SKIP() << "observability compiled out";
-}
-
-#endif  // HYPERDOM_OBSERVABILITY_ENABLED

@@ -39,12 +39,6 @@
 namespace hyperdom {
 namespace {
 
-#if !defined(HYPERDOM_FAULT_INJECTION_ENABLED)
-TEST(FaultInjectionTest, CompiledOut) {
-  GTEST_SKIP() << "built with HYPERDOM_FAULT_INJECTION=OFF";
-}
-#else
-
 std::vector<Hypersphere> WorkloadData(uint64_t seed, size_t n = 300) {
   SyntheticSpec spec;
   spec.n = n;
@@ -407,8 +401,6 @@ TEST(FaultQueryScopeTest, ArmSiteNthExecutionStaysProcessWide) {
   EXPECT_FALSE(registry.Hit("ss_tree/insert").ok());
   EXPECT_TRUE(registry.Hit("ss_tree/insert").ok());
 }
-
-#endif  // HYPERDOM_FAULT_INJECTION_ENABLED
 
 }  // namespace
 }  // namespace hyperdom

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tools/cli.h"
@@ -44,7 +46,10 @@ int RunCli(const std::vector<std::string>& args, std::string* out_text) {
 class ObsExportTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    data_path_ = new std::string(TempPath("obs_export_data.csv"));
+    // One file per process: ctest runs each test as its own process, in
+    // parallel, and each one removes the file when it finishes.
+    data_path_ = new std::string(TempPath(
+        "obs_export_data_" + std::to_string(::getpid()) + ".csv"));
     std::ostringstream out, err;
     const int code =
         cli::Run({"generate", "--out=" + *data_path_, "--n=800", "--dim=3",

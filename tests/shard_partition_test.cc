@@ -165,7 +165,6 @@ TEST(ShardedStoreTest, RejectsMixedDimensions) {
   EXPECT_FALSE(ShardedStore::Build(data, options, &store).ok());
 }
 
-#if defined(HYPERDOM_FAULT_INJECTION_ENABLED)
 TEST(ShardedStoreTest, BuildFaultPropagatesPerShard) {
   const auto data = MakeData(100, 13);
   ShardingOptions options;
@@ -185,7 +184,6 @@ TEST(ShardedStoreTest, BuildFaultPropagatesPerShard) {
   ShardedStore store;
   EXPECT_TRUE(ShardedStore::Build(data, options, &store).ok());
 }
-#endif  // HYPERDOM_FAULT_INJECTION_ENABLED
 
 }  // namespace
 }  // namespace shard

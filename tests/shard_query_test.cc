@@ -288,7 +288,6 @@ TEST_F(ShardedQueryTest, RangeRejectsWrongDimensionality) {
   EXPECT_EQ(range.status().ToString(), knn.status().ToString());
 }
 
-#if defined(HYPERDOM_FAULT_INJECTION_ENABLED)
 TEST_F(ShardedQueryTest, ScatterFaultPropagatesAsError) {
   const auto data = MakeData(200, 31);
   ShardingOptions sharding;
@@ -308,7 +307,6 @@ TEST_F(ShardedQueryTest, ScatterFaultPropagatesAsError) {
   FaultRegistry::Instance().Reset();
   EXPECT_TRUE(ShardedKnn(store, queries[0], criterion_, options).ok());
 }
-#endif  // HYPERDOM_FAULT_INJECTION_ENABLED
 
 }  // namespace
 }  // namespace shard

@@ -282,8 +282,6 @@ TEST_F(ShardSnapshotTest, PruneKeepsOnlyTheLastTwoGenerations) {
   }
 }
 
-#if defined(HYPERDOM_FAULT_INJECTION_ENABLED)
-
 struct RegistryGuard {
   ~RegistryGuard() { FaultRegistry::Instance().Reset(); }
 };
@@ -320,8 +318,6 @@ TEST_F(ShardSnapshotTest, TornPersistKeepsLastGoodAndLeavesNoDebris) {
   ASSERT_TRUE(set.Persist(store, &seq).ok());
   EXPECT_EQ(seq, 2u);
 }
-
-#endif  // HYPERDOM_FAULT_INJECTION_ENABLED
 
 }  // namespace
 }  // namespace shard

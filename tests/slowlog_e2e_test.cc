@@ -104,7 +104,6 @@ TEST_F(SlowlogE2eTest, SlowQueryRecordMatchesEchoedRequestId) {
   EXPECT_NE(record.find("\"completeness\":1"), std::string::npos);
   EXPECT_EQ(server.counters().slow_queries.load(), 1u);
 
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
   // Both sides' spans carry the same ID annotation.
   const std::string id_text = std::to_string(request_id);
   bool client_span = false, server_span = false;
@@ -119,7 +118,6 @@ TEST_F(SlowlogE2eTest, SlowQueryRecordMatchesEchoedRequestId) {
   }
   EXPECT_TRUE(client_span) << "no client/call span annotated with the ID";
   EXPECT_TRUE(server_span) << "no server/request span annotated with the ID";
-#endif  // HYPERDOM_OBSERVABILITY_ENABLED
 }
 
 TEST_F(SlowlogE2eTest, FastQueriesBelowThresholdEmitNothing) {

@@ -150,8 +150,6 @@ TEST_F(SnapshotRotationTest, EmptyDirectoryIsNotFound) {
   EXPECT_EQ(rotator.CurrentSeq(), 0u);
 }
 
-#if defined(HYPERDOM_FAULT_INJECTION_ENABLED)
-
 struct RegistryGuard {
   ~RegistryGuard() { FaultRegistry::Instance().Reset(); }
 };
@@ -224,8 +222,6 @@ TEST_F(SnapshotRotationTest, AnyPersistFaultKeepsServingWithoutTmpFiles) {
     }
   }
 }
-
-#endif  // HYPERDOM_FAULT_INJECTION_ENABLED
 
 }  // namespace
 }  // namespace hyperdom

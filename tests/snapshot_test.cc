@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <set>
 #include <string>
@@ -328,7 +327,8 @@ std::string HdssHeader(uint64_t dim, uint64_t size, uint64_t max_entries) {
 }
 
 std::string PatchU32(std::string bytes, size_t offset, uint32_t value) {
-  std::memcpy(&bytes[offset], &value, sizeof(value));
+  bytes.replace(offset, sizeof(value), reinterpret_cast<const char*>(&value),
+                sizeof(value));
   return bytes;
 }
 

@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <string_view>
@@ -116,8 +118,16 @@ constexpr char kUsage[] =
     "overloaded, 4 deadline exceeded, 5 protocol error, 6 mutation\n"
     "conflict (store frozen or compacting — safe to retry later).\n";
 
+constexpr uint64_t kNoMax = std::numeric_limits<uint64_t>::max();
+// The largest millisecond count whose microsecond value fits a uint64_t.
+constexpr uint64_t kMaxMillis = kNoMax / 1000;
+
+// Parses --key as an unsigned integer in [min, max], the range the flag's
+// destination accepts: a value outside it is refused, never narrowed.
+// `fallback` stands in for an absent flag that is not required.
 Result<uint64_t> RequireUint(const ParsedArgs& args, const std::string& key,
-                             uint64_t fallback, bool required) {
+                             uint64_t fallback, bool required,
+                             uint64_t min = 0, uint64_t max = kNoMax) {
   const std::string raw = args.GetFlag(key);
   if (raw.empty()) {
     if (required) return Status::InvalidArgument("missing --" + key);
@@ -126,6 +136,13 @@ Result<uint64_t> RequireUint(const ParsedArgs& args, const std::string& key,
   uint64_t value = 0;
   if (!ParseUint64(raw, &value)) {
     return Status::InvalidArgument("bad --" + key + ": '" + raw + "'");
+  }
+  if (value < min || value > max) {
+    const std::string want =
+        max == kNoMax ? ">= " + std::to_string(min)
+                      : std::to_string(min) + ".." + std::to_string(max);
+    return Status::InvalidArgument("bad --" + key + ": '" + raw + "' (want " +
+                                   want + ")");
   }
   return value;
 }
@@ -250,9 +267,8 @@ Status CmdKnn(const ParsedArgs& args, std::ostream& out) {
   if (data->empty()) return Status::InvalidArgument("dataset is empty");
   auto workload_size = RequireUint(args, "queries", 0, /*required=*/false);
   if (!workload_size.ok()) return workload_size.status();
-  auto k = RequireUint(args, "k", 10, /*required=*/false);
+  auto k = RequireUint(args, "k", 10, /*required=*/false, /*min=*/1);
   if (!k.ok()) return k.status();
-  if (*k == 0) return Status::InvalidArgument("--k must be positive");
   const bool certified = args.GetFlag("certified", "0") != "0";
   auto kind = ParseCriterion(
       args.GetFlag("criterion", certified ? "certified" : "hyperbola"));
@@ -452,18 +468,16 @@ Status CmdExpiry(const ParsedArgs& args, std::ostream& out) {
 }
 
 Status CmdSelfCheck(const ParsedArgs& args, std::ostream& out) {
-  auto scenes = RequireUint(args, "scenes", 20'000, /*required=*/false);
+  auto scenes =
+      RequireUint(args, "scenes", 20'000, /*required=*/false, /*min=*/1);
   if (!scenes.ok()) return scenes.status();
-  auto dim = RequireUint(args, "dim", 4, /*required=*/false);
+  auto dim = RequireUint(args, "dim", 4, /*required=*/false, /*min=*/1);
   if (!dim.ok()) return dim.status();
   auto seed = RequireUint(args, "seed", 0xC8ECull, /*required=*/false);
   if (!seed.ok()) return seed.status();
   double mu = 10.0;
   if (!ParseDouble(args.GetFlag("mu", "10"), &mu) || mu < 0.0) {
     return Status::InvalidArgument("bad --mu");
-  }
-  if (*dim == 0 || *scenes == 0) {
-    return Status::InvalidArgument("--dim and --scenes must be positive");
   }
   const bool certified = args.GetFlag("certified", "0") != "0";
 
@@ -610,22 +624,23 @@ Status CmdSnapshot(const ParsedArgs& args, std::ostream& out) {
 }
 
 Status CmdExperiment(const ParsedArgs& args, std::ostream& out) {
-  auto data = LoadData(args);
-  if (!data.ok()) return data.status();
-  if (data->size() < 3) {
-    return Status::InvalidArgument("need at least 3 objects");
-  }
   DominanceExperimentConfig config;
   auto queries = RequireUint(args, "queries", config.workload_size,
                              /*required=*/false);
   if (!queries.ok()) return queries.status();
-  auto repeats = RequireUint(args, "repeats", 3, /*required=*/false);
+  auto repeats =
+      RequireUint(args, "repeats", 3, /*required=*/false, /*min=*/1, INT_MAX);
   if (!repeats.ok()) return repeats.status();
   auto seed = RequireUint(args, "seed", config.seed, /*required=*/false);
   if (!seed.ok()) return seed.status();
   config.workload_size = *queries;
   config.repeats = static_cast<int>(*repeats);
   config.seed = *seed;
+  auto data = LoadData(args);
+  if (!data.ok()) return data.status();
+  if (data->size() < 3) {
+    return Status::InvalidArgument("need at least 3 objects");
+  }
 
   TablePrinter table({"criterion", "time/query", "precision", "recall"});
   for (const auto& row : RunDominanceExperiment(*data, config)) {
@@ -646,36 +661,31 @@ extern "C" void HandleServeSignal(int /*signum*/) {
 }
 
 Status CmdServe(const ParsedArgs& args, std::ostream& out) {
-  auto data = LoadData(args);
-  if (!data.ok()) return data.status();
-  if (data->empty()) return Status::InvalidArgument("dataset is empty");
+  // Every flag is checked before the dataset is loaded, so a bad value
+  // fails fast.
   auto kind = ParseCriterion(args.GetFlag("criterion", "hyperbola"));
   if (!kind.ok()) return kind.status();
-  auto port = RequireUint(args, "port", 0, /*required=*/false);
+  auto port = RequireUint(args, "port", 0, /*required=*/false, 0, 65535);
   if (!port.ok()) return port.status();
-  if (*port > 65535) return Status::InvalidArgument("bad --port");
   auto threads = RequireUint(args, "threads", 0, /*required=*/false);
   if (!threads.ok()) return threads.status();
   auto queue_capacity =
-      RequireUint(args, "queue-capacity", 128, /*required=*/false);
+      RequireUint(args, "queue-capacity", 128, /*required=*/false, /*min=*/1);
   if (!queue_capacity.ok()) return queue_capacity.status();
-  if (*queue_capacity == 0) {
-    return Status::InvalidArgument("--queue-capacity must be positive");
-  }
   auto max_conns = RequireUint(args, "max-connections", 256,
                                /*required=*/false);
   if (!max_conns.ok()) return max_conns.status();
   auto io_timeout = RequireUint(args, "io-timeout-ms", 5000,
-                                /*required=*/false);
+                                /*required=*/false, /*min=*/1, INT_MAX);
   if (!io_timeout.ok()) return io_timeout.status();
   // --admin-port present (even as 0 = ephemeral) switches the admin
   // plane on; absent leaves it off.
   const bool admin_enabled = !args.GetFlag("admin-port").empty();
-  auto admin_port = RequireUint(args, "admin-port", 0, /*required=*/false);
+  auto admin_port =
+      RequireUint(args, "admin-port", 0, /*required=*/false, 0, 65535);
   if (!admin_port.ok()) return admin_port.status();
-  if (*admin_port > 65535) return Status::InvalidArgument("bad --admin-port");
   auto slow_query_ms = RequireUint(args, "slow-query-ms", 0,
-                                   /*required=*/false);
+                                   /*required=*/false, 0, kMaxMillis);
   if (!slow_query_ms.ok()) return slow_query_ms.status();
 
   const bool mutable_mode = args.GetFlag("mutable") == "1";
@@ -693,6 +703,9 @@ Status CmdServe(const ParsedArgs& args, std::ostream& out) {
         "--shards and --mutable=1 are mutually exclusive (sharded stores "
         "are immutable)");
   }
+  auto data = LoadData(args);
+  if (!data.ok()) return data.status();
+  if (data->empty()) return Status::InvalidArgument("dataset is empty");
   const auto criterion = MakeInstrumentedCriterion(*kind);
 
   server::ServerOptions options;
@@ -831,9 +844,10 @@ Result<server::ClientOptions> ParseClientOptions(const ParsedArgs& args) {
                                    target + "'");
   }
   auto timeout_ms = RequireUint(args, "timeout-ms", 10000,
-                                /*required=*/false);
+                                /*required=*/false, /*min=*/1, INT_MAX);
   if (!timeout_ms.ok()) return timeout_ms.status();
-  auto attempts = RequireUint(args, "attempts", 4, /*required=*/false);
+  auto attempts =
+      RequireUint(args, "attempts", 4, /*required=*/false, 0, INT_MAX);
   if (!attempts.ok()) return attempts.status();
   server::ClientOptions options;
   options.host = parts[0];
@@ -850,14 +864,15 @@ Status CmdQuery(const ParsedArgs& args, std::ostream& out) {
   if (!query.ok()) {
     return Status::InvalidArgument("--query: " + query.status().message());
   }
-  auto k = RequireUint(args, "k", 10, /*required=*/false);
+  auto k = RequireUint(args, "k", 10, /*required=*/false, /*min=*/1,
+                       std::numeric_limits<uint32_t>::max());
   if (!k.ok()) return k.status();
-  if (*k == 0) return Status::InvalidArgument("--k must be positive");
   const std::string strategy = args.GetFlag("strategy", "hs");
   if (strategy != "hs" && strategy != "df") {
     return Status::InvalidArgument("bad --strategy (hs|df)");
   }
-  auto budget_ms = RequireUint(args, "budget-ms", 0, /*required=*/false);
+  auto budget_ms =
+      RequireUint(args, "budget-ms", 0, /*required=*/false, 0, kMaxMillis);
   if (!budget_ms.ok()) return budget_ms.status();
   auto node_budget = RequireUint(args, "node-budget", 0, /*required=*/false);
   if (!node_budget.ok()) return node_budget.status();
@@ -903,7 +918,8 @@ Status CmdInsert(const ParsedArgs& args, std::ostream& out) {
   if (!sphere.ok()) {
     return Status::InvalidArgument("--sphere: " + sphere.status().message());
   }
-  auto budget_ms = RequireUint(args, "budget-ms", 0, /*required=*/false);
+  auto budget_ms =
+      RequireUint(args, "budget-ms", 0, /*required=*/false, 0, kMaxMillis);
   if (!budget_ms.ok()) return budget_ms.status();
 
   server::Client client(*options);
@@ -924,7 +940,8 @@ Status CmdRemove(const ParsedArgs& args, std::ostream& out) {
   if (!options.ok()) return options.status();
   auto id = RequireUint(args, "id", 0, /*required=*/true);
   if (!id.ok()) return id.status();
-  auto budget_ms = RequireUint(args, "budget-ms", 0, /*required=*/false);
+  auto budget_ms =
+      RequireUint(args, "budget-ms", 0, /*required=*/false, 0, kMaxMillis);
   if (!budget_ms.ok()) return budget_ms.status();
 
   server::Client client(*options);
@@ -947,10 +964,6 @@ Status ArmFaultsFromFlags(const ParsedArgs& args) {
   const std::string site = args.GetFlag("fault-site");
   const std::string rate = args.GetFlag("fault-rate");
   if (site.empty() && rate.empty()) return Status::OK();
-#if !defined(HYPERDOM_FAULT_INJECTION_ENABLED)
-  return Status::NotSupported(
-      "fault injection was compiled out (HYPERDOM_FAULT_INJECTION=OFF)");
-#else
   if (!site.empty() && !rate.empty()) {
     return Status::InvalidArgument(
         "--fault-site and --fault-rate are mutually exclusive");
@@ -960,9 +973,8 @@ Status ArmFaultsFromFlags(const ParsedArgs& args) {
     if (std::find(sites.begin(), sites.end(), site) == sites.end()) {
       return Status::InvalidArgument("unknown fault site '" + site + "'");
     }
-    auto nth = RequireUint(args, "fault-nth", 1, /*required=*/false);
+    auto nth = RequireUint(args, "fault-nth", 1, /*required=*/false, /*min=*/1);
     if (!nth.ok()) return nth.status();
-    if (*nth == 0) return Status::InvalidArgument("--fault-nth must be >= 1");
     FaultRegistry::Instance().ArmSite(site, *nth);
     return Status::OK();
   }
@@ -975,17 +987,11 @@ Status ArmFaultsFromFlags(const ParsedArgs& args) {
   if (!seed.ok()) return seed.status();
   FaultRegistry::Instance().ArmRandom(*seed, probability);
   return Status::OK();
-#endif  // HYPERDOM_FAULT_INJECTION_ENABLED
 }
 
 // Prints the catalogue of process-wide metric names so operators can see
 // what --metrics-out will export without reading source.
 Status CmdMetrics(const ParsedArgs& /*args*/, std::ostream& out) {
-#if !defined(HYPERDOM_OBSERVABILITY_ENABLED)
-  (void)out;
-  return Status::NotSupported(
-      "observability was compiled out (HYPERDOM_OBSERVABILITY=OFF)");
-#else
   TablePrinter table({"metric", "type", "help"});
   for (const obs::MetricDef& def : obs::MetricCatalogue()) {
     table.AddRow({def.name, std::string(obs::MetricTypeName(def.type)),
@@ -993,22 +999,12 @@ Status CmdMetrics(const ParsedArgs& /*args*/, std::ostream& out) {
   }
   out << table.Render();
   return Status::OK();
-#endif  // HYPERDOM_OBSERVABILITY_ENABLED
 }
 
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
-Status WriteTextFile(const std::string& path, const std::string& body) {
-  return WriteStringToFile(path, body);
-}
-#endif  // HYPERDOM_OBSERVABILITY_ENABLED
-
-// Mirrors ArmFaultsFromFlags: the observability flags always parse, and
-// fail loudly instead of silently producing nothing when the subsystem was
-// compiled out. Tracing must be switched on before the command runs so the
-// spans it opens are captured.
+// Applies the logging flags and switches tracing on for --trace-out.
+// Tracing must be switched on before the command runs so the spans it
+// opens are captured.
 Status SetupObservabilityFromFlags(const ParsedArgs& args) {
-  // The structured logger is always compiled (its off-cost is one atomic
-  // load), so the logging flags work regardless of HYPERDOM_OBSERVABILITY.
   const std::string log_level = args.GetFlag("log-level");
   if (!log_level.empty()) {
     obs::LogLevel level = obs::LogLevel::kWarn;
@@ -1023,29 +1019,19 @@ Status SetupObservabilityFromFlags(const ParsedArgs& args) {
   if (!log_out.empty()) {
     HYPERDOM_RETURN_NOT_OK(obs::Logger::Instance().OpenFileSink(log_out));
   }
-  const std::string metrics_out = args.GetFlag("metrics-out");
-  const std::string trace_out = args.GetFlag("trace-out");
-  if (metrics_out.empty() && trace_out.empty()) return Status::OK();
-#if !defined(HYPERDOM_OBSERVABILITY_ENABLED)
-  return Status::NotSupported(
-      "observability was compiled out (HYPERDOM_OBSERVABILITY=OFF)");
-#else
-  if (!trace_out.empty()) obs::Tracer::Instance().Enable();
+  if (!args.GetFlag("trace-out").empty()) obs::Tracer::Instance().Enable();
   return Status::OK();
-#endif  // HYPERDOM_OBSERVABILITY_ENABLED
 }
 
 // Dumps the metrics registry and/or the captured trace to the files named
 // by --metrics-out / --trace-out. A `.json` extension on --metrics-out
 // selects the machine-readable JSON export; anything else gets Prometheus
 // text exposition. Runs after the command so its instruments are final.
-Status WriteObservabilityOutputs([[maybe_unused]] const ParsedArgs& args,
-                                 [[maybe_unused]] std::ostream& err) {
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
+Status WriteObservabilityOutputs(const ParsedArgs& args, std::ostream& err) {
   const std::string metrics_out = args.GetFlag("metrics-out");
   if (!metrics_out.empty()) {
     auto& registry = obs::MetricsRegistry::Instance();
-    HYPERDOM_RETURN_NOT_OK(WriteTextFile(
+    HYPERDOM_RETURN_NOT_OK(WriteStringToFile(
         metrics_out, EndsWith(metrics_out, ".json")
                          ? registry.RenderJson()
                          : registry.RenderPrometheus()));
@@ -1058,9 +1044,8 @@ Status WriteObservabilityOutputs([[maybe_unused]] const ParsedArgs& args,
           << " oldest records were dropped\n";
     }
     HYPERDOM_RETURN_NOT_OK(
-        WriteTextFile(trace_out, tracer.RenderChromeTrace()));
+        WriteStringToFile(trace_out, tracer.RenderChromeTrace()));
   }
-#endif  // HYPERDOM_OBSERVABILITY_ENABLED
   return Status::OK();
 }
 

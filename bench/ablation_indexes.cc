@@ -3,8 +3,10 @@
 // Ablation: index substrate comparison for the dominance-pruned kNN query.
 // The SS-tree line of work ([31], [20], [18], cited in the paper's intro)
 // motivates sphere-shaped node regions by their behavior in higher
-// dimensions versus rectangle trees; this bench pits the SS-tree against
-// the two ablation indexes (R*-tree, VP-tree) and the linear scan on
+// dimensions versus rectangle trees; this bench pits the SS-tree, both
+// insertion-built (as Figs 13-16 build it) and bulk-loaded (as the server,
+// the shards and the mutable store build it), against the two ablation
+// indexes (R*-tree, VP-tree) and the linear scan on
 // identical workloads, all with the exact Hyperbola criterion, so answers
 // are identical and only traversal cost differs. DESIGN.md §2a records
 // which index earns its place and why.
@@ -50,11 +52,15 @@ int main(int argc, char** argv) {
     KnnOptions options;
     options.k = 10;
 
-    // Build the three indexes, timing construction.
+    // Build the indexes, timing construction.
     Stopwatch watch;
     SsTree ss_tree(d);
     if (Status st = ss_tree.BulkLoad(data); !st.ok()) return 1;
     const double ss_build = watch.ElapsedSeconds();
+    watch.Restart();
+    SsTree ss_bulk(d);
+    if (Status st = ss_bulk.BulkLoadStr(data); !st.ok()) return 1;
+    const double ss_bulk_build = watch.ElapsedSeconds();
     watch.Restart();
     RStarTree rstar(d);
     if (Status st = rstar.BulkLoad(data); !st.ok()) return 1;
@@ -74,6 +80,7 @@ int main(int argc, char** argv) {
       bool answers_match = true;
     };
     RowResult rows[] = {{"SS-tree", ss_build},
+                        {"SS-tree (bulk-loaded)", ss_bulk_build},
                         {"R*-tree", rstar_build},
                         {"VP-tree", vp_build},
                         {"linear scan", 0.0}};
@@ -99,9 +106,10 @@ int main(int argc, char** argv) {
         }
       };
       run(&rows[0], [&] { return ss_searcher.Search(ss_tree, sq); });
-      run(&rows[1], [&] { return RStarKnnSearch(rstar, sq, exact, options); });
-      run(&rows[2], [&] { return VpTreeKnnSearch(vp, sq, exact, options); });
-      run(&rows[3], [&] { return KnnLinearScan(data, sq, options.k, exact); });
+      run(&rows[1], [&] { return ss_searcher.Search(ss_bulk, sq); });
+      run(&rows[2], [&] { return RStarKnnSearch(rstar, sq, exact, options); });
+      run(&rows[3], [&] { return VpTreeKnnSearch(vp, sq, exact, options); });
+      run(&rows[4], [&] { return KnnLinearScan(data, sq, options.k, exact); });
     }
 
     const std::string label = "d = " + std::to_string(d);

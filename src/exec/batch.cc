@@ -2,6 +2,8 @@
 
 #include "exec/batch.h"
 
+#include <algorithm>
+
 #include "common/fault.h"
 #include "common/stopwatch.h"
 #include "exec/parallel_for.h"
@@ -30,8 +32,10 @@ size_t RunBatch(size_t n, const BatchOptions& exec, const Body& body) {
     ParallelFor(exec.pool, n, run_one);
     return exec.pool->size();
   }
-  const size_t threads = ThreadPool::ResolveThreads(exec.threads);
-  if (threads <= 1 || n <= 1) {
+  // At most one worker per query: a larger pool would only start idle
+  // threads.
+  const size_t threads = std::min(ThreadPool::ResolveThreads(exec.threads), n);
+  if (threads <= 1) {
     for (size_t i = 0; i < n; ++i) run_one(i);
     return 1;
   }

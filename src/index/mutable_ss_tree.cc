@@ -131,7 +131,7 @@ struct MutableSsTree::DeltaLog {
 struct MutableSsTree::BaseState {
   explicit BaseState(size_t dim) : tree(dim) {}
 
-  /// Bulk-loads the tree and sizes the per-slot arrays. The STR build
+  /// Bulk-loads the tree and sizes the per-slot arrays. The bulk load
   /// stores rows in leaf order, not input order, so the slot map is read
   /// from the leaves.
   Status Build(const std::vector<Hypersphere>& spheres,

@@ -74,7 +74,8 @@ enum class SnapshotLoadOutcome {
 };
 
 /// Load with rebuild fallback: tries LoadSnapshot(); on any failure
-/// rebuilds the SS-tree from `data` by STR bulk load and reports kRebuilt.
+/// rebuilds the SS-tree from `data` by SsTree::BulkLoadStr (the top-down
+/// bulk load) and reports kRebuilt.
 /// Fails only when the rebuild itself fails (e.g. empty `data` after a
 /// corrupt snapshot still yields an empty, valid tree). The load error
 /// that triggered a rebuild is returned through `load_error` when

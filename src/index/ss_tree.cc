@@ -98,50 +98,100 @@ void SsTree::RebuildNodeStats(SsTreeNode* node) {
   RefreshBoundingSphere(node);
 }
 
-void SsTree::StrTile(const std::vector<Hypersphere>& spheres,
-                     const std::vector<uint64_t>& ids,
-                     std::vector<std::pair<double, size_t>>* keyed, size_t lo,
-                     size_t hi, size_t dim_index, size_t leaf_capacity,
-                     std::vector<std::unique_ptr<SsTreeNode>>* leaves) {
-  const size_t n = hi - lo;
-  if (n <= leaf_capacity) {
+// The top-down bulk loader's inputs and working arrays. `keyed` pairs a
+// cut key with an input index; the loader permutes the pairs and never
+// copies a centre.
+struct SsTree::BulkInput {
+  BulkInput(const std::vector<Hypersphere>& spheres_in,
+            const std::vector<uint64_t>& ids_in, size_t capacity, size_t dim)
+      : spheres(spheres_in), ids(ids_in), leaf_capacity(capacity),
+        keyed(spheres_in.size()), sum(dim), var(dim) {
+    for (size_t i = 0; i < keyed.size(); ++i) keyed[i].second = i;
+  }
+
+  const std::vector<Hypersphere>& spheres;
+  const std::vector<uint64_t>& ids;
+  size_t leaf_capacity;
+  std::vector<std::pair<double, size_t>> keyed;
+  /// Per-dimension sums over the current cut's sample: of the offsets
+  /// from its first row, then of their squares (turned into the sample
+  /// size times the variance).
+  std::vector<double> sum;
+  std::vector<double> var;
+
+  const double* center(size_t j) const {
+    return spheres[keyed[j].second].center().data();
+  }
+};
+
+std::unique_ptr<SsTreeNode> SsTree::BulkBuild(BulkInput* in, size_t lo,
+                                              size_t hi, size_t span) {
+  if (span == in->leaf_capacity) {
     // The leaf's rows go to the store now, so they are contiguous and in
     // leaf order.
     auto leaf = std::make_unique<SsTreeNode>(/*is_leaf=*/true);
-    leaf->entries_.reserve(n);
+    leaf->entries_.reserve(hi - lo);
     for (size_t j = lo; j < hi; ++j) {
-      const size_t i = (*keyed)[j].second;
+      const size_t i = in->keyed[j].second;
       leaf->entries_.push_back(SsTreeEntry{
-          store_->Add(spheres[i]),
-          ids.empty() ? static_cast<uint64_t>(i) : ids[i]});
+          store_->Add(in->spheres[i]),
+          in->ids.empty() ? static_cast<uint64_t>(i) : in->ids[i]});
     }
     RebuildNodeStats(leaf.get());
-    leaves->push_back(std::move(leaf));
+    return leaf;
+  }
+  const size_t child_span = span / in->leaf_capacity;
+  const size_t groups = (hi - lo + child_span - 1) / child_span;
+  auto node = std::make_unique<SsTreeNode>(/*is_leaf=*/false);
+  node->children_.reserve(groups);
+  BulkSplit(in, lo, hi, groups, child_span, node.get());
+  RebuildNodeStats(node.get());
+  return node;
+}
+
+void SsTree::BulkSplit(BulkInput* in, size_t lo, size_t hi, size_t groups,
+                       size_t child_span, SsTreeNode* parent) {
+  if (groups == 1) {
+    parent->children_.push_back(BulkBuild(in, lo, hi, child_span));
     return;
   }
-  // Each key is read once per slab. The comparator reads only the key, so
-  // the sort makes the same comparisons and moves as a sort of the inputs
-  // by that coordinate, ties included.
+  // The run splits into `groups` runs whose sizes differ by at most one;
+  // the cut falls after the first groups / 2 of them, near the median.
+  const size_t n = hi - lo;
+  const size_t left_groups = groups / 2;
+  const size_t mid = lo + n / groups * left_groups +
+                     std::min(left_groups, n % groups);
+
+  // The cut dimension is the centre coordinate of largest variance over
+  // at most kVarianceSample evenly strided rows, summed in one pass with
+  // the first row as the origin (shifted data keep the sums accurate).
+  constexpr size_t kVarianceSample = 128;
+  const size_t samples = std::min(n, kVarianceSample);
+  const double* origin = in->center(lo);
+  std::fill(in->sum.begin(), in->sum.end(), 0.0);
+  std::fill(in->var.begin(), in->var.end(), 0.0);
+  for (size_t s = 1; s < samples; ++s) {
+    const double* c = in->center(lo + s * n / samples);
+    for (size_t d = 0; d < dim_; ++d) {
+      const double delta = c[d] - origin[d];
+      in->sum[d] += delta;
+      in->var[d] += delta * delta;
+    }
+  }
+  for (size_t d = 0; d < dim_; ++d) {
+    in->var[d] -= in->sum[d] * in->sum[d] / static_cast<double>(samples);
+  }
+  const size_t cut_dim = static_cast<size_t>(
+      std::max_element(in->var.begin(), in->var.end()) - in->var.begin());
   for (size_t j = lo; j < hi; ++j) {
-    auto& [key, i] = (*keyed)[j];
-    key = spheres[i].center()[dim_index];
+    in->keyed[j].first = in->center(j)[cut_dim];
   }
-  std::sort(keyed->begin() + lo, keyed->begin() + hi,
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  const size_t remaining_dims = dim_ - std::min(dim_index, dim_ - 1);
-  const double pages = static_cast<double>(n) / leaf_capacity;
-  size_t slabs =
-      remaining_dims <= 1
-          ? n / leaf_capacity + (n % leaf_capacity != 0 ? 1 : 0)
-          : static_cast<size_t>(
-                std::ceil(std::pow(pages, 1.0 / remaining_dims)));
-  slabs = std::max<size_t>(2, std::min(slabs, n / 2));
-  const size_t slab_size = (n + slabs - 1) / slabs;
-  const size_t next_dim = dim_index + 1 < dim_ ? dim_index + 1 : dim_index;
-  for (size_t start = lo; start < hi; start += slab_size) {
-    StrTile(spheres, ids, keyed, start, std::min(start + slab_size, hi),
-            next_dim, leaf_capacity, leaves);
-  }
+  const auto first = in->keyed.begin();
+  std::nth_element(
+      first + lo, first + mid, first + hi,
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  BulkSplit(in, lo, mid, left_groups, child_span, parent);
+  BulkSplit(in, mid, hi, groups - left_groups, child_span, parent);
 }
 
 Status SsTree::BulkLoadStr(const std::vector<Hypersphere>& spheres) {
@@ -170,45 +220,18 @@ Status SsTree::BulkLoadStrWithIds(const std::vector<Hypersphere>& spheres,
           "all spheres must share the tree's dimensionality");
     }
   }
-  // The tiler permutes input indices; the store fills leaf by leaf.
-  std::vector<std::pair<double, size_t>> keyed(spheres.size());
-  for (size_t i = 0; i < keyed.size(); ++i) keyed[i].second = i;
-  store_->Reserve(spheres.size());
-
   // Pack at ~85% occupancy: full packing turns every subsequent insert
   // into a cascade of splits.
   const size_t capacity = std::max<size_t>(
       2,
       static_cast<size_t>(0.85 * static_cast<double>(options_.max_entries)));
-  std::vector<std::unique_ptr<SsTreeNode>> level;
-  StrTile(spheres, ids, &keyed, 0, keyed.size(), 0, capacity, &level);
-
-  // Pack levels bottom-up; consecutive nodes are spatially coherent thanks
-  // to the tiling order.
-  while (level.size() > 1) {
-    std::vector<std::unique_ptr<SsTreeNode>> parents;
-    for (size_t start = 0; start < level.size(); start += capacity) {
-      auto parent = std::make_unique<SsTreeNode>(/*is_leaf=*/false);
-      const size_t end = std::min(start + capacity, level.size());
-      for (size_t i = start; i < end; ++i) {
-        parent->children_.push_back(std::move(level[i]));
-      }
-      RebuildNodeStats(parent.get());
-      parents.push_back(std::move(parent));
-    }
-    // Avoid a single-child non-root chain: if the last parent ended up
-    // with one child while siblings exist, rebalance by moving one over.
-    if (parents.size() > 1 && parents.back()->children_.size() < 2) {
-      auto& prev = parents[parents.size() - 2];
-      parents.back()->children_.insert(parents.back()->children_.begin(),
-                                       std::move(prev->children_.back()));
-      prev->children_.pop_back();
-      RebuildNodeStats(prev.get());
-      RebuildNodeStats(parents.back().get());
-    }
-    level = std::move(parents);
-  }
-  root_ = std::move(level.front());
+  BulkInput in(spheres, ids, capacity, dim_);
+  store_->Reserve(spheres.size());
+  // The root spans capacity^height rows for the least height that holds
+  // them all.
+  size_t span = in.leaf_capacity;
+  while (span < spheres.size()) span *= in.leaf_capacity;
+  root_ = BulkBuild(&in, 0, spheres.size(), span);
   size_ = spheres.size();
   recorder.Finish(size_);
   return Status::OK();

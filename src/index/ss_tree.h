@@ -10,10 +10,11 @@
 //     hold lightweight StoredEntry handles (slot + caller-supplied id),
 //     internal nodes hold child nodes. Traversals resolve handles to
 //     SphereView spans over the store's contiguous arena.
-//   * Memory follows the traversal. An STR-built tree appends each leaf's
-//     rows to the store as the leaf is made, so a leaf's rows are
-//     contiguous and the leaves, read left to right, hold slots 0, 1, 2, …
-//     An insertion-built tree keeps its rows in insertion order.
+//   * Memory follows the traversal. A bulk-loaded tree (BulkLoadStr)
+//     appends each leaf's rows to the store as the leaf is made, so a
+//     leaf's rows are contiguous and the leaves, read left to right, hold
+//     slots 0, 1, 2, … An insertion-built tree keeps its rows in insertion
+//     order.
 //   * Every node maintains the centroid of the data centers beneath it
 //     (incrementally, via a coordinate sum and a count) and a bounding
 //     sphere centred there whose radius covers all of its data spheres —
@@ -26,9 +27,11 @@
 //     center (White & Jain's cheapest-centroid rule). An overflowing node
 //     is split by White & Jain's variance cut, subject to the options'
 //     minimum fill ratio.
-//   * Beyond White & Jain: STR bulk loading and binary persistence. There
-//     is no in-place delete; the mutable store (index/mutable_ss_tree.h)
-//     deletes by tombstone and compacts by an STR rebuild.
+//   * Bulk loading follows White & Jain's VAMSplit: top down, by
+//     largest-variance cuts into groups of near-equal size (BulkLoadStr).
+//   * Beyond White & Jain: binary persistence. There is no in-place
+//     delete; the mutable store (index/mutable_ss_tree.h) deletes by
+//     tombstone and compacts by a bulk rebuild.
 
 #ifndef HYPERDOM_INDEX_SS_TREE_H_
 #define HYPERDOM_INDEX_SS_TREE_H_
@@ -115,18 +118,29 @@ class SsTree {
   /// index once per dataset).
   Status BulkLoad(const std::vector<Hypersphere>& spheres);
 
-  /// \brief Bulk-loads with Sort-Tile-Recursive packing (Leutenegger et
-  /// al.): entries are tiled into spatially coherent leaves by recursive
-  /// coordinate sorting, then packed bottom-up. Much faster than repeated
-  /// insertion and usually tighter. Replaces any previous contents; ids
-  /// are positions in `spheres`. Store rows are in leaf order, not input
-  /// order: read the slot of an id from the leaves.
+  /// \brief Bulk-loads top down, after White & Jain's VAMSplit
+  /// ("Similarity indexing: algorithms and performance", 1996). With
+  /// capacity = 85% of max_entries, the root gets the least height h with
+  /// capacity^h >= n, and a node of height h cuts its rows into
+  /// ceil(rows / capacity^(h - 1)) children of near-equal size: binary
+  /// cuts near the median, each on the centre coordinate of largest
+  /// variance over at most 128 evenly strided rows. (VAMSplit fills whole
+  /// subtrees and leaves the remainder to the last one; equal sizes keep
+  /// every non-root node at 2 items or more.) All leaves are at one depth.
+  /// Much faster than repeated insertion. Replaces any previous contents;
+  /// ids are positions in `spheres`. Store rows are in leaf order, not
+  /// input order: read the slot of an id from the leaves.
+  ///
+  /// The name is kept from the Sort-Tile-Recursive packing this loader
+  /// replaced, because the repository benchmark calls it; so are the
+  /// build's fault site `ss_tree/str_pack` and its `index/build` method
+  /// label `str_pack`.
   Status BulkLoadStr(const std::vector<Hypersphere>& spheres);
 
   /// BulkLoadStr with caller-supplied ids (`ids[i]` tags `spheres[i]`;
-  /// sizes must match). The compaction path of the mutable store uses
-  /// this to rebuild a fresh tree while preserving the external ids the
-  /// rows were inserted under.
+  /// sizes must match). The shards, the mutable store's base and its
+  /// compactions build through this to keep the external ids the rows
+  /// were inserted under.
   Status BulkLoadStrWithIds(const std::vector<Hypersphere>& spheres,
                             const std::vector<uint64_t>& ids);
 
@@ -183,14 +197,18 @@ class SsTree {
   static Status LoadNode(std::istream& in, const SphereStore& store,
                          size_t max_entries, size_t depth,
                          std::unique_ptr<SsTreeNode>* out_node);
-  /// Recursive STR tiler over (key, input index) pairs: packs the inputs
-  /// named by keyed[lo, hi) into leaves, appending each leaf's rows to the
-  /// store as the leaf is made.
-  void StrTile(const std::vector<Hypersphere>& spheres,
-               const std::vector<uint64_t>& ids,
-               std::vector<std::pair<double, size_t>>* keyed, size_t lo,
-               size_t hi, size_t dim_index, size_t leaf_capacity,
-               std::vector<std::unique_ptr<SsTreeNode>>* leaves);
+  /// The top-down bulk loader's inputs and working arrays (ss_tree.cc).
+  struct BulkInput;
+  /// Builds the subtree of at most `span` rows (a leaf when `span` is the
+  /// leaf capacity) over the inputs named by in->keyed[lo, hi), appending
+  /// each leaf's rows to the store as the leaf is made.
+  std::unique_ptr<SsTreeNode> BulkBuild(BulkInput* in, size_t lo, size_t hi,
+                                        size_t span);
+  /// Cuts in->keyed[lo, hi) into `groups` runs of near-equal size by binary
+  /// cuts on the centre coordinate of largest variance, and appends each
+  /// run's subtree of at most `child_span` rows to `parent`, in order.
+  void BulkSplit(BulkInput* in, size_t lo, size_t hi, size_t groups,
+                 size_t child_span, SsTreeNode* parent);
   /// Recomputes a node's centroid bookkeeping and bounding sphere from its
   /// current payload (bulk-load and load helper).
   void RebuildNodeStats(SsTreeNode* node);

@@ -1,11 +1,12 @@
 // Copyright (c) hyperdom authors. Licensed under the MIT license.
 //
 // The sharded store: one dataset partitioned into K shards, each owning
-// its own columnar arena and SS-tree, bulk-loaded by the SS-tree's STR
-// builder. The scatter-gather engines (shard/sharded_query.h) fan a
-// query across the shards and merge the per-shard best-known lists into
-// an answer bit-identical to a single unsharded index over the same data
-// (the merge contract; see BestKnownList::MergeFrom).
+// its own columnar arena and SS-tree, bulk-loaded top down by
+// SsTree::BulkLoadStrWithIds. The scatter-gather engines
+// (shard/sharded_query.h) fan a query across the shards and merge the
+// per-shard best-known lists into an answer bit-identical to a single
+// unsharded index over the same data (the merge contract; see
+// BestKnownList::MergeFrom).
 //
 // Partition layout is deterministic in (data, options) — see
 // shard/partitioner.h — and entries keep their GLOBAL ids (positions in

@@ -12,9 +12,10 @@
 // arena removes both: coordinates of consecutive slots are contiguous
 // (cache- and prefetcher-friendly, SIMD-ready), and resolving a slot is
 // pointer arithmetic. Slot order is the order rows were added, so the
-// owner decides what is contiguous: an STR-built SS-tree adds each leaf's
-// rows together, so a leaf scan reads one run of rows, while an
-// insertion-built tree keeps insertion order. The span kernels in
+// owner decides what is contiguous: a bulk-loaded SS-tree
+// (SsTree::BulkLoadStr) adds each leaf's rows together, so a leaf scan
+// reads one run of rows, while an insertion-built tree keeps insertion
+// order. The span kernels in
 // geometry/ run bit-identically on store rows and on Hypersphere vectors,
 // so the two layouts are interchangeable at the arithmetic level (see
 // docs/performance.md, "Data layout").

@@ -307,8 +307,9 @@ TEST(CliTest, SelfCheckRejectsBadArgs) {
 // k = 0, --timeout-ms=2^32 as a 0 ms timeout). Each case is the first value
 // past the flag's range. The remote verbs aim at a port nothing listens
 // on, and the local ones at a missing file, so only the flag check can
-// name the flag: serve and experiment check their flags before they load
-// the data.
+// name the flag: knn, serve and experiment check their flags before they
+// load the data. --threads and --shards stop at 1,024, so no case here
+// starts a thread.
 TEST(CliTest, IntegerFlagsOutsideTheirRangeAreRefused) {
   const std::string server = "--server=127.0.0.1:1";
   const std::string query = "--query=1,2,3;1";
@@ -325,7 +326,10 @@ TEST(CliTest, IntegerFlagsOutsideTheirRangeAreRefused) {
        {{"serve", data, "--io-timeout-ms=0"}, "--io-timeout-ms"},
        {{"serve", data, "--slow-query-ms=" + past_ms}, "--slow-query-ms"},
        {{"serve", data, "--port=65536"}, "--port"},
-       {{"experiment", data, "--repeats=2147483648"}, "--repeats"}};
+       {{"experiment", data, "--repeats=2147483648"}, "--repeats"},
+       {{"knn", data, query, "--queries=2", "--threads=1025"}, "--threads"},
+       {{"serve", data, "--threads=1025"}, "--threads"},
+       {{"serve", data, "--shards=1025"}, "--shards"}};
   for (const auto& [args, flag] : cases) {
     const CliRun run = RunCli(args);
     EXPECT_EQ(run.exit_code, 1) << args.back() << ": " << run.err;

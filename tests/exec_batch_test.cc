@@ -228,6 +228,27 @@ TEST(BatchKnnTest, ExternallyOwnedPoolIsUsedAndResultsMatch) {
   }
 }
 
+// A batch starts at most one worker per query: two queries at eight
+// threads run on two.
+TEST(BatchKnnTest, StartsAtMostOneWorkerPerQuery) {
+  const auto data = TestData(7550, 300);
+  SsTree tree(4);
+  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
+  HyperbolaCriterion criterion;
+  const auto queries = MakeKnnQueries(data, 2, 7551);
+  BatchOptions exec;
+  exec.threads = 8;
+  const BatchKnnResult batch =
+      BatchKnn(tree, queries, criterion, KnnOptions{}, exec);
+  EXPECT_EQ(batch.stats.threads, 2u);
+  ASSERT_EQ(batch.results.size(), 2u);
+  const KnnSearcher searcher(&criterion, KnnOptions{});
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    ExpectSameKnnResult(searcher.Search(tree, queries[qi]), batch.results[qi],
+                        qi, 2);
+  }
+}
+
 // With ArmRandom active, the certified criterion's degrade sites fire
 // inside query execution. FaultQueryScope must make which queries get hit
 // a pure function of (seed, query index) — so batch runs are identical at

@@ -132,8 +132,8 @@ TEST(IndexKnnTest, StatsReflectPruning) {
 
 // Pins the work of the shared DF/HS drivers (query/knn_traversal.h) on one
 // seeded dataset: per index and strategy (the SS-tree both insertion-built,
-// "ss", and STR-built, "ss_str", as every served, sharded and mutable
-// SS-tree is), the summed traversal counters
+// "ss", and bulk-loaded by BulkLoadStr, "ss_str", as every served, sharded
+// and mutable SS-tree is), the summed traversal counters
 // over 20 queries, the final filter's dominance checks (one per candidate
 // past position k, query/best_known_list.h) and a digest of every answer.
 // The counts assume libstdc++'s std::sort and std::priority_queue tie
@@ -181,8 +181,8 @@ TEST(IndexKnnTest, TraversalWorkIsPinned) {
   const Pin pins[] = {
       {"ss", kDf, 3759, 2481, 59299, 12744},
       {"ss", kHs, 3026, 3214, 46764, 7984},
-      {"ss_str", kDf, 4066, 1334, 73977, 16799},
-      {"ss_str", kHs, 3337, 2063, 59710, 9557},
+      {"ss_str", kDf, 4004, 1476, 71632, 15225},
+      {"ss_str", kHs, 3257, 2223, 57228, 9458},
       {"rstar", kDf, 2502, 3011, 38856, 8986},
       {"rstar", kHs, 2287, 3226, 35048, 6834},
       {"vp", kDf, 10585, 1595, 45796, 8797},
@@ -209,6 +209,67 @@ TEST(IndexKnnTest, TraversalWorkIsPinned) {
     EXPECT_EQ(sum.dominance_checks, pin.dominance_checks) << where;
     EXPECT_EQ(digest, kAnswerDigest) << where << std::hex << " digest 0x"
                                      << digest;
+  }
+}
+
+// HS visits exactly the nodes that any exact traversal knowing only the
+// node bounds must visit: those reached from the root through nodes whose
+// bound (MinDist to the query) is at most the query's final DistK, the
+// MaxDist of answer k-1. So HS's node visits fall only when the tree has
+// fewer such nodes, not through the visit order. On knn_paper-shaped data
+// (hyperdom_bench: centres Gaussian(1000, 250), mu = 10, d = 4, k = 10;
+// here N = 20k and 50 queries) the test checks this per query and pins,
+// per builder, the summed node visits and entries accessed.
+TEST(IndexKnnTest, BestFirstVisitsExactlyTheNodesWithinFinalDistK) {
+  SyntheticSpec spec;
+  spec.n = 20'000;
+  spec.dim = 4;
+  spec.radius_mean = 10.0;
+  spec.center_mean = 1000.0;
+  spec.center_stddev = 250.0;
+  spec.seed = 2109;
+  const auto data = GenerateSynthetic(spec);
+  const auto queries = MakeKnnQueries(data, 50, 2110);
+  SsTree inserted(4);
+  ASSERT_TRUE(inserted.BulkLoad(data).ok());
+  SsTree bulk(4);
+  ASSERT_TRUE(bulk.BulkLoadStr(data).ok());
+  HyperbolaCriterion exact;
+  KnnOptions options;
+  options.k = 10;
+  options.strategy = SearchStrategy::kBestFirst;
+  const KnnSearcher searcher(&exact, options);
+
+  struct Pin {
+    std::string_view builder;
+    const SsTree* tree;
+    uint64_t nodes_visited;
+    uint64_t entries_accessed;
+  };
+  const Pin pins[] = {{"insertion", &inserted, 6925, 68025},
+                      {"bulk", &bulk, 7420, 95211}};
+  for (const Pin& pin : pins) {
+    KnnStats sum;
+    for (const auto& sq : queries) {
+      const KnnResult result = searcher.Search(*pin.tree, sq);
+      ASSERT_GE(result.answers.size(), options.k);
+      const double distk = MaxDist(result.answers[options.k - 1].sphere, sq);
+      auto within = [&](auto& self, const SsTreeNode* node) -> uint64_t {
+        if (MinDist(node->bounding_sphere(), sq) > distk) return 0;
+        uint64_t count = 1;
+        if (!node->is_leaf()) {
+          for (const auto& child : node->children()) {
+            count += self(self, child.get());
+          }
+        }
+        return count;
+      };
+      EXPECT_EQ(result.stats.nodes_visited, within(within, pin.tree->root()))
+          << pin.builder;
+      sum += result.stats;
+    }
+    EXPECT_EQ(sum.nodes_visited, pin.nodes_visited) << pin.builder;
+    EXPECT_EQ(sum.entries_accessed, pin.entries_accessed) << pin.builder;
   }
 }
 

@@ -22,14 +22,16 @@
 #include "eval/workload.h"
 #include "index/ss_tree.h"
 #include "query/knn.h"
+#include "test_util.h"
 
 namespace hyperdom {
 namespace {
 
-std::vector<Hypersphere> TestData(uint64_t seed, size_t n = 600) {
+std::vector<Hypersphere> TestData(uint64_t seed, size_t n = 600,
+                                  size_t dim = 3) {
   SyntheticSpec spec;
   spec.n = n;
-  spec.dim = 3;
+  spec.dim = dim;
   spec.radius_mean = 8.0;
   spec.seed = seed;
   return GenerateSynthetic(spec);
@@ -67,22 +69,38 @@ TEST(Crc32Test, MatchesIeeeCheckVector) {
   EXPECT_EQ(crc.value(), 0xCBF43926u);
 }
 
+// A bulk-loaded tree saves, loads and answers as before, in the same
+// order and with the same sphere bits, also at sizes just past a capacity
+// power, (d = 1, n = 401) and (d = 2, n = 8,001), where a one-item node
+// would make LoadSnapshot refuse the file as corruption.
 TEST(SnapshotTest, SsTreeRoundTripPreservesQueryAnswers) {
-  const auto data = TestData(901);
-  SsTree tree(3);
-  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
+  struct Shape {
+    uint64_t seed;
+    size_t n;
+    size_t dim;
+  };
   const std::string path = TestPath("ss_roundtrip.snap");
-  ASSERT_TRUE(SaveSnapshot(tree, path).ok());
-
-  SsTree loaded(1);
-  ASSERT_TRUE(LoadSnapshot(path, &loaded).ok());
-  EXPECT_EQ(loaded.size(), tree.size());
-  EXPECT_EQ(loaded.dim(), tree.dim());
-
   HyperbolaCriterion exact;
   KnnSearcher searcher(&exact, KnnOptions{});
-  for (const auto& sq : MakeKnnQueries(data, 8, 902)) {
-    EXPECT_EQ(Ids(searcher.Search(loaded, sq)), Ids(searcher.Search(tree, sq)));
+  for (const Shape& shape : {Shape{901, 600, 3}, Shape{903, 401, 1},
+                             Shape{904, 8001, 2}}) {
+    SCOPED_TRACE("d " + std::to_string(shape.dim) + ", n " +
+                 std::to_string(shape.n));
+    const auto data = TestData(shape.seed, shape.n, shape.dim);
+    SsTree tree(shape.dim);
+    ASSERT_TRUE(tree.BulkLoadStr(data).ok());
+    ASSERT_TRUE(SaveSnapshot(tree, path).ok());
+
+    SsTree loaded(1);
+    ASSERT_TRUE(LoadSnapshot(path, &loaded).ok());
+    EXPECT_EQ(loaded.size(), tree.size());
+    EXPECT_EQ(loaded.dim(), tree.dim());
+    for (const auto& sq : MakeKnnQueries(data, 8, 902)) {
+      EXPECT_EQ(test::DigestEntries(test::kDigestSeed,
+                                    searcher.Search(loaded, sq).answers),
+                test::DigestEntries(test::kDigestSeed,
+                                    searcher.Search(tree, sq).answers));
+    }
   }
   std::remove(path.c_str());
 }
@@ -333,11 +351,11 @@ std::string PatchU32(std::string bytes, size_t offset, uint32_t value) {
 }
 
 // What SaveSnapshot writes is pinned by the CRC32 of the whole file, for
-// one insertion-built and one STR-built tree. The two retired policy
-// fields are written as 0. A file with 1 in either (as written for a
-// 2-means or min-ball tree) still loads and answers like the original,
-// because either split leaves a valid tree and every bound is recomputed
-// on load; 2 in either is corruption.
+// one insertion-built and one bulk-loaded (BulkLoadStr) tree. The two
+// retired policy fields are written as 0. A file with 1 in either (as
+// written for a 2-means or min-ball tree) still loads and answers like the
+// original, because either split leaves a valid tree and every bound is
+// recomputed on load; 2 in either is corruption.
 TEST(SnapshotTest, SsTreeBytesArePinned) {
   const auto data = TestData(920, 500);
   const std::string path = TestPath("pinned.snap");
@@ -348,12 +366,12 @@ TEST(SnapshotTest, SsTreeBytesArePinned) {
   EXPECT_EQ(Crc32Of(inserted_file.data(), inserted_file.size()),
             0xF874814Fu);
 
-  // The STR build stores its rows in leaf order (index/ss_tree.h).
+  // The bulk load stores its rows in leaf order (index/ss_tree.h).
   SsTree packed(3);
   ASSERT_TRUE(packed.BulkLoadStr(data).ok());
   ASSERT_TRUE(SaveSnapshot(packed, path).ok());
   const std::string packed_file = ReadFile(path);
-  EXPECT_EQ(Crc32Of(packed_file.data(), packed_file.size()), 0x97E9B9B4u);
+  EXPECT_EQ(Crc32Of(packed_file.data(), packed_file.size()), 0xDF6E8FFCu);
 
   const std::string payload = inserted_file.substr(kEnvelopeBytes);
   ASSERT_EQ(payload.compare(kSplitFieldOffset, 8, std::string(8, '\0')), 0);

@@ -1,11 +1,12 @@
 // Copyright (c) hyperdom authors. Licensed under the MIT license.
 //
-// STR bulk loading: structural invariants, completeness, and query
-// equivalence against an insertion-built tree.
+// Bulk loading (SsTree::BulkLoadStr): structural invariants, leaf order,
+// completeness, and query equivalence against an insertion-built tree.
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "data/generator.h"
 #include "dominance/hyperbola.h"
@@ -39,7 +40,7 @@ std::set<uint64_t> Ids(const KnnResult& result) {
 }
 
 // ---------------------------------------------------------------------------
-// STR bulk loading
+// Bulk loading
 // ---------------------------------------------------------------------------
 
 class StrBulkLoadTest : public ::testing::TestWithParam<size_t> {};
@@ -62,6 +63,48 @@ TEST_P(StrBulkLoadTest, InvariantsAndCompleteness) {
 
 INSTANTIATE_TEST_SUITE_P(Dims, StrBulkLoadTest,
                          ::testing::Values(1, 2, 4, 10));
+
+// Every bulk-loaded tree is valid, in 1 to 50 dimensions and at sizes on
+// either side of the leaf capacity's powers (20, 400 and 8,000 rows at
+// the default 24 entries; 3, 9, 27, … at 4), where a split that fills
+// whole groups first leaves a one-item remainder: CheckInvariants passes,
+// so no non-root node holds fewer than 2 items, and the leaves, read left
+// to right, hold slots 0 … n-1.
+TEST(StrBulkLoadTest, EveryShapeIsValid) {
+  for (size_t max_entries : {24, 4}) {
+    for (size_t dim : {1, 2, 3, 4, 50}) {
+      for (size_t n : {1, 2, 3, 19, 20, 21, 39, 41, 399, 400, 401, 421, 8001,
+                       8021}) {
+        SCOPED_TRACE("max_entries " + std::to_string(max_entries) + ", d " +
+                     std::to_string(dim) + ", n " + std::to_string(n));
+        SyntheticSpec spec;
+        spec.n = n;
+        spec.dim = dim;
+        spec.seed = 7006 + n;
+        SsTreeOptions options;
+        options.max_entries = max_entries;
+        SsTree tree(dim, options);
+        ASSERT_TRUE(tree.BulkLoadStr(GenerateSynthetic(spec)).ok());
+        EXPECT_TRUE(tree.CheckInvariants().ok())
+            << tree.CheckInvariants().ToString();
+        uint32_t next_slot = 0;
+        bool in_order = true;
+        auto walk = [&](auto& self, const SsTreeNode* node) -> void {
+          if (!node->is_leaf()) {
+            for (const auto& child : node->children()) self(self, child.get());
+            return;
+          }
+          for (const auto& e : node->entries()) {
+            in_order &= e.slot == next_slot++;
+          }
+        };
+        walk(walk, tree.root());
+        EXPECT_TRUE(in_order);
+        EXPECT_EQ(next_slot, n);
+      }
+    }
+  }
+}
 
 TEST(StrBulkLoadTest, EmptyAndTiny) {
   SsTree tree(3);
@@ -124,7 +167,7 @@ TEST(StrBulkLoadTest, PacksTighterThanInsertion) {
   ASSERT_TRUE(str_tree.BulkLoadStr(data).ok());
   SsTree insert_tree(4);
   ASSERT_TRUE(insert_tree.BulkLoad(data).ok());
-  // STR's packed occupancy gives an equal-or-shorter tree.
+  // The bulk load's packed occupancy gives an equal-or-shorter tree.
   EXPECT_LE(str_tree.Height(), insert_tree.Height());
 }
 

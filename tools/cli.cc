@@ -107,13 +107,15 @@ constexpr char kUsage[] =
     "hyperdom-slowlog-v1 JSON record per kNN at or above T milliseconds.\n"
     "knn --queries=N replaces the single --query with a seeded workload of\n"
     "N random queries drawn from the dataset, reporting aggregate stats;\n"
-    "--threads=T shards the workload across T workers (0 = all cores) with\n"
-    "bit-identical results at any thread count.\n"
+    "--threads=T shards the workload across T workers (0 = all cores, at\n"
+    "most 1024 and one per query) with bit-identical results at any\n"
+    "thread count.\n"
     "serve --mutable=1 accepts insert/remove frames (ids seeded as row\n"
     "numbers); read-only servers answer them with kNotSupported.\n"
     "serve --shards=K partitions the store into K shards queried scatter-\n"
     "gather with bit-identical answers (--shard-policy picks hash or\n"
-    "kmeans placement); incompatible with --mutable=1.\n"
+    "kmeans placement); incompatible with --mutable=1. serve --threads and\n"
+    "--shards are at most 1024.\n"
     "exit codes: 0 success, 1 command error, 2 usage error, 3 server\n"
     "overloaded, 4 deadline exceeded, 5 protocol error, 6 mutation\n"
     "conflict (store frozen or compacting — safe to retry later).\n";
@@ -121,6 +123,10 @@ constexpr char kUsage[] =
 constexpr uint64_t kNoMax = std::numeric_limits<uint64_t>::max();
 // The largest millisecond count whose microsecond value fits a uint64_t.
 constexpr uint64_t kMaxMillis = kNoMax / 1000;
+// The largest --threads (knn, serve) and --shards (serve): each worker is
+// an OS thread and each shard a tree of its own, so a larger count is a
+// mistake, not a configuration.
+constexpr uint64_t kMaxWorkers = 1024;
 
 // Parses --key as an unsigned integer in [min, max], the range the flag's
 // destination accepts: a value outside it is refused, never narrowed.
@@ -262,9 +268,8 @@ Status CmdDominate(const ParsedArgs& args, std::ostream& out) {
 }
 
 Status CmdKnn(const ParsedArgs& args, std::ostream& out) {
-  auto data = LoadData(args);
-  if (!data.ok()) return data.status();
-  if (data->empty()) return Status::InvalidArgument("dataset is empty");
+  // Every flag is checked before the dataset is loaded, so a bad value
+  // fails fast.
   auto workload_size = RequireUint(args, "queries", 0, /*required=*/false);
   if (!workload_size.ok()) return workload_size.status();
   auto k = RequireUint(args, "k", 10, /*required=*/false, /*min=*/1);
@@ -284,6 +289,14 @@ Status CmdKnn(const ParsedArgs& args, std::ostream& out) {
   }
   auto deadline = ParseDeadline(args);
   if (!deadline.ok()) return deadline.status();
+  auto seed = RequireUint(args, "seed", 0xC8ECull, /*required=*/false);
+  if (!seed.ok()) return seed.status();
+  auto threads = RequireUint(args, "threads", 1, /*required=*/false, 0,
+                             kMaxWorkers);
+  if (!threads.ok()) return threads.status();
+  auto data = LoadData(args);
+  if (!data.ok()) return data.status();
+  if (data->empty()) return Status::InvalidArgument("dataset is empty");
 
   SsTree tree(data->front().dim());
   HYPERDOM_RETURN_NOT_OK(tree.BulkLoad(*data));
@@ -301,10 +314,6 @@ Status CmdKnn(const ParsedArgs& args, std::ostream& out) {
     // Workload mode: N seeded queries drawn from the dataset's own
     // distribution, reported in aggregate. This is the path the
     // observability exports are meant to summarize.
-    auto seed = RequireUint(args, "seed", 0xC8ECull, /*required=*/false);
-    if (!seed.ok()) return seed.status();
-    auto threads = RequireUint(args, "threads", 1, /*required=*/false);
-    if (!threads.ok()) return threads.status();
     const std::vector<Hypersphere> queries =
         MakeKnnQueries(*data, *workload_size, *seed);
     BatchOptions exec;
@@ -667,7 +676,8 @@ Status CmdServe(const ParsedArgs& args, std::ostream& out) {
   if (!kind.ok()) return kind.status();
   auto port = RequireUint(args, "port", 0, /*required=*/false, 0, 65535);
   if (!port.ok()) return port.status();
-  auto threads = RequireUint(args, "threads", 0, /*required=*/false);
+  auto threads =
+      RequireUint(args, "threads", 0, /*required=*/false, 0, kMaxWorkers);
   if (!threads.ok()) return threads.status();
   auto queue_capacity =
       RequireUint(args, "queue-capacity", 128, /*required=*/false, /*min=*/1);
@@ -689,7 +699,8 @@ Status CmdServe(const ParsedArgs& args, std::ostream& out) {
   if (!slow_query_ms.ok()) return slow_query_ms.status();
 
   const bool mutable_mode = args.GetFlag("mutable") == "1";
-  auto shards = RequireUint(args, "shards", 0, /*required=*/false);
+  auto shards =
+      RequireUint(args, "shards", 0, /*required=*/false, 0, kMaxWorkers);
   if (!shards.ok()) return shards.status();
   const bool sharded_mode = *shards > 0;
   shard::ShardPolicy shard_policy = shard::ShardPolicy::kHash;

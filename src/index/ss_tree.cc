@@ -275,16 +275,11 @@ Status SsTree::InsertRecursive(SsTreeNode* node, const SsTreeEntry& entry,
 }
 
 void SsTree::RefreshBoundingSphere(SsTreeNode* node) {
-  const Point center = Centroid(node->center_sum_, node->count_);
-  double radius = 0.0;
-  if (node->is_leaf_) {
-    for (const auto& e : node->entries_) {
-      radius = std::max(radius,
-                        DistSpan(center.data(), store_->center(e.slot), dim_) +
-                            store_->radius(e.slot));
-    }
-  } else {
-    const size_t n = node->children_.size();
+  // The node's items: a leaf's entry spheres, an internal node's child
+  // spheres (packed first, so both read from flat rows).
+  const bool leaf = node->is_leaf_;
+  const size_t n = leaf ? node->entries_.size() : node->children_.size();
+  if (!leaf) {
     node->child_centers_.resize(n * dim_);
     node->child_radii_.resize(n);
     for (size_t i = 0; i < n; ++i) {
@@ -292,10 +287,37 @@ void SsTree::RefreshBoundingSphere(SsTreeNode* node) {
       std::copy(child.center().begin(), child.center().end(),
                 node->child_centers_.begin() + i * dim_);
       node->child_radii_[i] = child.radius();
-      radius = std::max(radius, Dist(center, child.center()) + child.radius());
     }
   }
-  node->bounding_ = Hypersphere(center, radius);
+  auto item_center = [&](size_t i) {
+    return leaf ? store_->center(node->entries_[i].slot)
+                : node->child_centers_.data() + i * dim_;
+  };
+  auto item_radius = [&](size_t i) {
+    return leaf ? store_->radius(node->entries_[i].slot)
+                : node->child_radii_[i];
+  };
+  // Centred on the midpoint of the items' bounding box, a pure function of
+  // the items: tighter than the centroid when the items fill a slab.
+  // `center` holds the box's low corner until the midpoint is taken; one
+  // pass reads each item's row in order.
+  Point center(dim_, std::numeric_limits<double>::infinity());
+  Point hi(dim_, -std::numeric_limits<double>::infinity());
+  for (size_t i = 0; i < n; ++i) {
+    const double* c = item_center(i);
+    const double r = item_radius(i);
+    for (size_t d = 0; d < dim_; ++d) {
+      center[d] = std::min(center[d], c[d] - r);
+      hi[d] = std::max(hi[d], c[d] + r);
+    }
+  }
+  for (size_t d = 0; d < dim_; ++d) center[d] = 0.5 * center[d] + 0.5 * hi[d];
+  double radius = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    radius = std::max(
+        radius, DistSpan(center.data(), item_center(i), dim_) + item_radius(i));
+  }
+  node->bounding_ = Hypersphere(std::move(center), radius);
 }
 
 std::vector<bool> SsTree::ChoosePartition(const std::vector<Point>& keys) const {

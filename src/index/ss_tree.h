@@ -15,14 +15,22 @@
 //     leaf's rows are contiguous and the leaves, read left to right, hold
 //     slots 0, 1, 2, … An insertion-built tree keeps its rows in insertion
 //     order.
-//   * Every node maintains the centroid of the data centers beneath it
-//     (incrementally, via a coordinate sum and a count) and a bounding
-//     sphere centred there whose radius covers all of its data spheres —
-//     the SS-tree's defining property that yields compact regions in high
-//     dimension. An internal node also keeps a packed copy of its
-//     children's bounding spheres (centres at stride d, radii in a parallel
-//     array), so a traversal bounds every child of a node with one batched
-//     kernel call without touching the child nodes.
+//   * Every node's region is a bounding sphere that covers all of its
+//     data spheres — the SS-tree's defining property that yields compact
+//     regions in high dimension. Unlike White & Jain's sphere, which is
+//     centred on the centroid, it is centred on the midpoint of the
+//     axis-aligned box around the node's items (a leaf's entry spheres, an
+//     internal node's child spheres), which sits nearer the middle of the
+//     slab-shaped regions the variance cuts make, and its radius is the
+//     least that covers every item from there. It is a pure function of
+//     the items, so a reload reproduces it bit for bit. An internal node
+//     also keeps a packed copy of its children's bounding spheres (centres
+//     at stride d, radii in a parallel array), so a traversal bounds every
+//     child of a node with one batched kernel call without touching the
+//     child nodes.
+//   * Every node also keeps the centroid of the data centers beneath it
+//     (incrementally, via a coordinate sum and a count); only insertion
+//     reads it.
 //   * Insertion descends to the child whose centroid is nearest the new
 //     center (White & Jain's cheapest-centroid rule). An overflowing node
 //     is split by White & Jain's variance cut, subject to the options'
@@ -95,7 +103,8 @@ class SsTreeNode {
   /// Packed child bounds; written only by SsTree::RefreshBoundingSphere.
   std::vector<double> child_centers_;
   std::vector<double> child_radii_;
-  /// Sum of data-sphere centers beneath this node (for the centroid).
+  /// Sum of data-sphere centers beneath this node (for the centroid that
+  /// insertion descends by).
   Point center_sum_;
   /// Number of data entries beneath this node.
   size_t count_ = 0;
@@ -175,7 +184,8 @@ class SsTree {
 
   /// \brief Reads a tree written by Serialize() into `*out` (replacing its
   /// contents). Derived per-node data (centroids, bounding spheres) is
-  /// recomputed, so a successful load always satisfies CheckInvariants().
+  /// recomputed, so a successful load always satisfies CheckInvariants()
+  /// and has the saved tree's bounding spheres bit for bit.
   /// Any format version but the current one is kNotSupported.
   static Status Deserialize(std::istream& in, SsTree* out);
 
@@ -185,8 +195,9 @@ class SsTree {
   /// splits overflowing nodes on the way back up.
   Status InsertRecursive(SsTreeNode* node, const SsTreeEntry& entry,
                          std::unique_ptr<SsTreeNode>* split_off);
-  /// Recomputes `node`'s bounding sphere from its centroid and children,
-  /// and repacks an internal node's child bounds.
+  /// Recomputes `node`'s bounding sphere from its items (entry spheres or
+  /// child spheres), centred on the midpoint of their bounding box, and
+  /// repacks an internal node's child bounds.
   void RefreshBoundingSphere(SsTreeNode* node);
   /// Splits an overflowing node into `*sibling` (the new right half).
   Status SplitNode(SsTreeNode* node, std::unique_ptr<SsTreeNode>* sibling);

@@ -120,10 +120,11 @@ class Server {
 
   /// \brief Sharded mode: kNN requests scatter across the store's shards
   /// and gather through the merged best-known list, so answers are
-  /// bit-identical to a single unsharded index (src/shard/). The scatter
-  /// runs serially on the worker thread — workers already ARE the pool,
-  /// and a worker waiting on its own pool would deadlock. Mutation frames
-  /// get kNotSupported.
+  /// bit-identical to a single unsharded index for every criterion but
+  /// MBR, whose answers depend on access order (shard/sharded_query.h).
+  /// The scatter runs serially on the worker thread — workers already ARE
+  /// the pool, and a worker waiting on its own pool would deadlock.
+  /// Mutation frames get kNotSupported.
   Server(const shard::ShardedStore* store, const DominanceCriterion* criterion,
          ServerOptions options);
 

@@ -8,7 +8,11 @@
 // BestKnownList::MergeFrom before one final-Sk filter. The merge
 // invariant (best_known_list.h) makes the merged kNN answer bit-identical
 // to a single unsharded index over the same dataset — independent of K,
-// of the partitioning policy, and of how many threads ran the scatter.
+// of the partitioning policy, and of how many threads ran the scatter —
+// for every criterion whose answer does not depend on the order entries
+// are accessed in: Hyperbola, Certified, MinMax, GP and Trigonometric.
+// MBR's answer does depend on that order, so its merged answer can
+// differ from the unsharded one; it is a superset of the exact answer.
 // Pinned by tests/shard_query_test.cc.
 //
 // Determinism under fault injection: each (query, shard) pair runs inside

@@ -5,8 +5,9 @@
 // SsTree::BulkLoadStrWithIds. The scatter-gather engines
 // (shard/sharded_query.h) fan a query across the shards and merge the
 // per-shard best-known lists into an answer bit-identical to a single
-// unsharded index over the same data (the merge contract; see
-// BestKnownList::MergeFrom).
+// unsharded index over the same data, for every criterion but MBR, whose
+// answer depends on access order (the merge contract; see
+// shard/sharded_query.h and BestKnownList::MergeFrom).
 //
 // Partition layout is deterministic in (data, options) — see
 // shard/partitioner.h — and entries keep their GLOBAL ids (positions in

@@ -138,8 +138,8 @@ TEST(IndexKnnTest, StatsReflectPruning) {
 // past position k, query/best_known_list.h) and a digest of every answer.
 // The counts assume libstdc++'s std::sort and std::priority_queue tie
 // order (and glibc's libm for the generator's Gaussian draws). A deliberate
-// change to a child bound or to the visit order (ROADMAP item 5's tighter
-// R*-tree rectangle bound) updates them, and the change in node visits is
+// change to a child bound or to the visit order (ROADMAP item 6's tighter
+// bounds) updates them, and the change in node visits is
 // that change's measurement.
 TEST(IndexKnnTest, TraversalWorkIsPinned) {
   SyntheticSpec spec;
@@ -179,10 +179,10 @@ TEST(IndexKnnTest, TraversalWorkIsPinned) {
   constexpr SearchStrategy kDf = SearchStrategy::kDepthFirst;
   constexpr SearchStrategy kHs = SearchStrategy::kBestFirst;
   const Pin pins[] = {
-      {"ss", kDf, 3759, 2481, 59299, 12744},
-      {"ss", kHs, 3026, 3214, 46764, 7984},
-      {"ss_str", kDf, 4004, 1476, 71632, 15225},
-      {"ss_str", kHs, 3257, 2223, 57228, 9458},
+      {"ss", kDf, 3025, 3150, 46600, 11627},
+      {"ss", kHs, 2434, 3741, 36435, 7078},
+      {"ss_str", kDf, 2744, 2636, 47500, 13574},
+      {"ss_str", kHs, 2115, 3265, 35384, 7130},
       {"rstar", kDf, 2502, 3011, 38856, 8986},
       {"rstar", kHs, 2287, 3226, 35048, 6834},
       {"vp", kDf, 10585, 1595, 45796, 8797},
@@ -216,10 +216,15 @@ TEST(IndexKnnTest, TraversalWorkIsPinned) {
 // node bounds must visit: those reached from the root through nodes whose
 // bound (MinDist to the query) is at most the query's final DistK, the
 // MaxDist of answer k-1. So HS's node visits fall only when the tree has
-// fewer such nodes, not through the visit order. On knn_paper-shaped data
-// (hyperdom_bench: centres Gaussian(1000, 250), mu = 10, d = 4, k = 10;
-// here N = 20k and 50 queries) the test checks this per query and pins,
-// per builder, the summed node visits and entries accessed.
+// fewer such nodes, not through the visit order. Of those, the bound slack
+// (ROADMAP item 6) is the visited nodes whose subtree holds no entry with
+// MinDist <= the final DistK: a perfect bound would skip them. On
+// knn_paper-shaped data (hyperdom_bench: centres Gaussian(1000, 250),
+// mu = 10, d = 4, k = 10; here N = 20k and 50 queries) the test checks the
+// visits per query and pins, per builder, the summed node visits, entries
+// accessed and slack. The visits that are not slack (1,111 and 977) depend
+// only on the tree's shape, so a change to the node spheres alone leaves
+// them as they are.
 TEST(IndexKnnTest, BestFirstVisitsExactlyTheNodesWithinFinalDistK) {
   SyntheticSpec spec;
   spec.n = 20'000;
@@ -245,31 +250,47 @@ TEST(IndexKnnTest, BestFirstVisitsExactlyTheNodesWithinFinalDistK) {
     const SsTree* tree;
     uint64_t nodes_visited;
     uint64_t entries_accessed;
+    uint64_t slack;
   };
-  const Pin pins[] = {{"insertion", &inserted, 6925, 68025},
-                      {"bulk", &bulk, 7420, 95211}};
+  const Pin pins[] = {{"insertion", &inserted, 4763, 47412, 3652},
+                      {"bulk", &bulk, 3791, 42420, 2814}};
   for (const Pin& pin : pins) {
     KnnStats sum;
+    uint64_t slack = 0;
     for (const auto& sq : queries) {
       const KnnResult result = searcher.Search(*pin.tree, sq);
       ASSERT_GE(result.answers.size(), options.k);
       const double distk = MaxDist(result.answers[options.k - 1].sphere, sq);
-      auto within = [&](auto& self, const SsTreeNode* node) -> uint64_t {
-        if (MinDist(node->bounding_sphere(), sq) > distk) return 0;
-        uint64_t count = 1;
-        if (!node->is_leaf()) {
+      // Walks the whole subtree; counts the nodes reached through bounds
+      // <= distk (`reached` says the parent was) into `within`, and the
+      // slack among them into `slack`. Returns whether the subtree holds
+      // an entry with MinDist <= distk.
+      uint64_t within = 0;
+      auto walk = [&](auto& self, const SsTreeNode* node,
+                      bool reached) -> bool {
+        reached = reached && MinDist(node->bounding_sphere(), sq) <= distk;
+        bool holds = false;
+        if (node->is_leaf()) {
+          for (const auto& e : node->entries()) {
+            holds |= MinDist(pin.tree->store().view(e.slot), sq.view()) <=
+                     distk;
+          }
+        } else {
           for (const auto& child : node->children()) {
-            count += self(self, child.get());
+            holds |= self(self, child.get(), reached);
           }
         }
-        return count;
+        within += reached ? 1 : 0;
+        slack += reached && !holds ? 1 : 0;
+        return holds;
       };
-      EXPECT_EQ(result.stats.nodes_visited, within(within, pin.tree->root()))
-          << pin.builder;
+      walk(walk, pin.tree->root(), /*reached=*/true);
+      EXPECT_EQ(result.stats.nodes_visited, within) << pin.builder;
       sum += result.stats;
     }
     EXPECT_EQ(sum.nodes_visited, pin.nodes_visited) << pin.builder;
     EXPECT_EQ(sum.entries_accessed, pin.entries_accessed) << pin.builder;
+    EXPECT_EQ(slack, pin.slack) << pin.builder;
   }
 }
 
@@ -298,7 +319,7 @@ TEST(IndexKnnTest, EveryCriterionAndEagerModeArePinned) {
   };
   const CriterionPin criterion_pins[] = {
       {CriterionKind::kMinMax, 0x994c5ad3cc9e77a5ULL},
-      {CriterionKind::kMbr, 0xf2732c0e3e7fcbecULL},
+      {CriterionKind::kMbr, 0x46aa14bf1500e76eULL},
       {CriterionKind::kGp, 0x86b78b87057db4e5ULL},
       {CriterionKind::kTrigonometric, 0xf91d483b14a8c235ULL},
       {CriterionKind::kHyperbola, 0xa4272fddcc02a0f9ULL},
@@ -330,14 +351,14 @@ TEST(IndexKnnTest, EveryCriterionAndEagerModeArePinned) {
     KnnStats stats;  // in KnnStats declaration order
   };
   const EagerPin eager_pins[] = {
-      {kDf, 1, 0x5ed2eab9ba6424cfULL,
-       {2421, 3598, 35159, 11380, 1935, 30166, 2036, 0, 0}},
-      {kDf, 10, 0xa00ae9a005c53cfbULL,
-       {3636, 2784, 54906, 92306, 4637, 41820, 4877, 0, 0}},
-      {kHs, 1, 0x8493b4d5a87f09c0ULL,
-       {1467, 4552, 19027, 8059, 529, 16333, 1135, 0, 0}},
-      {kHs, 10, 0x25343c2ba6a08172ULL,
-       {2813, 3607, 41236, 48700, 1858, 33945, 1728, 0, 0}},
+      {kDf, 1, 0x7a7f54d0a2018f3aULL,
+       {1590, 3396, 22144, 8140, 1162, 18609, 1349, 0, 0}},
+      {kDf, 10, 0x49e9cb1942ceadf3ULL,
+       {2782, 3284, 41085, 66903, 3586, 30410, 3470, 0, 0}},
+      {kHs, 1, 0xc501def5555d49bfULL,
+       {1106, 3880, 13962, 6558, 343, 11684, 897, 0, 0}},
+      {kHs, 10, 0x0b8c1440a0acfc26ULL,
+       {2322, 3744, 33359, 40025, 1797, 26505, 1291, 0, 0}},
   };
   HyperbolaCriterion exact;
   for (const EagerPin& pin : eager_pins) {

@@ -161,17 +161,17 @@ TEST(RangeSearchTest, RangeWorkIsPinned) {
     uint64_t digest;
   };
   const Pin pins[] = {
-      {"ss", 0.0, 899, 4978, 10187, 0x6de1f3bccef46636ULL},
-      {"ss", 10.0, 1510, 4512, 20884, 0x39cb022cf82d286dULL},
-      {"ss", 40.0, 4503, 1657, 72401, 0xf529fd121c414433ULL},
+      {"ss", 0.0, 605, 4051, 6411, 0x6de1f3bccef46636ULL},
+      {"ss", 10.0, 1131, 4298, 14850, 0x39cb022cf82d286dULL},
+      {"ss", 40.0, 3968, 2164, 63305, 0xf529fd121c414433ULL},
       {"ss", 120.0, 6160, 0, 100000, 0xf31081c4b72d5121ULL},
-      {"overlay", 0.0, 1106, 3562, 25947, 0xf7940311ef24e128ULL},
-      {"overlay", 10.0, 1740, 3023, 37622, 0xc431f83292fde95cULL},
-      {"overlay", 40.0, 4013, 807, 79714, 0x8790d64be8539899ULL},
+      {"overlay", 0.0, 559, 3368, 16429, 0xf7940311ef24e128ULL},
+      {"overlay", 10.0, 1013, 3256, 24548, 0xc431f83292fde95cULL},
+      {"overlay", 40.0, 3214, 1587, 64833, 0x8790d64be8539899ULL},
       {"overlay", 120.0, 4820, 0, 94700, 0x1f087a027fb26185ULL},
-      {"shards", 0.0, 1964, 3540, 30640, 0x6de1f3bccef46636ULL},
-      {"shards", 10.0, 2837, 2683, 47659, 0x39cb022cf82d286dULL},
-      {"shards", 40.0, 5033, 487, 90499, 0xf529fd121c414433ULL},
+      {"shards", 0.0, 1167, 4305, 15062, 0x6de1f3bccef46636ULL},
+      {"shards", 10.0, 1780, 3724, 27013, 0x39cb022cf82d286dULL},
+      {"shards", 40.0, 4316, 1204, 76483, 0xf529fd121c414433ULL},
       {"shards", 120.0, 5520, 0, 100000, 0xf31081c4b72d5121ULL},
   };
   for (const Pin& pin : pins) {

@@ -1,12 +1,14 @@
 // Copyright (c) hyperdom authors. Licensed under the MIT license.
 //
-// The scatter-gather contract of src/shard/sharded_query.h: sharded kNN
-// answers are BIT-IDENTICAL to a single unsharded index over the same
-// dataset — for every shard count, partitioning policy, traversal strategy
-// and scatter thread count — and sharded range queries return the
-// unsharded answer, both in id order. Plus the robustness edges: best-effort
-// subsets under deadlines, fair node-budget splitting, and shard/scatter
-// fault propagation.
+// The scatter-gather contract of src/shard/sharded_query.h: for every
+// criterion whose answer does not depend on the order entries are accessed
+// in, sharded kNN answers are BIT-IDENTICAL to a single unsharded index
+// over the same dataset — for every shard count, partitioning policy,
+// traversal strategy and scatter thread count — and MBR's are a superset
+// of the exact answer; sharded range queries return the unsharded answer,
+// in id order. Plus the robustness edges: best-effort subsets under
+// deadlines, fair node-budget splitting, and shard/scatter fault
+// propagation.
 
 #include "shard/sharded_query.h"
 
@@ -17,6 +19,7 @@
 
 #include "common/fault.h"
 #include "common/rng.h"
+#include "dominance/criterion.h"
 #include "dominance/hyperbola.h"
 #include "exec/thread_pool.h"
 #include "query/knn.h"
@@ -147,6 +150,72 @@ TEST_F(ShardedQueryTest, KnnBitIdenticalAcrossPoliciesKindsAndStrategies) {
             std::string(ShardPolicyName(policy)) + "/strategy=" +
                 (strategy == SearchStrategy::kBestFirst ? "hs" : "df") +
                 " q=" + std::to_string(q));
+      }
+    }
+  }
+}
+
+// The contract per criterion. Hyperbola, Certified, MinMax, GP and
+// Trigonometric answers do not depend on the order entries are accessed
+// in, so their sharded answers are bit-identical to the unsharded index's.
+// MBR's answer does depend on it (a candidate admitted while DistK was
+// still large can survive MBR's final filter), so its sharded answer is
+// held only to what MBR guarantees: a superset of the exact answer.
+TEST_F(ShardedQueryTest, KnnContractHoldsForEveryCriterion) {
+  const auto data = MakeData(500, 505);
+  const auto queries = MakeQueries(4, 606);
+  SsTree tree(kDim);
+  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
+  std::vector<std::unique_ptr<DominanceCriterion>> criteria;
+  for (CriterionKind kind :
+       {CriterionKind::kHyperbola, CriterionKind::kCertified,
+        CriterionKind::kMinMax, CriterionKind::kGp,
+        CriterionKind::kTrigonometric, CriterionKind::kMbr}) {
+    criteria.push_back(MakeCriterion(kind));
+  }
+  const DominanceCriterion* mbr = criteria.back().get();
+
+  for (size_t shards : {1u, 2u, 4u}) {
+    for (ShardPolicy policy : {ShardPolicy::kHash, ShardPolicy::kKmeans}) {
+      ShardingOptions sharding;
+      sharding.shards = shards;
+      sharding.policy = policy;
+      ShardedStore store;
+      ASSERT_TRUE(ShardedStore::Build(data, sharding, &store).ok());
+      for (SearchStrategy strategy :
+           {SearchStrategy::kBestFirst, SearchStrategy::kDepthFirst}) {
+        KnnOptions options;
+        options.k = 5;
+        options.strategy = strategy;
+        for (size_t q = 0; q < queries.size(); ++q) {
+          const Hypersphere& sq = queries[q];
+          const KnnResult exact = KnnSearcher(&criterion_, options).Search(
+              tree, sq);
+          for (const auto& criterion : criteria) {
+            const std::string where =
+                std::string(criterion->name()) + " K=" +
+                std::to_string(shards) + " " +
+                std::string(ShardPolicyName(policy)) +
+                (strategy == SearchStrategy::kBestFirst ? " hs" : " df") +
+                " q=" + std::to_string(q);
+            Result<KnnResult> got = ShardedKnn(store, sq, *criterion, options);
+            ASSERT_TRUE(got.ok()) << where;
+            EXPECT_EQ(got->completeness, Completeness::kExact) << where;
+            if (criterion.get() != mbr) {
+              ExpectIdentical(
+                  got->answers,
+                  KnnSearcher(criterion.get(), options).Search(tree, sq)
+                      .answers,
+                  where);
+              continue;
+            }
+            std::set<uint64_t> ids;
+            for (const auto& e : got->answers) ids.insert(e.id);
+            for (const auto& e : exact.answers) {
+              EXPECT_EQ(ids.count(e.id), 1u) << where << " misses " << e.id;
+            }
+          }
+        }
       }
     }
   }

@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -103,6 +105,57 @@ TEST(SnapshotTest, SsTreeRoundTripPreservesQueryAnswers) {
     }
   }
   std::remove(path.c_str());
+}
+
+// Serialize then Deserialize reproduces every node sphere bit for bit, for
+// an insertion-built and a bulk-loaded tree on knn_paper-shaped data
+// (hyperdom_bench: centres Gaussian(1000, 250), mu = 10, d = 4). A node
+// sphere is a pure function of the node's items (index/ss_tree.h), which
+// the load recomputes bottom up; a centroid summed in another order than
+// the inserts summed it would not be.
+TEST(SnapshotTest, SsTreeRoundTripReproducesEveryNodeSphere) {
+  SyntheticSpec spec;
+  spec.n = 20'000;
+  spec.dim = 4;
+  spec.radius_mean = 10.0;
+  spec.center_mean = 1000.0;
+  spec.center_stddev = 250.0;
+  spec.seed = 924;
+  const auto data = GenerateSynthetic(spec);
+  SsTree inserted(4);
+  ASSERT_TRUE(inserted.BulkLoad(data).ok());
+  SsTree bulk(4);
+  ASSERT_TRUE(bulk.BulkLoadStr(data).ok());
+  for (const SsTree* tree : {&inserted, &bulk}) {
+    std::stringstream bytes;
+    ASSERT_TRUE(tree->Serialize(bytes).ok());
+    SsTree loaded(1);
+    ASSERT_TRUE(SsTree::Deserialize(bytes, &loaded).ok());
+    size_t nodes = 0;
+    size_t differing = 0;
+    auto compare = [&](auto& self, const SsTreeNode* a,
+                       const SsTreeNode* b) -> void {
+      ASSERT_EQ(a->is_leaf(), b->is_leaf());
+      ASSERT_EQ(a->children().size(), b->children().size());
+      const Hypersphere& sa = a->bounding_sphere();
+      const Hypersphere& sb = b->bounding_sphere();
+      const double ra = sa.radius();
+      const double rb = sb.radius();
+      ++nodes;
+      if (std::memcmp(sa.center().data(), sb.center().data(),
+                      sa.dim() * sizeof(double)) != 0 ||
+          std::memcmp(&ra, &rb, sizeof(double)) != 0) {
+        ++differing;
+      }
+      for (size_t i = 0; i < a->children().size(); ++i) {
+        self(self, a->children()[i].get(), b->children()[i].get());
+      }
+    };
+    compare(compare, tree->root(), loaded.root());
+    EXPECT_GT(nodes, 1000u);
+    EXPECT_EQ(differing, 0u) << differing << " of " << nodes
+                             << " node spheres differ after the round trip";
+  }
 }
 
 TEST(SnapshotTest, VerifyReportsEnvelopeFacts) {

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -191,37 +194,61 @@ TEST(SsTreeTest, DegenerateDuplicatesSplitSafely) {
       << tree.CheckInvariants().ToString();
 }
 
-TEST(SsTreeTest, BoundsAreCentredOnTheCentroid) {
+// Every node sphere is centred on the midpoint of its items' bounding box
+// (a leaf's items are its entry spheres, an internal node's its child
+// spheres), with the radius that covers every item from there. Insertion
+// still descends by the centroid; the sphere does not.
+TEST(SsTreeTest, BoundsAreCentredOnTheItemBox) {
   SyntheticSpec spec;
   spec.n = 2500;
   spec.dim = 4;
   spec.radius_mean = 8.0;
   spec.seed = 810;
   const auto data = GenerateSynthetic(spec);
-  SsTree tree(4);
-  ASSERT_TRUE(tree.BulkLoad(data).ok());
-  EXPECT_TRUE(tree.CheckInvariants().ok())
-      << tree.CheckInvariants().ToString();
-  // White & Jain's bound: every node sphere is centred at the mean of the
-  // data centers beneath it. Returns the subtree's center sum.
-  auto check = [&tree](auto& self, const SsTreeNode* node) -> Point {
-    Point sum(tree.dim(), 0.0);
-    if (node->is_leaf()) {
-      for (const auto& e : node->entries()) {
-        sum = Add(sum, tree.store().Materialize(e.slot).center());
+  SsTree inserted(4);
+  ASSERT_TRUE(inserted.BulkLoad(data).ok());
+  SsTree bulk(4);
+  ASSERT_TRUE(bulk.BulkLoadStr(data).ok());
+  for (const SsTree* tree : {&inserted, &bulk}) {
+    EXPECT_TRUE(tree->CheckInvariants().ok())
+        << tree->CheckInvariants().ToString();
+    const size_t dim = tree->dim();
+    auto check = [&](auto& self, const SsTreeNode* node) -> void {
+      std::vector<SphereView> items;
+      if (node->is_leaf()) {
+        for (const auto& e : node->entries()) {
+          items.push_back(tree->store().view(e.slot));
+        }
+      } else {
+        for (const auto& child : node->children()) {
+          items.push_back(child->bounding_sphere().view());
+          self(self, child.get());
+        }
       }
-    } else {
-      for (const auto& child : node->children()) {
-        sum = Add(sum, self(self, child.get()));
+      Point lo(dim, std::numeric_limits<double>::infinity());
+      Point hi(dim, -std::numeric_limits<double>::infinity());
+      for (const SphereView& item : items) {
+        for (size_t d = 0; d < dim; ++d) {
+          lo[d] = std::min(lo[d], item.center[d] - item.radius);
+          hi[d] = std::max(hi[d], item.center[d] + item.radius);
+        }
       }
-    }
-    const Point centroid =
-        Scale(sum, 1.0 / static_cast<double>(node->subtree_size()));
-    EXPECT_LE(Dist(centroid, node->bounding_sphere().center()),
-              1e-9 * (1.0 + Norm(centroid)));
-    return sum;
-  };
-  check(check, tree.root());
+      Point center(dim);
+      for (size_t d = 0; d < dim; ++d) center[d] = 0.5 * lo[d] + 0.5 * hi[d];
+      double radius = 0.0;
+      for (const SphereView& item : items) {
+        radius = std::max(
+            radius, DistSpan(center.data(), item.center, dim) + item.radius);
+      }
+      const Hypersphere& bound = node->bounding_sphere();
+      EXPECT_EQ(std::memcmp(bound.center().data(), center.data(),
+                            dim * sizeof(double)),
+                0);
+      const double bound_radius = bound.radius();
+      EXPECT_EQ(std::memcmp(&bound_radius, &radius, sizeof(double)), 0);
+    };
+    check(check, tree->root());
+  }
 }
 
 // An STR build appends each leaf's rows to the store as the leaf is made:

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
 
   const auto data = GenerateSynthetic(spec);
   SsTree tree(spec.dim);
-  if (Status st = tree.BulkLoad(data); !st.ok()) {
+  if (Status st = tree.BulkLoadStr(data); !st.ok()) {
     std::fprintf(stderr, "bulk load failed: %s\n", st.ToString().c_str());
     return 1;
   }

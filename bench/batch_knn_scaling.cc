@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   const auto data = GenerateSynthetic(spec);
 
   SsTree tree(spec.dim);
-  const Status st = tree.BulkLoad(data);
+  const Status st = tree.BulkLoadStr(data);
   (void)st;  // generated data is well-formed
 
   const std::vector<Hypersphere> queries =

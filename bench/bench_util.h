@@ -7,17 +7,21 @@
 #ifndef HYPERDOM_BENCH_BENCH_UTIL_H_
 #define HYPERDOM_BENCH_BENCH_UTIL_H_
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/str_util.h"
 #include "eval/experiment.h"
 #include "eval/table_printer.h"
+#include "geometry/point.h"
 #include "obs/metrics.h"
 
 namespace hyperdom {
@@ -74,6 +78,21 @@ inline std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+// The machine a run measured, as one JSON object: its hardware threads,
+// the CPUs this process may run on (a `taskset` mask shrinks it), and the
+// span kernels' instruction path. Read at run time, since a value fixed
+// when the binary was configured goes stale.
+inline std::string HostJson() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  const int cpus_allowed =
+      sched_getaffinity(0, sizeof(mask), &mask) == 0 ? CPU_COUNT(&mask) : 0;
+  return "{\"nproc\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"cpus_allowed\": " + std::to_string(cpus_allowed) +
+         ", \"kernel_dispatch\": \"" + KernelDispatchName() + "\"}";
+}
+
 inline bool WriteFile(const std::string& path, const std::string& body) {
   std::ofstream file(path, std::ios::trunc);
   if (!file) return false;
@@ -104,7 +123,8 @@ inline double Percentile(const std::vector<double>& sorted, double p) {
 ///   --smoke             shrink the workload; binaries pick the reduced
 ///                       sizes via Scaled(full, smoke)
 ///   --json-out=FILE     write the accumulated rows as
-///                       `hyperdom-bench-v1` JSON
+///                       `hyperdom-bench-v1` JSON, with the host they
+///                       ran on (internal::HostJson)
 ///   --headline-out=FILE write the SAME JSON body to a second path in the
 ///                       same run (the repo-root headline copy of a
 ///                       results file, kept in sync by construction)
@@ -214,6 +234,7 @@ class Reporter {
       body += "{\n  \"schema\": \"hyperdom-bench-v1\",\n";
       body += "  \"bench\": \"" + internal::JsonEscape(bench_name_) + "\",\n";
       body += std::string("  \"smoke\": ") + (smoke_ ? "true" : "false") +
+              ",\n  \"host\": " + internal::HostJson() +
               ",\n  \"sweeps\": [\n";
       for (size_t i = 0; i < sweeps_.size(); ++i) {
         if (i > 0) body += ",\n";

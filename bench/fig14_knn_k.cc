@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   for (size_t k : {1, 10, 20, 30}) {
     KnnExperimentConfig config;
     config.k = k;
-    config.num_queries = reporter.Scaled(5, 2);
+    config.num_queries = reporter.Scaled(100, 2);
     config.seed = 14'100;
     config.threads = reporter.threads();
     const auto rows = RunKnnExperiment(data, config);

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
     const auto data = GenerateSynthetic(spec);
     KnnExperimentConfig config;
     config.k = 10;
-    config.num_queries = reporter.Scaled(5, 2);
+    config.num_queries = reporter.Scaled(100, 2);
     config.seed = 15'100;
     config.threads = reporter.threads();
     const auto rows = RunKnnExperiment(data, config);

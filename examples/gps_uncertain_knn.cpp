@@ -36,7 +36,7 @@ int main() {
   }
 
   SsTree tree(/*dim=*/2);
-  if (Status st = tree.BulkLoad(fleet); !st.ok()) {
+  if (Status st = tree.BulkLoadStr(fleet); !st.ok()) {
     std::fprintf(stderr, "index build failed: %s\n", st.ToString().c_str());
     return 1;
   }

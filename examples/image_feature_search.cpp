@@ -27,7 +27,7 @@ int main() {
   const auto catalog = MakeUncertain(features, /*radius_mean=*/5.0,
                                      /*sigma_ratio=*/0.25, /*seed=*/7);
   SsTree tree(/*dim=*/16);
-  if (Status st = tree.BulkLoad(catalog); !st.ok()) {
+  if (Status st = tree.BulkLoadStr(catalog); !st.ok()) {
     std::fprintf(stderr, "index build failed: %s\n", st.ToString().c_str());
     return 1;
   }

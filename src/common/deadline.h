@@ -66,6 +66,26 @@ class Deadline {
     return d;
   }
 
+  /// The deadline of a wall budget in microseconds, as the wire carries
+  /// it (server/protocol.h): expires `budget_micros` from now. 0 sets no
+  /// wall deadline, and so does a budget that would take the deadline past
+  /// the steady clock's range (about 292 years from its epoch), since it
+  /// could never expire; converting that count instead would overflow
+  /// into the past.
+  static Deadline FromBudgetMicros(uint64_t budget_micros) {
+    if (budget_micros == 0) return Deadline();
+    const std::chrono::steady_clock::time_point now = ReadClock();
+    const auto headroom = std::chrono::duration_cast<std::chrono::microseconds>(
+        std::chrono::steady_clock::time_point::max() - now);
+    if (budget_micros > static_cast<uint64_t>(headroom.count())) {
+      return Deadline();
+    }
+    Deadline d;
+    d.has_wall_deadline_ = true;
+    d.wall_deadline_ = now + std::chrono::microseconds(budget_micros);
+    return d;
+  }
+
   /// Adds a node budget to an existing deadline.
   Deadline& SetNodeBudget(uint64_t max_node_visits) {
     node_budget_ = max_node_visits;

@@ -21,9 +21,7 @@ constexpr std::string_view kAllSites[] = {
     "csv/parse_row",
     "csv/open_write",
     "csv/write_row",
-    // index/ — build, split and (de)serialization.
-    "ss_tree/insert",
-    "ss_tree/split",
+    // index/ — build and (de)serialization.
     "ss_tree/str_pack",
     "ss_tree/serialize",
     "ss_tree/deserialize",

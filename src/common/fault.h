@@ -1,7 +1,7 @@
 // Copyright (c) hyperdom authors. Licensed under the MIT license.
 //
 // Deterministic fault injection. Fallible subsystems declare named sites
-// (HYPERDOM_FAULT_POINT("ss_tree/split")); tests arm the process-wide
+// (HYPERDOM_FAULT_POINT("ss_tree/str_pack")); tests arm the process-wide
 // registry to make exactly the nth execution of a site — or a seeded
 // pseudo-random fraction of all executions — fail with a Status. Every
 // injected failure travels the same Status path a real failure would

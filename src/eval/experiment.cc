@@ -72,7 +72,7 @@ std::vector<KnnExperimentRow> RunKnnExperiment(
   HYPERDOM_SCOPED_TIMER_L(run_timer, obs::kExperimentDuration, "phase",
                           "knn");
   SsTree tree(data.empty() ? 0 : data.front().dim());
-  Status st = tree.BulkLoad(data);
+  Status st = tree.BulkLoadStr(data);
   (void)st;  // generated data is well-formed; surfaced via tests otherwise
 
   const std::vector<Hypersphere> queries =

@@ -308,10 +308,6 @@ void BatchedMinMaxDistSpan(const double* rows, const double* radii,
   }
 }
 
-void AddInPlaceSpan(double* acc, const double* x, size_t dim) {
-  for (size_t i = 0; i < dim; ++i) acc[i] += x[i];
-}
-
 double Dot(const Point& a, const Point& b) {
   assert(a.size() == b.size());
   return DotSpan(a.data(), b.data(), a.size());

@@ -43,9 +43,6 @@ double SquaredDistSpan(const double* a, const double* b, size_t dim);
 /// Euclidean distance over `dim` contiguous coordinates.
 double DistSpan(const double* a, const double* b, size_t dim);
 
-/// acc[i] += x[i] over `dim` coordinates (index-node running-sum updates).
-void AddInPlaceSpan(double* acc, const double* x, size_t dim);
-
 /// The compile-time kernel dispatch of this build: "avx2" when the span
 /// kernels were compiled against AVX2 intrinsics (HYPERDOM_NATIVE on a
 /// machine with AVX2), "scalar" for the portable fallback. Either way the

@@ -20,9 +20,9 @@ namespace hyperdom {
 /// \brief RAII per-build instrumentation.
 ///
 /// `index_tag` labels the metrics ("ss"|"rstar"|"vp"); `method`
-/// distinguishes build strategies in the span ("bulk_load": insertion one
-/// by one; "str_pack": SsTree::BulkLoadStr's top-down bulk load, named
-/// after the STR packing it replaced; "build").
+/// distinguishes build strategies in the span ("bulk_load": the R*-tree's
+/// insertion one by one; "str_pack": SsTree::BulkLoadStr's top-down bulk
+/// load, named after the STR packing it replaced; "build": the VP-tree).
 class IndexBuildRecorder {
  public:
   IndexBuildRecorder(std::string_view index_tag, std::string_view method);

@@ -3,11 +3,9 @@
 #include "index/ss_tree.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <istream>
 #include <limits>
-#include <numeric>
 #include <ostream>
 
 #include "common/fault.h"
@@ -22,10 +20,6 @@ namespace {
 // bounding radii are accumulated in floating point.
 constexpr double kCoverageSlack = 1e-7;
 
-Point Centroid(const Point& center_sum, size_t count) {
-  return Scale(center_sum, 1.0 / static_cast<double>(count));
-}
-
 }  // namespace
 
 SsTree::SsTree(size_t dim, SsTreeOptions options)
@@ -36,65 +30,13 @@ Status SsTree::ValidateOptions() const {
   if (options_.max_entries < 4) {
     return Status::InvalidArgument("SsTreeOptions.max_entries must be >= 4");
   }
-  if (!(options_.min_fill_ratio > 0.0) || options_.min_fill_ratio > 0.5) {
-    return Status::InvalidArgument(
-        "SsTreeOptions.min_fill_ratio must be in (0, 0.5]");
-  }
-  return Status::OK();
-}
-
-Status SsTree::Insert(const Hypersphere& sphere, uint64_t id) {
-  HYPERDOM_RETURN_NOT_OK(ValidateOptions());
-  if (sphere.dim() != dim_) {
-    return Status::InvalidArgument("dimension mismatch: tree is " +
-                                   std::to_string(dim_) + "-d, sphere is " +
-                                   std::to_string(sphere.dim()) + "-d");
-  }
-  const SsTreeEntry entry{store_->Add(sphere), id};
-  HYPERDOM_FAULT_POINT("ss_tree/insert");
-  if (root_ == nullptr) {
-    root_ = std::make_unique<SsTreeNode>(/*is_leaf=*/true);
-    root_->center_sum_ = Point(dim_, 0.0);
-  }
-  std::unique_ptr<SsTreeNode> split_off;
-  HYPERDOM_RETURN_NOT_OK(InsertRecursive(root_.get(), entry, &split_off));
-  if (split_off != nullptr) {
-    // Grow a new root above the two halves.
-    auto new_root = std::make_unique<SsTreeNode>(/*is_leaf=*/false);
-    new_root->center_sum_ = Add(root_->center_sum_, split_off->center_sum_);
-    new_root->count_ = root_->count_ + split_off->count_;
-    new_root->children_.push_back(std::move(root_));
-    new_root->children_.push_back(std::move(split_off));
-    RefreshBoundingSphere(new_root.get());
-    root_ = std::move(new_root);
-  }
-  ++size_;
-  return Status::OK();
-}
-
-Status SsTree::BulkLoad(const std::vector<Hypersphere>& spheres) {
-  IndexBuildRecorder recorder("ss", "bulk_load");
-  for (size_t i = 0; i < spheres.size(); ++i) {
-    HYPERDOM_RETURN_NOT_OK(Insert(spheres[i], static_cast<uint64_t>(i)));
-  }
-  recorder.Finish(size_);
   return Status::OK();
 }
 
 void SsTree::RebuildNodeStats(SsTreeNode* node) {
-  node->center_sum_ = Point(dim_, 0.0);
-  node->count_ = 0;
-  if (node->is_leaf_) {
-    for (const auto& e : node->entries_) {
-      AddInPlaceSpan(node->center_sum_.data(), store_->center(e.slot), dim_);
-    }
-    node->count_ = node->entries_.size();
-  } else {
-    for (const auto& child : node->children_) {
-      node->center_sum_ = Add(node->center_sum_, child->center_sum_);
-      node->count_ += child->count_;
-    }
-  }
+  // A leaf holds entries and no children; an internal node the reverse.
+  node->count_ = node->entries_.size();
+  for (const auto& child : node->children_) node->count_ += child->count_;
   RefreshBoundingSphere(node);
 }
 
@@ -220,8 +162,9 @@ Status SsTree::BulkLoadStrWithIds(const std::vector<Hypersphere>& spheres,
           "all spheres must share the tree's dimensionality");
     }
   }
-  // Pack at ~85% occupancy: full packing turns every subsequent insert
-  // into a cascade of splits.
+  // Nodes are cut for 85% of max_entries (20 at the default 24). The
+  // factor fixes every tree's shape, and with it snapshot bytes and the
+  // pinned traversal counts.
   const size_t capacity = std::max<size_t>(
       2,
       static_cast<size_t>(0.85 * static_cast<double>(options_.max_entries)));
@@ -234,43 +177,6 @@ Status SsTree::BulkLoadStrWithIds(const std::vector<Hypersphere>& spheres,
   root_ = BulkBuild(&in, 0, spheres.size(), span);
   size_ = spheres.size();
   recorder.Finish(size_);
-  return Status::OK();
-}
-
-Status SsTree::InsertRecursive(SsTreeNode* node, const SsTreeEntry& entry,
-                               std::unique_ptr<SsTreeNode>* split_off) {
-  const double* entry_center = store_->center(entry.slot);
-  AddInPlaceSpan(node->center_sum_.data(), entry_center, dim_);
-  node->count_ += 1;
-
-  if (node->is_leaf_) {
-    node->entries_.push_back(entry);
-  } else {
-    // Cheapest-centroid rule: descend into the child whose centroid is
-    // nearest the new sphere's center.
-    SsTreeNode* best = nullptr;
-    double best_dist = std::numeric_limits<double>::infinity();
-    for (const auto& child : node->children_) {
-      const Point centroid = Centroid(child->center_sum_, child->count_);
-      const double d = SquaredDistSpan(centroid.data(), entry_center, dim_);
-      if (d < best_dist) {
-        best_dist = d;
-        best = child.get();
-      }
-    }
-    std::unique_ptr<SsTreeNode> child_split;
-    HYPERDOM_RETURN_NOT_OK(InsertRecursive(best, entry, &child_split));
-    if (child_split != nullptr) {
-      node->children_.push_back(std::move(child_split));
-    }
-  }
-
-  const size_t occupancy =
-      node->is_leaf_ ? node->entries_.size() : node->children_.size();
-  if (occupancy > options_.max_entries) {
-    HYPERDOM_RETURN_NOT_OK(SplitNode(node, split_off));
-  }
-  RefreshBoundingSphere(node);
   return Status::OK();
 }
 
@@ -318,129 +224,6 @@ void SsTree::RefreshBoundingSphere(SsTreeNode* node) {
         radius, DistSpan(center.data(), item_center(i), dim_) + item_radius(i));
   }
   node->bounding_ = Hypersphere(std::move(center), radius);
-}
-
-std::vector<bool> SsTree::ChoosePartition(const std::vector<Point>& keys) const {
-  const size_t n = keys.size();
-  const size_t min_fill = std::max<size_t>(
-      2, static_cast<size_t>(std::ceil(options_.min_fill_ratio *
-                                       static_cast<double>(n))));
-  std::vector<bool> to_sibling(n, false);
-
-  // White & Jain's split: cut the highest-variance coordinate at the
-  // position minimizing the two sides' summed variance.
-  size_t split_dim = 0;
-  double best_var = -1.0;
-  for (size_t d = 0; d < dim_; ++d) {
-    double sum = 0.0, sum_sq = 0.0;
-    for (const auto& k : keys) {
-      sum += k[d];
-      sum_sq += k[d] * k[d];
-    }
-    const double mean = sum / static_cast<double>(n);
-    const double var = sum_sq / static_cast<double>(n) - mean * mean;
-    if (var > best_var) {
-      best_var = var;
-      split_dim = d;
-    }
-  }
-
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return keys[a][split_dim] < keys[b][split_dim];
-  });
-
-  std::vector<double> prefix_sum(n + 1, 0.0), prefix_sq(n + 1, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    const double v = keys[order[i]][split_dim];
-    prefix_sum[i + 1] = prefix_sum[i] + v;
-    prefix_sq[i + 1] = prefix_sq[i] + v * v;
-  }
-  auto side_var = [&](size_t lo, size_t hi) {  // [lo, hi)
-    const double cnt = static_cast<double>(hi - lo);
-    const double mean = (prefix_sum[hi] - prefix_sum[lo]) / cnt;
-    return (prefix_sq[hi] - prefix_sq[lo]) / cnt - mean * mean;
-  };
-  size_t best_cut = min_fill;
-  double best_cost = std::numeric_limits<double>::infinity();
-  for (size_t cut = min_fill; cut + min_fill <= n; ++cut) {
-    const double cost = side_var(0, cut) + side_var(cut, n);
-    if (cost < best_cost) {
-      best_cost = cost;
-      best_cut = cut;
-    }
-  }
-  for (size_t i = best_cut; i < n; ++i) to_sibling[order[i]] = true;
-  return to_sibling;
-}
-
-Status SsTree::SplitNode(SsTreeNode* node,
-                         std::unique_ptr<SsTreeNode>* out_sibling) {
-  // The split allocates a sibling node — the spot where a real allocation
-  // or I/O failure would surface in a paged implementation.
-  HYPERDOM_FAULT_POINT("ss_tree/split");
-  // Split keys: entry centers for leaves, child centroids for internals.
-  std::vector<Point> keys;
-  const size_t n =
-      node->is_leaf_ ? node->entries_.size() : node->children_.size();
-  keys.reserve(n);
-  if (node->is_leaf_) {
-    for (const auto& e : node->entries_) {
-      const double* c = store_->center(e.slot);
-      keys.emplace_back(c, c + dim_);
-    }
-  } else {
-    for (const auto& child : node->children_) {
-      keys.push_back(Centroid(child->center_sum_, child->count_));
-    }
-  }
-
-  const std::vector<bool> to_sibling = ChoosePartition(keys);
-
-  auto sibling = std::make_unique<SsTreeNode>(node->is_leaf_);
-  sibling->center_sum_ = Point(dim_, 0.0);
-  if (node->is_leaf_) {
-    std::vector<SsTreeEntry> left, right;
-    for (size_t i = 0; i < n; ++i) {
-      (to_sibling[i] ? right : left).push_back(node->entries_[i]);
-    }
-    node->entries_ = std::move(left);
-    sibling->entries_ = std::move(right);
-    node->center_sum_ = Point(dim_, 0.0);
-    node->count_ = node->entries_.size();
-    for (const auto& e : node->entries_) {
-      AddInPlaceSpan(node->center_sum_.data(), store_->center(e.slot), dim_);
-    }
-    sibling->count_ = sibling->entries_.size();
-    for (const auto& e : sibling->entries_) {
-      AddInPlaceSpan(sibling->center_sum_.data(), store_->center(e.slot),
-                     dim_);
-    }
-  } else {
-    std::vector<std::unique_ptr<SsTreeNode>> left, right;
-    for (size_t i = 0; i < n; ++i) {
-      (to_sibling[i] ? right : left).push_back(
-          std::move(node->children_[i]));
-    }
-    node->children_ = std::move(left);
-    sibling->children_ = std::move(right);
-    node->center_sum_ = Point(dim_, 0.0);
-    node->count_ = 0;
-    for (const auto& child : node->children_) {
-      node->center_sum_ = Add(node->center_sum_, child->center_sum_);
-      node->count_ += child->count_;
-    }
-    sibling->count_ = 0;
-    for (const auto& child : sibling->children_) {
-      sibling->center_sum_ = Add(sibling->center_sum_, child->center_sum_);
-      sibling->count_ += child->count_;
-    }
-  }
-  RefreshBoundingSphere(node);
-  RefreshBoundingSphere(sibling.get());
-  *out_sibling = std::move(sibling);
-  return Status::OK();
 }
 
 size_t SsTree::Height() const {
@@ -538,7 +321,7 @@ Status CheckNode(const SsTreeNode* node, const SphereStore& store,
 // Persistence. Binary layout (all integers little-endian host-width types,
 // doubles in IEEE host representation — a same-machine cache format):
 //   magic "HDSS" + u32 version
-//   u64 dim, u64 size, u64 max_entries, f64 min_fill_ratio, u32 0, u32 0
+//   u64 dim, u64 size, u64 max_entries, f64 0.4, u32 0, u32 0
 //   the SphereStore blob (storage/sphere_store.cc), then recursive node
 //   records:
 //     u8 is_leaf
@@ -546,10 +329,14 @@ Status CheckNode(const SsTreeNode* node, const SphereStore& store,
 //     internal: u64 child_count, then the child records
 // The version is 3. Any other, including the retired inline-sphere
 // version 2, is kNotSupported: snapshot callers rebuild from the data.
-// The two u32 fields are written as 0. On read, 0 or 1 is accepted and
-// ignored: builds with a selectable split or bounding policy wrote 1
-// there, and either split leaves a valid tree. Anything else is
-// kCorruption. Centroids and bounding spheres are recomputed on load.
+// The f64 and the two u32 fields are retired and ignored on read. The
+// f64 held the insertion split's minimum fill ratio; it is written as 0.4,
+// that option's old default, so the bytes do not change. The u32 fields
+// named a split and a bounding policy; they are written as 0, and on read
+// 0 or 1 is accepted (builds with a selectable policy wrote 1, and either
+// left a valid tree) and anything else is kCorruption. Subtree counts and
+// bounding spheres are recomputed on load, so a v3 file from a build that
+// still built by insertion loads too.
 // Every store slot is serialized, so slots stay stable. Nothing is
 // allocated for a declared count before its records have been read.
 // ---------------------------------------------------------------------------
@@ -558,6 +345,8 @@ namespace {
 
 constexpr char kMagic[4] = {'H', 'D', 'S', 'S'};
 constexpr uint32_t kFormatVersion = 3;
+// The value written in the retired fill-ratio field.
+constexpr double kRetiredFillRatio = 0.4;
 
 template <typename T>
 void WritePod(std::ostream& out, const T& value) {
@@ -596,7 +385,7 @@ Status SsTree::Serialize(std::ostream& out) const {
   WritePod(out, static_cast<uint64_t>(dim_));
   WritePod(out, static_cast<uint64_t>(size_));
   WritePod(out, static_cast<uint64_t>(options_.max_entries));
-  WritePod(out, options_.min_fill_ratio);
+  WritePod(out, kRetiredFillRatio);
   WritePod(out, uint32_t{0});  // retired split-policy field
   WritePod(out, uint32_t{0});  // retired bounding-policy field
   HYPERDOM_RETURN_NOT_OK(store_->SerializeTo(out));
@@ -662,11 +451,11 @@ Status SsTree::Deserialize(std::istream& in, SsTree* out) {
                                 std::to_string(version));
   }
   uint64_t dim = 0, size = 0, max_entries = 0;
-  double min_fill_ratio = 0.0;
+  double retired_fill_ratio = 0.0;
   uint32_t split_policy = 0;
   uint32_t bounding_policy = 0;
   if (!ReadPod(in, &dim) || !ReadPod(in, &size) || !ReadPod(in, &max_entries) ||
-      !ReadPod(in, &min_fill_ratio) || !ReadPod(in, &split_policy) ||
+      !ReadPod(in, &retired_fill_ratio) || !ReadPod(in, &split_policy) ||
       !ReadPod(in, &bounding_policy)) {
     return Status::Corruption("truncated header");
   }
@@ -676,7 +465,6 @@ Status SsTree::Deserialize(std::istream& in, SsTree* out) {
 
   SsTreeOptions options;
   options.max_entries = max_entries;
-  options.min_fill_ratio = min_fill_ratio;
   SsTree tree(dim, options);
   SphereStore store;
   HYPERDOM_RETURN_NOT_OK(SphereStore::DeserializeFrom(in, &store));

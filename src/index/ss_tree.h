@@ -10,11 +10,15 @@
 //     hold lightweight StoredEntry handles (slot + caller-supplied id),
 //     internal nodes hold child nodes. Traversals resolve handles to
 //     SphereView spans over the store's contiguous arena.
-//   * Memory follows the traversal. A bulk-loaded tree (BulkLoadStr)
-//     appends each leaf's rows to the store as the leaf is made, so a
-//     leaf's rows are contiguous and the leaves, read left to right, hold
-//     slots 0, 1, 2, … An insertion-built tree keeps its rows in insertion
-//     order.
+//   * One way to build: top down, after White & Jain's VAMSplit, by
+//     largest-variance cuts into groups of near-equal size (BulkLoadStr).
+//     A tree is built once per dataset and never edited in place; the
+//     mutable store (index/mutable_ss_tree.h) inserts into a delta and
+//     deletes by tombstone over an immutable tree, and compacts by a
+//     rebuild.
+//   * Memory follows the traversal. The loader appends each leaf's rows to
+//     the store as the leaf is made, so a leaf's rows are contiguous and
+//     the leaves, read left to right, hold slots 0, 1, 2, …
 //   * Every node's region is a bounding sphere that covers all of its
 //     data spheres — the SS-tree's defining property that yields compact
 //     regions in high dimension. Unlike White & Jain's sphere, which is
@@ -28,18 +32,7 @@
 //     at stride d, radii in a parallel array), so a traversal bounds every
 //     child of a node with one batched kernel call without touching the
 //     child nodes.
-//   * Every node also keeps the centroid of the data centers beneath it
-//     (incrementally, via a coordinate sum and a count); only insertion
-//     reads it.
-//   * Insertion descends to the child whose centroid is nearest the new
-//     center (White & Jain's cheapest-centroid rule). An overflowing node
-//     is split by White & Jain's variance cut, subject to the options'
-//     minimum fill ratio.
-//   * Bulk loading follows White & Jain's VAMSplit: top down, by
-//     largest-variance cuts into groups of near-equal size (BulkLoadStr).
-//   * Beyond White & Jain: binary persistence. There is no in-place
-//     delete; the mutable store (index/mutable_ss_tree.h) deletes by
-//     tombstone and compacts by a bulk rebuild.
+//   * Beyond White & Jain: binary persistence.
 
 #ifndef HYPERDOM_INDEX_SS_TREE_H_
 #define HYPERDOM_INDEX_SS_TREE_H_
@@ -64,12 +57,10 @@ using SsTreeEntry = StoredEntry;
 struct SsTreeOptions {
   /// Maximum entries (leaf) or children (internal) per node. Must be >= 4.
   size_t max_entries = 24;
-  /// Minimum fill ratio enforced by splits, in (0, 0.5].
-  double min_fill_ratio = 0.4;
 };
 
 /// \brief SS-tree node. Public so that search strategies (query/knn.cc) and
-/// tests can traverse the structure; mutation goes through SsTree.
+/// tests can traverse the structure; only SsTree builds it.
 class SsTreeNode {
  public:
   explicit SsTreeNode(bool is_leaf) : is_leaf_(is_leaf) {}
@@ -103,9 +94,6 @@ class SsTreeNode {
   /// Packed child bounds; written only by SsTree::RefreshBoundingSphere.
   std::vector<double> child_centers_;
   std::vector<double> child_radii_;
-  /// Sum of data-sphere centers beneath this node (for the centroid that
-  /// insertion descends by).
-  Point center_sum_;
   /// Number of data entries beneath this node.
   size_t count_ = 0;
 };
@@ -113,19 +101,9 @@ class SsTreeNode {
 /// \brief The SS-tree index.
 class SsTree {
  public:
-  /// Creates an empty tree for `dim`-dimensional data. `options` validated
-  /// lazily on first insert.
+  /// Creates an empty tree for `dim`-dimensional data. `options` are
+  /// validated by the bulk load.
   explicit SsTree(size_t dim, SsTreeOptions options = {});
-
-  /// Inserts one hypersphere. Fails on dimension mismatch or bad options.
-  /// A mid-insert failure (only reachable via injected faults today) can
-  /// leave the tree with the partial update applied; it stays safe to
-  /// read, but callers should rebuild before trusting CheckInvariants().
-  Status Insert(const Hypersphere& sphere, uint64_t id);
-
-  /// Bulk-loads by repeated insertion (the paper's experiments build the
-  /// index once per dataset).
-  Status BulkLoad(const std::vector<Hypersphere>& spheres);
 
   /// \brief Bulk-loads top down, after White & Jain's VAMSplit
   /// ("Similarity indexing: algorithms and performance", 1996). With
@@ -136,9 +114,9 @@ class SsTree {
   /// variance over at most 128 evenly strided rows. (VAMSplit fills whole
   /// subtrees and leaves the remainder to the last one; equal sizes keep
   /// every non-root node at 2 items or more.) All leaves are at one depth.
-  /// Much faster than repeated insertion. Replaces any previous contents;
-  /// ids are positions in `spheres`. Store rows are in leaf order, not
-  /// input order: read the slot of an id from the leaves.
+  /// Replaces any previous contents; ids are positions in `spheres`. Store
+  /// rows are in leaf order, not input order: read the slot of an id from
+  /// the leaves.
   ///
   /// The name is kept from the Sort-Tile-Recursive packing this loader
   /// replaced, because the repository benchmark calls it; so are the
@@ -156,8 +134,8 @@ class SsTree {
   /// Root node; null while the tree is empty.
   const SsTreeNode* root() const { return root_.get(); }
 
-  /// The columnar sphere storage backing every leaf entry. Stable for the
-  /// tree's lifetime; grows only under Insert/BulkLoad.
+  /// The columnar sphere storage backing every leaf entry. Fixed between
+  /// builds; each bulk load or Deserialize() replaces it.
   const SphereStore& store() const { return *store_; }
 
   size_t size() const { return size_; }
@@ -183,7 +161,7 @@ class SsTree {
   Status Serialize(std::ostream& out) const;
 
   /// \brief Reads a tree written by Serialize() into `*out` (replacing its
-  /// contents). Derived per-node data (centroids, bounding spheres) is
+  /// contents). Derived per-node data (subtree counts, bounding spheres) is
   /// recomputed, so a successful load always satisfies CheckInvariants()
   /// and has the saved tree's bounding spheres bit for bit.
   /// Any format version but the current one is kNotSupported.
@@ -191,19 +169,10 @@ class SsTree {
 
  private:
   Status ValidateOptions() const;
-  /// Descends to the leaf chosen by the cheapest-centroid rule, inserts, and
-  /// splits overflowing nodes on the way back up.
-  Status InsertRecursive(SsTreeNode* node, const SsTreeEntry& entry,
-                         std::unique_ptr<SsTreeNode>* split_off);
   /// Recomputes `node`'s bounding sphere from its items (entry spheres or
   /// child spheres), centred on the midpoint of their bounding box, and
   /// repacks an internal node's child bounds.
   void RefreshBoundingSphere(SsTreeNode* node);
-  /// Splits an overflowing node into `*sibling` (the new right half).
-  Status SplitNode(SsTreeNode* node, std::unique_ptr<SsTreeNode>* sibling);
-  /// Item partition for the split (White & Jain's variance cut): returns,
-  /// for each item key, whether it goes to the new sibling.
-  std::vector<bool> ChoosePartition(const std::vector<Point>& keys) const;
   /// Reads one slot-reference node record against a loaded store.
   static Status LoadNode(std::istream& in, const SphereStore& store,
                          size_t max_entries, size_t depth,
@@ -220,7 +189,7 @@ class SsTree {
   /// run's subtree of at most `child_span` rows to `parent`, in order.
   void BulkSplit(BulkInput* in, size_t lo, size_t hi, size_t groups,
                  size_t child_span, SsTreeNode* parent);
-  /// Recomputes a node's centroid bookkeeping and bounding sphere from its
+  /// Recomputes a node's subtree count and bounding sphere from its
   /// current payload (bulk-load and load helper).
   void RebuildNodeStats(SsTreeNode* node);
 

@@ -35,7 +35,8 @@ namespace hyperdom {
 /// The list works on non-owning EntryView handles: a traversal resolves its
 /// index payloads (StoredEntry) against the tree's SphereStore and hands the
 /// views in. Every view must stay valid until the list is consumed — store
-/// rows qualify (the store only moves on insert, and queries never insert);
+/// rows qualify (a written row never moves: an SS-tree's store is fixed
+/// between builds, and the mutable store appends into reserved slabs);
 /// answers are materialized into owning DataEntry values only at the end.
 class BestKnownList {
  public:

@@ -109,11 +109,7 @@ Status MakeStatus(StatusCode code, std::string msg) {
 }  // namespace
 
 Deadline DeadlineFromRequest(const KnnRequest& request) {
-  Deadline deadline;
-  if (request.budget_micros > 0) {
-    deadline = Deadline::AfterDuration(
-        std::chrono::microseconds(request.budget_micros));
-  }
+  Deadline deadline = Deadline::FromBudgetMicros(request.budget_micros);
   if (request.node_budget > 0) deadline.SetNodeBudget(request.node_budget);
   return deadline;
 }

@@ -28,16 +28,6 @@ uint64_t NowNs() {
           .count());
 }
 
-/// The mutation deadline counterpart of DeadlineFromRequest: mutations
-/// carry only a wall-clock budget.
-Deadline DeadlineFromBudget(uint64_t budget_micros) {
-  Deadline deadline;
-  if (budget_micros > 0) {
-    deadline = Deadline::AfterDuration(std::chrono::microseconds(budget_micros));
-  }
-  return deadline;
-}
-
 }  // namespace
 
 Server::Server(const SsTree* tree, const DominanceCriterion* criterion,
@@ -358,7 +348,7 @@ void Server::ConnectionLoop(Connection* conn) {
         auto work = std::make_unique<Work>();
         work->kind = FrameKind::kInsertRequest;
         work->insert = request.TakeValue();
-        work->deadline = DeadlineFromBudget(work->insert.budget_micros);
+        work->deadline = Deadline::FromBudgetMicros(work->insert.budget_micros);
         response_frame = submit(std::move(work));
         break;
       }
@@ -371,7 +361,7 @@ void Server::ConnectionLoop(Connection* conn) {
         auto work = std::make_unique<Work>();
         work->kind = FrameKind::kRemoveRequest;
         work->remove = request.TakeValue();
-        work->deadline = DeadlineFromBudget(work->remove.budget_micros);
+        work->deadline = Deadline::FromBudgetMicros(work->remove.budget_micros);
         response_frame = submit(std::move(work));
         break;
       }

@@ -214,7 +214,7 @@ class AdminServerIntegrationTest : public ::testing::Test {
     spec.seed = 8'800;
     data_ = GenerateSynthetic(spec);
     tree_ = std::make_unique<SsTree>(spec.dim);
-    ASSERT_TRUE(tree_->BulkLoad(data_).ok());
+    ASSERT_TRUE(tree_->BulkLoadStr(data_).ok());
     criterion_ = MakeCriterion(CriterionKind::kHyperbola);
     queries_ = MakeKnnQueries(data_, 8, 8'900);
   }

@@ -68,6 +68,9 @@ TEST(ParseSphereTest, Rejections) {
   EXPECT_FALSE(ParseSphere("1,x;1").ok());      // bad coordinate
   EXPECT_FALSE(ParseSphere("1,2;-1").ok());     // negative radius
   EXPECT_FALSE(ParseSphere("1,2;abc").ok());    // bad radius
+  EXPECT_FALSE(ParseSphere("nan,0;1").ok());    // non-finite coordinate
+  EXPECT_FALSE(ParseSphere("1,inf;1").ok());
+  EXPECT_FALSE(ParseSphere("1,2;inf").ok());    // non-finite radius
 }
 
 TEST(ParseCriterionTest, AllNames) {
@@ -338,6 +341,59 @@ TEST(CliTest, IntegerFlagsOutsideTheirRangeAreRefused) {
   }
 }
 
+// A double flag takes only a finite value in its range: NaN and the
+// infinities are refused with an error naming the flag, as is a value
+// past the range. Every case but the last runs to completion when the
+// flag is not checked. --fault-rate is a global flag, so a bad value is a
+// usage error (exit 2).
+TEST(CliTest, NumberFlagsMustBeFiniteAndInRange) {
+  const std::string csv = testing::TempDir() + "/hyperdom_cli_numbers.csv";
+  const std::string out = testing::TempDir() + "/hyperdom_cli_numbers_out.csv";
+  ASSERT_EQ(RunCli({"generate", "--out=" + csv, "--n=200", "--dim=2",
+                    "--seed=4"})
+                .exit_code,
+            0);
+  const std::string data = "--data=" + csv;
+  const std::string query = "--query=100,100;5";
+  const std::string sa = "--sa=2,0;0.5", sb = "--sb=20,0;0.5",
+                    sq = "--sq=0,0;0";
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {{{"knn", data, query, "--deadline-ms=nan"}, "--deadline-ms"},
+       {{"knn", data, query, "--deadline-ms=1e300"}, "--deadline-ms"},
+       {{"knn", data, query, "--deadline-ms=0.0001"}, "--deadline-ms"},
+       {{"range", data, query, "--range=nan"}, "--range"},
+       {{"range", data, query, "--range=inf"}, "--range"},
+       {{"generate", "--out=" + out, "--n=5", "--dim=2", "--mu=nan"}, "--mu"},
+       {{"selfcheck", "--scenes=10", "--mu=nan"}, "--mu"},
+       {{"expiry", sa, sb, sq, "--va=nan"}, "--va"},
+       {{"expiry", sa, sb, sq, "--vb=inf"}, "--vb"},
+       {{"expiry", sa, sb, sq, "--vq=nan"}, "--vq"},
+       {{"expiry", sa, sb, sq, "--horizon=nan"}, "--horizon"},
+       {{"dominate", "--sa=nan,0;1", "--sb=10,0;1", "--sq=-5,0;1"}, "--sa"},
+       {{"knn", data, "--query=100,100;inf"}, "--query"},
+       {{"knn", data, query, "--fault-rate=nan"}, "--fault-rate"},
+       {{"knn", data, query, "--fault-rate=2"}, "--fault-rate"}};
+  for (const auto& [args, flag] : cases) {
+    const CliRun run = RunCli(args);
+    const bool global = flag == "--fault-rate";
+    EXPECT_EQ(run.exit_code, global ? 2 : 1) << args.back() << ": " << run.err;
+    const std::string named =
+        flag == "--sa" || flag == "--query" ? flag + ": " : "bad " + flag;
+    EXPECT_NE(run.err.find(named), std::string::npos)
+        << args.back() << ": " << run.err;
+  }
+  // The largest deadline in range sets none the clock can hold: the
+  // answer is the exact one.
+  const CliRun exact = RunCli({"knn", data, query, "--k=5"});
+  ASSERT_EQ(exact.exit_code, 0) << exact.err;
+  const CliRun far = RunCli(
+      {"knn", data, query, "--k=5", "--deadline-ms=18446744073709551"});
+  EXPECT_EQ(far.exit_code, 0) << far.err;
+  EXPECT_EQ(far.out, exact.out);
+  std::remove(csv.c_str());
+  std::remove(out.c_str());
+}
+
 TEST_F(CliPipelineTest, MissingFileErrors) {
   const CliRun run =
       RunCli({"knn", "--data=/no/such/file.csv", "--query=1,2,3;1"});
@@ -355,7 +411,7 @@ TEST(CliServerTest, QueryExitsThreeWhileTheOnlySlotIsHeld) {
   spec.dim = 3;
   spec.seed = 9;
   SsTree tree(spec.dim);
-  ASSERT_TRUE(tree.BulkLoad(GenerateSynthetic(spec)).ok());
+  ASSERT_TRUE(tree.BulkLoadStr(GenerateSynthetic(spec)).ok());
   const auto criterion = MakeCriterion(CriterionKind::kHyperbola);
   server::ServerOptions options;
   options.max_connections = 1;

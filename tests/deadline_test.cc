@@ -12,7 +12,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "data/generator.h"
@@ -68,6 +70,26 @@ TEST(DeadlineTest, WallClockExpires) {
   EXPECT_TRUE(d.Expired(0));
   const Deadline far = Deadline::AfterDuration(std::chrono::hours(1));
   EXPECT_FALSE(far.Expired(0));
+}
+
+// A wire budget (microseconds) converts without overflow. 0 and any budget
+// past the steady clock's range set no wall deadline; converting such a
+// count to nanoseconds would wrap from 2^63 ns on and expire at once.
+TEST(DeadlineTest, BudgetsPastTheClockSetNoWallDeadline) {
+  EXPECT_TRUE(Deadline::FromBudgetMicros(0).unbounded());
+  for (uint64_t micros :
+       {(uint64_t{1} << 63) / 1000 + 1, std::numeric_limits<uint64_t>::max()}) {
+    const Deadline d = Deadline::FromBudgetMicros(micros);
+    EXPECT_FALSE(d.has_wall_deadline()) << micros;
+    EXPECT_FALSE(d.Expired(0)) << micros;
+  }
+  const Deadline year =
+      Deadline::FromBudgetMicros(uint64_t{365} * 24 * 3600 * 1'000'000);
+  EXPECT_TRUE(year.has_wall_deadline());
+  EXPECT_FALSE(year.Expired(0));
+  const Deadline short_budget = Deadline::FromBudgetMicros(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_TRUE(short_budget.Expired(0));
 }
 
 TEST(TraversalGuardTest, StickyExpiryAndPendingBound) {

@@ -37,7 +37,7 @@ TEST_P(EndToEndTest, RealStandInPipeline) {
   const size_t dim = points.front().size();
 
   SsTree tree(dim);
-  ASSERT_TRUE(tree.BulkLoad(data).ok());
+  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
   ASSERT_TRUE(tree.CheckInvariants().ok())
       << tree.CheckInvariants().ToString();
 

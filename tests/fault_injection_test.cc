@@ -69,11 +69,7 @@ Status RunFallibleWorkload(const std::vector<Hypersphere>& data,
   auto reloaded = LoadSpheresCsv(csv_path);
   HYPERDOM_RETURN_NOT_OK(reloaded.status());
 
-  // Dynamic SS-tree inserts reach insert + split; STR reaches str_pack.
-  SsTree dynamic_tree(3);
-  for (size_t i = 0; i < data.size(); ++i) {
-    HYPERDOM_RETURN_NOT_OK(dynamic_tree.Insert(data[i], i));
-  }
+  // The SS-tree's bulk load reaches str_pack.
   SsTree str_tree(3);
   HYPERDOM_RETURN_NOT_OK(str_tree.BulkLoadStr(data));
 
@@ -145,7 +141,7 @@ TEST(FaultRegistryTest, RandomModeIsDeterministicInSeed) {
     registry.ArmRandom(seed, 0.3);
     std::vector<bool> fired;
     for (int i = 0; i < 200; ++i) {
-      fired.push_back(!registry.Hit("ss_tree/insert").ok());
+      fired.push_back(!registry.Hit("rstar_tree/insert").ok());
     }
     return fired;
   };
@@ -341,7 +337,7 @@ TEST(FaultQueryScopeTest, QueryStreamIsIndependentOfExecutionOrder) {
     FaultQueryScope scope(query_id);
     std::vector<bool> fired;
     for (int i = 0; i < kHits; ++i) {
-      fired.push_back(!registry.Hit("ss_tree/insert").ok());
+      fired.push_back(!registry.Hit("rstar_tree/insert").ok());
     }
     return fired;
   };
@@ -376,7 +372,7 @@ TEST(FaultQueryScopeTest, UnscopedStreamKeepsTheGlobalCounterBehavior) {
   auto pattern = [&] {
     std::vector<bool> fired;
     for (int i = 0; i < 100; ++i) {
-      fired.push_back(!registry.Hit("ss_tree/insert").ok());
+      fired.push_back(!registry.Hit("rstar_tree/insert").ok());
     }
     return fired;
   };
@@ -392,14 +388,14 @@ TEST(FaultQueryScopeTest, UnscopedStreamKeepsTheGlobalCounterBehavior) {
 TEST(FaultQueryScopeTest, ArmSiteNthExecutionStaysProcessWide) {
   RegistryGuard guard;
   auto& registry = FaultRegistry::Instance();
-  registry.ArmSite("ss_tree/insert", /*nth=*/3);
+  registry.ArmSite("rstar_tree/insert", /*nth=*/3);
   FaultQueryScope scope(5);
   // Single-shot arming counts process-wide executions even inside a
   // query scope: exactly the third hit fires.
-  EXPECT_TRUE(registry.Hit("ss_tree/insert").ok());
-  EXPECT_TRUE(registry.Hit("ss_tree/insert").ok());
-  EXPECT_FALSE(registry.Hit("ss_tree/insert").ok());
-  EXPECT_TRUE(registry.Hit("ss_tree/insert").ok());
+  EXPECT_TRUE(registry.Hit("rstar_tree/insert").ok());
+  EXPECT_TRUE(registry.Hit("rstar_tree/insert").ok());
+  EXPECT_FALSE(registry.Hit("rstar_tree/insert").ok());
+  EXPECT_TRUE(registry.Hit("rstar_tree/insert").ok());
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ TEST_P(IndexEquivalenceTest, AllIndexesMatchLinearScan) {
   const auto data = GenerateSynthetic(spec);
 
   SsTree ss_tree(4);
-  ASSERT_TRUE(ss_tree.BulkLoad(data).ok());
+  ASSERT_TRUE(ss_tree.BulkLoadStr(data).ok());
   RStarTree rstar(4);
   ASSERT_TRUE(rstar.BulkLoad(data).ok());
   VpTree vp;
@@ -131,9 +131,7 @@ TEST(IndexKnnTest, StatsReflectPruning) {
 }
 
 // Pins the work of the shared DF/HS drivers (query/knn_traversal.h) on one
-// seeded dataset: per index and strategy (the SS-tree both insertion-built,
-// "ss", and bulk-loaded by BulkLoadStr, "ss_str", as every served, sharded
-// and mutable SS-tree is), the summed traversal counters
+// seeded dataset: per index and strategy, the summed traversal counters
 // over 20 queries, the final filter's dominance checks (one per candidate
 // past position k, query/best_known_list.h) and a digest of every answer.
 // The counts assume libstdc++'s std::sort and std::priority_queue tie
@@ -150,9 +148,7 @@ TEST(IndexKnnTest, TraversalWorkIsPinned) {
   const auto data = GenerateSynthetic(spec);
   const auto queries = MakeKnnQueries(data, 20, 2106);
   SsTree ss_tree(4);
-  ASSERT_TRUE(ss_tree.BulkLoad(data).ok());
-  SsTree str_tree(4);
-  ASSERT_TRUE(str_tree.BulkLoadStr(data).ok());
+  ASSERT_TRUE(ss_tree.BulkLoadStr(data).ok());
   RStarTree rstar(4);
   ASSERT_TRUE(rstar.BulkLoad(data).ok());
   VpTree vp;
@@ -161,9 +157,6 @@ TEST(IndexKnnTest, TraversalWorkIsPinned) {
   auto search = [&](std::string_view index, const Hypersphere& sq,
                     const KnnOptions& options) {
     if (index == "ss") return KnnSearcher(&exact, options).Search(ss_tree, sq);
-    if (index == "ss_str") {
-      return KnnSearcher(&exact, options).Search(str_tree, sq);
-    }
     if (index == "rstar") return RStarKnnSearch(rstar, sq, exact, options);
     return VpTreeKnnSearch(vp, sq, exact, options);
   };
@@ -179,10 +172,8 @@ TEST(IndexKnnTest, TraversalWorkIsPinned) {
   constexpr SearchStrategy kDf = SearchStrategy::kDepthFirst;
   constexpr SearchStrategy kHs = SearchStrategy::kBestFirst;
   const Pin pins[] = {
-      {"ss", kDf, 3025, 3150, 46600, 11627},
-      {"ss", kHs, 2434, 3741, 36435, 7078},
-      {"ss_str", kDf, 2744, 2636, 47500, 13574},
-      {"ss_str", kHs, 2115, 3265, 35384, 7130},
+      {"ss", kDf, 2744, 2636, 47500, 13574},
+      {"ss", kHs, 2115, 3265, 35384, 7130},
       {"rstar", kDf, 2502, 3011, 38856, 8986},
       {"rstar", kHs, 2287, 3226, 35048, 6834},
       {"vp", kDf, 10585, 1595, 45796, 8797},
@@ -221,10 +212,9 @@ TEST(IndexKnnTest, TraversalWorkIsPinned) {
 // MinDist <= the final DistK: a perfect bound would skip them. On
 // knn_paper-shaped data (hyperdom_bench: centres Gaussian(1000, 250),
 // mu = 10, d = 4, k = 10; here N = 20k and 50 queries) the test checks the
-// visits per query and pins, per builder, the summed node visits, entries
-// accessed and slack. The visits that are not slack (1,111 and 977) depend
-// only on the tree's shape, so a change to the node spheres alone leaves
-// them as they are.
+// visits per query and pins the summed node visits, entries accessed and
+// slack. The visits that are not slack (977) depend only on the tree's
+// shape, so a change to the node spheres alone leaves them as they are.
 TEST(IndexKnnTest, BestFirstVisitsExactlyTheNodesWithinFinalDistK) {
   SyntheticSpec spec;
   spec.n = 20'000;
@@ -235,63 +225,48 @@ TEST(IndexKnnTest, BestFirstVisitsExactlyTheNodesWithinFinalDistK) {
   spec.seed = 2109;
   const auto data = GenerateSynthetic(spec);
   const auto queries = MakeKnnQueries(data, 50, 2110);
-  SsTree inserted(4);
-  ASSERT_TRUE(inserted.BulkLoad(data).ok());
-  SsTree bulk(4);
-  ASSERT_TRUE(bulk.BulkLoadStr(data).ok());
+  SsTree tree(4);
+  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
   HyperbolaCriterion exact;
   KnnOptions options;
   options.k = 10;
   options.strategy = SearchStrategy::kBestFirst;
   const KnnSearcher searcher(&exact, options);
 
-  struct Pin {
-    std::string_view builder;
-    const SsTree* tree;
-    uint64_t nodes_visited;
-    uint64_t entries_accessed;
-    uint64_t slack;
-  };
-  const Pin pins[] = {{"insertion", &inserted, 4763, 47412, 3652},
-                      {"bulk", &bulk, 3791, 42420, 2814}};
-  for (const Pin& pin : pins) {
-    KnnStats sum;
-    uint64_t slack = 0;
-    for (const auto& sq : queries) {
-      const KnnResult result = searcher.Search(*pin.tree, sq);
-      ASSERT_GE(result.answers.size(), options.k);
-      const double distk = MaxDist(result.answers[options.k - 1].sphere, sq);
-      // Walks the whole subtree; counts the nodes reached through bounds
-      // <= distk (`reached` says the parent was) into `within`, and the
-      // slack among them into `slack`. Returns whether the subtree holds
-      // an entry with MinDist <= distk.
-      uint64_t within = 0;
-      auto walk = [&](auto& self, const SsTreeNode* node,
-                      bool reached) -> bool {
-        reached = reached && MinDist(node->bounding_sphere(), sq) <= distk;
-        bool holds = false;
-        if (node->is_leaf()) {
-          for (const auto& e : node->entries()) {
-            holds |= MinDist(pin.tree->store().view(e.slot), sq.view()) <=
-                     distk;
-          }
-        } else {
-          for (const auto& child : node->children()) {
-            holds |= self(self, child.get(), reached);
-          }
+  KnnStats sum;
+  uint64_t slack = 0;
+  for (const auto& sq : queries) {
+    const KnnResult result = searcher.Search(tree, sq);
+    ASSERT_GE(result.answers.size(), options.k);
+    const double distk = MaxDist(result.answers[options.k - 1].sphere, sq);
+    // Walks the whole subtree; counts the nodes reached through bounds
+    // <= distk (`reached` says the parent was) into `within`, and the
+    // slack among them into `slack`. Returns whether the subtree holds an
+    // entry with MinDist <= distk.
+    uint64_t within = 0;
+    auto walk = [&](auto& self, const SsTreeNode* node, bool reached) -> bool {
+      reached = reached && MinDist(node->bounding_sphere(), sq) <= distk;
+      bool holds = false;
+      if (node->is_leaf()) {
+        for (const auto& e : node->entries()) {
+          holds |= MinDist(tree.store().view(e.slot), sq.view()) <= distk;
         }
-        within += reached ? 1 : 0;
-        slack += reached && !holds ? 1 : 0;
-        return holds;
-      };
-      walk(walk, pin.tree->root(), /*reached=*/true);
-      EXPECT_EQ(result.stats.nodes_visited, within) << pin.builder;
-      sum += result.stats;
-    }
-    EXPECT_EQ(sum.nodes_visited, pin.nodes_visited) << pin.builder;
-    EXPECT_EQ(sum.entries_accessed, pin.entries_accessed) << pin.builder;
-    EXPECT_EQ(slack, pin.slack) << pin.builder;
+      } else {
+        for (const auto& child : node->children()) {
+          holds |= self(self, child.get(), reached);
+        }
+      }
+      within += reached ? 1 : 0;
+      slack += reached && !holds ? 1 : 0;
+      return holds;
+    };
+    walk(walk, tree.root(), /*reached=*/true);
+    EXPECT_EQ(result.stats.nodes_visited, within);
+    sum += result.stats;
   }
+  EXPECT_EQ(sum.nodes_visited, 3791u);
+  EXPECT_EQ(sum.entries_accessed, 42420u);
+  EXPECT_EQ(slack, 2814u);
 }
 
 // Pins the answers of every criterion, and the whole output of the eager
@@ -309,7 +284,7 @@ TEST(IndexKnnTest, EveryCriterionAndEagerModeArePinned) {
   const auto data = GenerateSynthetic(spec);
   const auto queries = MakeKnnQueries(data, 20, 2108);
   SsTree tree(4);
-  ASSERT_TRUE(tree.BulkLoad(data).ok());
+  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
   constexpr SearchStrategy kDf = SearchStrategy::kDepthFirst;
   constexpr SearchStrategy kHs = SearchStrategy::kBestFirst;
 
@@ -319,7 +294,7 @@ TEST(IndexKnnTest, EveryCriterionAndEagerModeArePinned) {
   };
   const CriterionPin criterion_pins[] = {
       {CriterionKind::kMinMax, 0x994c5ad3cc9e77a5ULL},
-      {CriterionKind::kMbr, 0x46aa14bf1500e76eULL},
+      {CriterionKind::kMbr, 0x16f2819a6736790cULL},
       {CriterionKind::kGp, 0x86b78b87057db4e5ULL},
       {CriterionKind::kTrigonometric, 0xf91d483b14a8c235ULL},
       {CriterionKind::kHyperbola, 0xa4272fddcc02a0f9ULL},
@@ -351,14 +326,14 @@ TEST(IndexKnnTest, EveryCriterionAndEagerModeArePinned) {
     KnnStats stats;  // in KnnStats declaration order
   };
   const EagerPin eager_pins[] = {
-      {kDf, 1, 0x7a7f54d0a2018f3aULL,
-       {1590, 3396, 22144, 8140, 1162, 18609, 1349, 0, 0}},
-      {kDf, 10, 0x49e9cb1942ceadf3ULL,
-       {2782, 3284, 41085, 66903, 3586, 30410, 3470, 0, 0}},
-      {kHs, 1, 0xc501def5555d49bfULL,
-       {1106, 3880, 13962, 6558, 343, 11684, 897, 0, 0}},
-      {kHs, 10, 0x0b8c1440a0acfc26ULL,
-       {2322, 3744, 33359, 40025, 1797, 26505, 1291, 0, 0}},
+      {kDf, 1, 0x9c7fa2e0ea0a696eULL,
+       {1582, 2978, 25929, 10484, 1863, 21170, 1882, 0, 0}},
+      {kDf, 10, 0xeb9b20728c9014f1ULL,
+       {2509, 2831, 43033, 72662, 3870, 31763, 3818, 0, 0}},
+      {kHs, 1, 0xed99b7a7c80c8343ULL,
+       {1001, 3559, 14745, 5525, 350, 12589, 797, 0, 0}},
+      {kHs, 10, 0xf6a16d04ef7c551bULL,
+       {2013, 3327, 33465, 35168, 1859, 26670, 1147, 0, 0}},
   };
   HyperbolaCriterion exact;
   for (const EagerPin& pin : eager_pins) {

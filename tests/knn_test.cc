@@ -89,7 +89,7 @@ TEST_P(KnnEquivalenceTest, IndexMatchesLinearScan) {
   spec.seed = 830 + k;
   const auto data = GenerateSynthetic(spec);
   SsTree tree(4);
-  ASSERT_TRUE(tree.BulkLoad(data).ok());
+  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
 
   HyperbolaCriterion exact;
   KnnOptions options;
@@ -119,7 +119,7 @@ TEST(KnnSearcherTest, WeakerCriterionReturnsSuperset) {
   spec.seed = 840;
   const auto data = GenerateSynthetic(spec);
   SsTree tree(4);
-  ASSERT_TRUE(tree.BulkLoad(data).ok());
+  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
 
   HyperbolaCriterion exact;
   MinMaxCriterion weak;
@@ -147,7 +147,7 @@ TEST(KnnSearcherTest, EagerModeIsSubsetOfDeferred) {
   spec.seed = 850;
   const auto data = GenerateSynthetic(spec);
   SsTree tree(4);
-  ASSERT_TRUE(tree.BulkLoad(data).ok());
+  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
 
   HyperbolaCriterion exact;
   KnnOptions deferred;
@@ -183,7 +183,7 @@ TEST(KnnSearcherTest, StatsArePopulated) {
   spec.seed = 860;
   const auto data = GenerateSynthetic(spec);
   SsTree tree(3);
-  ASSERT_TRUE(tree.BulkLoad(data).ok());
+  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
   HyperbolaCriterion exact;
   KnnSearcher searcher(&exact, KnnOptions{});
   const KnnResult result = searcher.Search(tree, data[42]);
@@ -199,7 +199,7 @@ TEST(KnnSearcherTest, BestFirstAccessesNoMoreEntriesThanDepthFirst) {
   spec.seed = 870;
   const auto data = GenerateSynthetic(spec);
   SsTree tree(4);
-  ASSERT_TRUE(tree.BulkLoad(data).ok());
+  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
   HyperbolaCriterion exact;
   KnnOptions hs;
   hs.strategy = SearchStrategy::kBestFirst;

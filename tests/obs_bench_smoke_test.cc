@@ -45,6 +45,10 @@ TEST(ObsBenchSmokeTest, Fig13EmitsValidArtifacts) {
             std::string::npos);
   EXPECT_NE(json.find("\"bench\": \"fig13_knn_radius\""), std::string::npos);
   EXPECT_NE(json.find("\"smoke\": true"), std::string::npos);
+  // Provenance: the host the run measured.
+  EXPECT_NE(json.find("\"host\": {\"nproc\": "), std::string::npos);
+  EXPECT_NE(json.find("\"cpus_allowed\": "), std::string::npos);
+  EXPECT_NE(json.find("\"kernel_dispatch\": \""), std::string::npos);
   EXPECT_NE(json.find("\"sweeps\": ["), std::string::npos);
   EXPECT_NE(json.find("\"label\": \"mu = 5\""), std::string::npos);
   EXPECT_NE(json.find("\"label\": \"mu = 100\""), std::string::npos);

@@ -50,7 +50,7 @@ void BuildRangeStores(uint64_t seed, RangeStores* stores) {
   spec.seed = seed;
   stores->data = GenerateSynthetic(spec);
   const auto& data = stores->data;
-  ASSERT_TRUE(stores->tree.BulkLoad(data).ok());
+  ASSERT_TRUE(stores->tree.BulkLoadStr(data).ok());
   std::vector<Hypersphere> base;
   std::vector<uint64_t> base_ids;
   for (uint64_t i = 0; i < data.size(); ++i) {
@@ -103,7 +103,7 @@ TEST(RangeSearchTest, MatchesLinearScan) {
   spec.seed = 3201;
   const auto data = GenerateSynthetic(spec);
   SsTree tree(4);
-  ASSERT_TRUE(tree.BulkLoad(data).ok());
+  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
   for (double range : {0.0, 10.0, 50.0, 200.0}) {
     for (const auto& sq : MakeKnnQueries(data, 5, 3202)) {
       const RangeResult from_tree = RangeSearch(tree, sq, range);
@@ -136,7 +136,8 @@ TEST(RangeSearchTest, AnswersComeInAscendingIdOrder) {
 // possible, in the ascending id order RangeSearch returns. The radius is a
 // fixed prune threshold, so the visited set does not depend on child
 // order; a change to a node bound, or to the trees the bulk loader builds
-// for the overlay's base and the shards, moves these counts.
+// for the plain store, the overlay's base and the shards, moves these
+// counts.
 TEST(RangeSearchTest, RangeWorkIsPinned) {
   RangeStores stores;
   ASSERT_NO_FATAL_FAILURE(BuildRangeStores(3207, &stores));
@@ -161,10 +162,10 @@ TEST(RangeSearchTest, RangeWorkIsPinned) {
     uint64_t digest;
   };
   const Pin pins[] = {
-      {"ss", 0.0, 605, 4051, 6411, 0x6de1f3bccef46636ULL},
-      {"ss", 10.0, 1131, 4298, 14850, 0x39cb022cf82d286dULL},
-      {"ss", 40.0, 3968, 2164, 63305, 0xf529fd121c414433ULL},
-      {"ss", 120.0, 6160, 0, 100000, 0xf31081c4b72d5121ULL},
+      {"ss", 0.0, 566, 3494, 6867, 0x6de1f3bccef46636ULL},
+      {"ss", 10.0, 1044, 3716, 15380, 0x39cb022cf82d286dULL},
+      {"ss", 40.0, 3559, 1861, 63155, 0xf529fd121c414433ULL},
+      {"ss", 120.0, 5480, 0, 100000, 0xf31081c4b72d5121ULL},
       {"overlay", 0.0, 559, 3368, 16429, 0xf7940311ef24e128ULL},
       {"overlay", 10.0, 1013, 3256, 24548, 0xc431f83292fde95cULL},
       {"overlay", 40.0, 3214, 1587, 64833, 0x8790d64be8539899ULL},
@@ -206,8 +207,9 @@ TEST(RangeSearchTest, EmptyTree) {
 TEST(RangeSearchTest, ZeroRangeStillFindsOverlapping) {
   // MinDist == 0 for an object overlapping the query region.
   SsTree tree(2);
-  ASSERT_TRUE(tree.Insert(Hypersphere({1.0, 0.0}, 2.0), 0).ok());
-  ASSERT_TRUE(tree.Insert(Hypersphere({50.0, 0.0}, 2.0), 1).ok());
+  ASSERT_TRUE(tree.BulkLoadStr({Hypersphere({1.0, 0.0}, 2.0),
+                                Hypersphere({50.0, 0.0}, 2.0)})
+                  .ok());
   const RangeResult result =
       RangeSearch(tree, Hypersphere({0.0, 0.0}, 1.0), 0.0);
   EXPECT_EQ(Ids(result.possible), (std::set<uint64_t>{0}));
@@ -222,7 +224,7 @@ TEST(RangeSearchTest, PrunesFarSubtrees) {
   spec.seed = 3203;
   const auto data = GenerateSynthetic(spec);
   SsTree tree(3);
-  ASSERT_TRUE(tree.BulkLoad(data).ok());
+  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
   const RangeResult result = RangeSearch(tree, data[0], 10.0);
   EXPECT_GT(result.stats.nodes_pruned, 0u);
   EXPECT_LT(result.stats.entries_accessed, data.size());
@@ -235,7 +237,7 @@ TEST(RangeSearchTest, GrowingRangeIsMonotone) {
   spec.seed = 3204;
   const auto data = GenerateSynthetic(spec);
   SsTree tree(3);
-  ASSERT_TRUE(tree.BulkLoad(data).ok());
+  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
   size_t prev_possible = 0, prev_certain = 0;
   for (double range : {5.0, 20.0, 60.0, 150.0, 400.0}) {
     const RangeResult result = RangeSearch(tree, data[42], range);

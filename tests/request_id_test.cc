@@ -70,7 +70,7 @@ class InteropTest : public ::testing::Test {
     spec.seed = 9'100;
     data_ = GenerateSynthetic(spec);
     tree_ = std::make_unique<SsTree>(spec.dim);
-    ASSERT_TRUE(tree_->BulkLoad(data_).ok());
+    ASSERT_TRUE(tree_->BulkLoadStr(data_).ok());
     criterion_ = MakeCriterion(CriterionKind::kHyperbola);
     queries_ = MakeKnnQueries(data_, 8, 9'200);
   }

@@ -50,7 +50,7 @@ class ServerE2eTest : public ::testing::Test {
     spec.seed = 4'400;
     data_ = GenerateSynthetic(spec);
     tree_ = std::make_unique<SsTree>(spec.dim);
-    ASSERT_TRUE(tree_->BulkLoad(data_).ok());
+    ASSERT_TRUE(tree_->BulkLoadStr(data_).ok());
     criterion_ = MakeCriterion(CriterionKind::kHyperbola);
     queries_ = MakeKnnQueries(data_, 20, 4'500);
   }
@@ -323,7 +323,7 @@ TEST_F(ServerE2eTest, WrongDimensionalQueryIsRefusedInEveryMode) {
   spec.seed = 4'600;
   const std::vector<Hypersphere> data = GenerateSynthetic(spec);
   SsTree plain(spec.dim);
-  ASSERT_TRUE(plain.BulkLoad(data).ok());
+  ASSERT_TRUE(plain.BulkLoadStr(data).ok());
   MutableSsTree mutable_tree(spec.dim);
   std::vector<uint64_t> ids(data.size());
   std::iota(ids.begin(), ids.end(), 0);

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -172,7 +173,7 @@ TEST_F(ServerMutationTest, ReadOnlyServerRejectsMutationFrames) {
   // A server over the plain SsTree: mutation frames answer kNotSupported
   // and the connection survives for further queries.
   SsTree read_only(3);
-  ASSERT_TRUE(read_only.BulkLoad(data_).ok());
+  ASSERT_TRUE(read_only.BulkLoadStr(data_).ok());
   Server server(&read_only, criterion_.get(), ServerOptions{});
   ASSERT_TRUE(server.Start().ok());
   Client client = MakeClient(server.port());
@@ -204,6 +205,44 @@ TEST_F(ServerMutationTest, ExpiredMutationBudgetIsRefusedUnapplied) {
       << status.ToString();
   EXPECT_EQ(tree_->live_size(), live_before)
       << "an expired mutation must not be applied late";
+  server->Stop();
+}
+
+// A budget too large for the clock is no deadline at all: the kNN answer
+// is exact and a mutation is applied (as a nanosecond count, any budget
+// from 2^63 ns on would overflow into the past).
+TEST_F(ServerMutationTest, BudgetsPastTheClockNeverExpire) {
+  auto server = StartServer();
+  Client client = MakeClient(server->port());
+  constexpr uint64_t kForever = std::numeric_limits<uint64_t>::max();
+
+  KnnRequest request;
+  request.k = 5;
+  request.query = data_[7];
+  const Result<KnnResponse> unbounded = client.Knn(request);
+  ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
+  request.budget_micros = kForever;
+  const Result<KnnResponse> answer = client.Knn(request);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  EXPECT_EQ(answer->completeness, Completeness::kExact);
+  ASSERT_EQ(answer->answers.size(), unbounded->answers.size());
+  for (size_t i = 0; i < answer->answers.size(); ++i) {
+    EXPECT_EQ(answer->answers[i].id, unbounded->answers[i].id);
+  }
+
+  InsertRequest insert;
+  insert.id = 900'000;
+  insert.sphere = Hypersphere({1.0, 1.0, 1.0}, 0.5);
+  insert.budget_micros = kForever;
+  const Result<MutateResponse> inserted = client.Insert(insert);
+  ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+  EXPECT_EQ(inserted->live, data_.size() + 1);
+  RemoveRequest remove;
+  remove.id = 900'000;
+  remove.budget_micros = kForever;
+  const Result<MutateResponse> removed = client.Remove(remove);
+  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+  EXPECT_EQ(removed->live, data_.size());
   server->Stop();
 }
 

@@ -38,7 +38,7 @@ class SlowlogE2eTest : public ::testing::Test {
     spec.seed = 9'700;
     data_ = GenerateSynthetic(spec);
     tree_ = std::make_unique<SsTree>(spec.dim);
-    ASSERT_TRUE(tree_->BulkLoad(data_).ok());
+    ASSERT_TRUE(tree_->BulkLoadStr(data_).ok());
     criterion_ = MakeCriterion(CriterionKind::kHyperbola);
     queries_ = MakeKnnQueries(data_, 4, 9'800);
   }

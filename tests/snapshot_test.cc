@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -107,12 +108,10 @@ TEST(SnapshotTest, SsTreeRoundTripPreservesQueryAnswers) {
   std::remove(path.c_str());
 }
 
-// Serialize then Deserialize reproduces every node sphere bit for bit, for
-// an insertion-built and a bulk-loaded tree on knn_paper-shaped data
-// (hyperdom_bench: centres Gaussian(1000, 250), mu = 10, d = 4). A node
-// sphere is a pure function of the node's items (index/ss_tree.h), which
-// the load recomputes bottom up; a centroid summed in another order than
-// the inserts summed it would not be.
+// Serialize then Deserialize reproduces every node sphere bit for bit on
+// knn_paper-shaped data (hyperdom_bench: centres Gaussian(1000, 250),
+// mu = 10, d = 4). A node sphere is a pure function of the node's items
+// (index/ss_tree.h), which the load recomputes bottom up.
 TEST(SnapshotTest, SsTreeRoundTripReproducesEveryNodeSphere) {
   SyntheticSpec spec;
   spec.n = 20'000;
@@ -122,40 +121,36 @@ TEST(SnapshotTest, SsTreeRoundTripReproducesEveryNodeSphere) {
   spec.center_stddev = 250.0;
   spec.seed = 924;
   const auto data = GenerateSynthetic(spec);
-  SsTree inserted(4);
-  ASSERT_TRUE(inserted.BulkLoad(data).ok());
-  SsTree bulk(4);
-  ASSERT_TRUE(bulk.BulkLoadStr(data).ok());
-  for (const SsTree* tree : {&inserted, &bulk}) {
-    std::stringstream bytes;
-    ASSERT_TRUE(tree->Serialize(bytes).ok());
-    SsTree loaded(1);
-    ASSERT_TRUE(SsTree::Deserialize(bytes, &loaded).ok());
-    size_t nodes = 0;
-    size_t differing = 0;
-    auto compare = [&](auto& self, const SsTreeNode* a,
-                       const SsTreeNode* b) -> void {
-      ASSERT_EQ(a->is_leaf(), b->is_leaf());
-      ASSERT_EQ(a->children().size(), b->children().size());
-      const Hypersphere& sa = a->bounding_sphere();
-      const Hypersphere& sb = b->bounding_sphere();
-      const double ra = sa.radius();
-      const double rb = sb.radius();
-      ++nodes;
-      if (std::memcmp(sa.center().data(), sb.center().data(),
-                      sa.dim() * sizeof(double)) != 0 ||
-          std::memcmp(&ra, &rb, sizeof(double)) != 0) {
-        ++differing;
-      }
-      for (size_t i = 0; i < a->children().size(); ++i) {
-        self(self, a->children()[i].get(), b->children()[i].get());
-      }
-    };
-    compare(compare, tree->root(), loaded.root());
-    EXPECT_GT(nodes, 1000u);
-    EXPECT_EQ(differing, 0u) << differing << " of " << nodes
-                             << " node spheres differ after the round trip";
-  }
+  SsTree tree(4);
+  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
+  std::stringstream bytes;
+  ASSERT_TRUE(tree.Serialize(bytes).ok());
+  SsTree loaded(1);
+  ASSERT_TRUE(SsTree::Deserialize(bytes, &loaded).ok());
+  size_t nodes = 0;
+  size_t differing = 0;
+  auto compare = [&](auto& self, const SsTreeNode* a,
+                     const SsTreeNode* b) -> void {
+    ASSERT_EQ(a->is_leaf(), b->is_leaf());
+    ASSERT_EQ(a->children().size(), b->children().size());
+    const Hypersphere& sa = a->bounding_sphere();
+    const Hypersphere& sb = b->bounding_sphere();
+    const double ra = sa.radius();
+    const double rb = sb.radius();
+    ++nodes;
+    if (std::memcmp(sa.center().data(), sb.center().data(),
+                    sa.dim() * sizeof(double)) != 0 ||
+        std::memcmp(&ra, &rb, sizeof(double)) != 0) {
+      ++differing;
+    }
+    for (size_t i = 0; i < a->children().size(); ++i) {
+      self(self, a->children()[i].get(), b->children()[i].get());
+    }
+  };
+  compare(compare, tree.root(), loaded.root());
+  EXPECT_GT(nodes, 1000u);
+  EXPECT_EQ(differing, 0u) << differing << " of " << nodes
+                           << " node spheres differ after the round trip";
 }
 
 TEST(SnapshotTest, VerifyReportsEnvelopeFacts) {
@@ -378,12 +373,14 @@ TEST(SnapshotVersionTest, UnknownKindIsCorruption) {
 
 // ---------------------------------------------------------------------------
 // The HDSS v3 payload. Its header is magic "HDSS", u32 version 3, u64 dim,
-// u64 size, u64 max_entries, f64 min_fill_ratio, then two u32 fields that
-// once named a split and a bounding policy (index/ss_tree.cc).
+// u64 size, u64 max_entries, then three retired fields (index/ss_tree.cc):
+// an f64 that held the insertion split's minimum fill ratio, and two u32
+// fields that once named a split and a bounding policy.
 // ---------------------------------------------------------------------------
 
 constexpr size_t kEnvelopeBytes = 24;
-constexpr size_t kSplitFieldOffset = 40;  // in the payload
+constexpr size_t kFillRatioOffset = 32;  // in the payload
+constexpr size_t kSplitFieldOffset = 40;
 constexpr size_t kBoundingFieldOffset = 44;
 
 std::string HdssHeader(uint64_t dim, uint64_t size, uint64_t max_entries) {
@@ -397,56 +394,57 @@ std::string HdssHeader(uint64_t dim, uint64_t size, uint64_t max_entries) {
   return out;
 }
 
-std::string PatchU32(std::string bytes, size_t offset, uint32_t value) {
+template <typename T>
+std::string Patch(std::string bytes, size_t offset, T value) {
   bytes.replace(offset, sizeof(value), reinterpret_cast<const char*>(&value),
                 sizeof(value));
   return bytes;
 }
 
-// What SaveSnapshot writes is pinned by the CRC32 of the whole file, for
-// one insertion-built and one bulk-loaded (BulkLoadStr) tree. The two
-// retired policy fields are written as 0. A file with 1 in either (as
+// What SaveSnapshot writes is pinned by the CRC32 of the whole file. The
+// bulk load stores its rows in leaf order (index/ss_tree.h). The retired
+// fill-ratio field is written as 0.4 and is ignored on read. The two
+// retired policy fields are written as 0; a file with 1 in either (as
 // written for a 2-means or min-ball tree) still loads and answers like the
 // original, because either split leaves a valid tree and every bound is
 // recomputed on load; 2 in either is corruption.
 TEST(SnapshotTest, SsTreeBytesArePinned) {
   const auto data = TestData(920, 500);
   const std::string path = TestPath("pinned.snap");
-  SsTree inserted(3);
-  ASSERT_TRUE(inserted.BulkLoad(data).ok());
-  ASSERT_TRUE(SaveSnapshot(inserted, path).ok());
-  const std::string inserted_file = ReadFile(path);
-  EXPECT_EQ(Crc32Of(inserted_file.data(), inserted_file.size()),
-            0xF874814Fu);
+  SsTree tree(3);
+  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
+  ASSERT_TRUE(SaveSnapshot(tree, path).ok());
+  const std::string file = ReadFile(path);
+  EXPECT_EQ(Crc32Of(file.data(), file.size()), 0xDF6E8FFCu);
 
-  // The bulk load stores its rows in leaf order (index/ss_tree.h).
-  SsTree packed(3);
-  ASSERT_TRUE(packed.BulkLoadStr(data).ok());
-  ASSERT_TRUE(SaveSnapshot(packed, path).ok());
-  const std::string packed_file = ReadFile(path);
-  EXPECT_EQ(Crc32Of(packed_file.data(), packed_file.size()), 0xDF6E8FFCu);
-
-  const std::string payload = inserted_file.substr(kEnvelopeBytes);
+  const std::string payload = file.substr(kEnvelopeBytes);
+  double fill_ratio = 0.0;
+  std::memcpy(&fill_ratio, payload.data() + kFillRatioOffset,
+              sizeof(fill_ratio));
+  EXPECT_EQ(fill_ratio, 0.4);
   ASSERT_EQ(payload.compare(kSplitFieldOffset, 8, std::string(8, '\0')), 0);
   HyperbolaCriterion exact;
   KnnSearcher searcher(&exact, KnnOptions{});
   const auto queries = MakeKnnQueries(data, 5, 921);
   for (const std::string& patched :
-       {PatchU32(payload, kSplitFieldOffset, 1),
-        PatchU32(payload, kBoundingFieldOffset, 1),
-        PatchU32(PatchU32(payload, kSplitFieldOffset, 1), kBoundingFieldOffset,
-                 1)}) {
+       {Patch(payload, kFillRatioOffset,
+              std::numeric_limits<double>::quiet_NaN()),
+        Patch(payload, kSplitFieldOffset, uint32_t{1}),
+        Patch(payload, kBoundingFieldOffset, uint32_t{1}),
+        Patch(Patch(payload, kSplitFieldOffset, uint32_t{1}),
+              kBoundingFieldOffset, uint32_t{1})}) {
     WriteFile(path, CurrentEnvelope(kSsTreeKind, patched));
     SsTree loaded(1);
     ASSERT_TRUE(LoadSnapshot(path, &loaded).ok());
     EXPECT_TRUE(loaded.CheckInvariants().ok());
     for (const auto& sq : queries) {
       EXPECT_EQ(Ids(searcher.Search(loaded, sq)),
-                Ids(searcher.Search(inserted, sq)));
+                Ids(searcher.Search(tree, sq)));
     }
   }
   for (size_t offset : {kSplitFieldOffset, kBoundingFieldOffset}) {
-    WriteFile(path, CurrentEnvelope(kSsTreeKind, PatchU32(payload, offset, 2)));
+    const std::string patched = Patch(payload, offset, uint32_t{2});
+    WriteFile(path, CurrentEnvelope(kSsTreeKind, patched));
     SsTree loaded(1);
     EXPECT_EQ(LoadSnapshot(path, &loaded).code(), StatusCode::kCorruption)
         << "field at payload byte " << offset;

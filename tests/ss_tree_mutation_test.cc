@@ -1,7 +1,7 @@
 // Copyright (c) hyperdom authors. Licensed under the MIT license.
 //
-// Bulk loading (SsTree::BulkLoadStr): structural invariants, leaf order,
-// completeness, and query equivalence against an insertion-built tree.
+// Bulk loading (SsTree::BulkLoadStr): structural invariants, leaf order
+// and completeness. KnnEquivalenceTest checks the loaded tree's answers.
 
 #include <gtest/gtest.h>
 
@@ -9,10 +9,7 @@
 #include <string>
 
 #include "data/generator.h"
-#include "dominance/hyperbola.h"
-#include "eval/workload.h"
 #include "index/ss_tree.h"
-#include "query/knn.h"
 
 namespace hyperdom {
 namespace {
@@ -30,12 +27,6 @@ std::set<uint64_t> TreeIds(const SsTree& tree) {
       for (const auto& child : node->children()) stack.push_back(child.get());
     }
   }
-  return ids;
-}
-
-std::set<uint64_t> Ids(const KnnResult& result) {
-  std::set<uint64_t> ids;
-  for (const auto& e : result.answers) ids.insert(e.id);
   return ids;
 }
 
@@ -133,42 +124,6 @@ TEST(StrBulkLoadTest, DimensionMismatchRejected) {
   SsTree tree(2);
   EXPECT_EQ(tree.BulkLoadStr({Hypersphere({1.0, 2.0, 3.0}, 0.5)}).code(),
             StatusCode::kInvalidArgument);
-}
-
-TEST(StrBulkLoadTest, QueriesMatchInsertionBuiltTree) {
-  SyntheticSpec spec;
-  spec.n = 4000;
-  spec.dim = 4;
-  spec.radius_mean = 6.0;
-  spec.seed = 7003;
-  const auto data = GenerateSynthetic(spec);
-  SsTree str_tree(4);
-  ASSERT_TRUE(str_tree.BulkLoadStr(data).ok());
-  SsTree insert_tree(4);
-  ASSERT_TRUE(insert_tree.BulkLoad(data).ok());
-
-  HyperbolaCriterion exact;
-  KnnOptions options;
-  options.k = 7;
-  KnnSearcher searcher(&exact, options);
-  for (const auto& sq : MakeKnnQueries(data, 8, 7004)) {
-    EXPECT_EQ(Ids(searcher.Search(str_tree, sq)),
-              Ids(searcher.Search(insert_tree, sq)));
-  }
-}
-
-TEST(StrBulkLoadTest, PacksTighterThanInsertion) {
-  SyntheticSpec spec;
-  spec.n = 20'000;
-  spec.dim = 4;
-  spec.seed = 7005;
-  const auto data = GenerateSynthetic(spec);
-  SsTree str_tree(4);
-  ASSERT_TRUE(str_tree.BulkLoadStr(data).ok());
-  SsTree insert_tree(4);
-  ASSERT_TRUE(insert_tree.BulkLoad(data).ok());
-  // The bulk load's packed occupancy gives an equal-or-shorter tree.
-  EXPECT_LE(str_tree.Height(), insert_tree.Height());
 }
 
 }  // namespace

@@ -27,54 +27,13 @@ TEST(SsTreeTest, EmptyTree) {
   EXPECT_TRUE(tree.CheckInvariants().ok());
 }
 
-TEST(SsTreeTest, SingleInsert) {
-  SsTree tree(2);
-  ASSERT_TRUE(tree.Insert(Hypersphere({1.0, 2.0}, 3.0), 7).ok());
-  EXPECT_EQ(tree.size(), 1u);
-  EXPECT_EQ(tree.Height(), 1u);
-  ASSERT_NE(tree.root(), nullptr);
-  EXPECT_TRUE(tree.root()->is_leaf());
-  ASSERT_EQ(tree.root()->entries().size(), 1u);
-  EXPECT_EQ(tree.root()->entries()[0].id, 7u);
-  EXPECT_TRUE(tree.CheckInvariants().ok());
-  // The root bounding sphere covers the entry.
-  EXPECT_TRUE(tree.root()->bounding_sphere().ContainsSphere(
-      Hypersphere({1.0, 2.0}, 3.0)));
-}
-
-TEST(SsTreeTest, DimensionMismatchRejected) {
-  SsTree tree(2);
-  const Status st = tree.Insert(Hypersphere({1.0, 2.0, 3.0}, 0.5), 0);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(tree.size(), 0u);
-}
-
 TEST(SsTreeTest, BadOptionsRejected) {
   SsTreeOptions options;
   options.max_entries = 2;
   SsTree tree(2, options);
-  EXPECT_EQ(tree.Insert(Hypersphere({0.0, 0.0}, 1.0), 0).code(),
+  EXPECT_EQ(tree.BulkLoadStr({Hypersphere({0.0, 0.0}, 1.0)}).code(),
             StatusCode::kInvalidArgument);
-
-  SsTreeOptions bad_fill;
-  bad_fill.min_fill_ratio = 0.9;
-  SsTree tree2(2, bad_fill);
-  EXPECT_EQ(tree2.Insert(Hypersphere({0.0, 0.0}, 1.0), 0).code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(SsTreeTest, SplitsGrowTheTree) {
-  SsTreeOptions options;
-  options.max_entries = 4;
-  SsTree tree(2, options);
-  Rng rng(800);
-  for (uint64_t i = 0; i < 100; ++i) {
-    ASSERT_TRUE(
-        tree.Insert(test::RandomSphere(&rng, 2, 2.0), i).ok());
-    ASSERT_TRUE(tree.CheckInvariants().ok()) << "after insert " << i;
-  }
-  EXPECT_EQ(tree.size(), 100u);
-  EXPECT_GT(tree.Height(), 2u);
+  EXPECT_EQ(tree.size(), 0u);
 }
 
 TEST(SsTreeTest, BulkLoadAssignsSequentialIds) {
@@ -84,7 +43,7 @@ TEST(SsTreeTest, BulkLoadAssignsSequentialIds) {
   spec.seed = 801;
   const auto data = GenerateSynthetic(spec);
   SsTree tree(3);
-  ASSERT_TRUE(tree.BulkLoad(data).ok());
+  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
   EXPECT_EQ(tree.size(), 500u);
 
   // Every id 0..499 appears exactly once in the leaves.
@@ -120,7 +79,7 @@ TEST_P(SsTreeInvariantTest, InvariantsHoldAfterBulkLoad) {
   SsTreeOptions options;
   options.max_entries = max_entries;
   SsTree tree(dim, options);
-  ASSERT_TRUE(tree.BulkLoad(data).ok());
+  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
   EXPECT_TRUE(tree.CheckInvariants().ok())
       << tree.CheckInvariants().ToString();
   // All data spheres are covered by the root sphere.
@@ -143,61 +102,49 @@ TEST(SsTreeTest, HeightStaysLogarithmic) {
   spec.seed = 803;
   const auto data = GenerateSynthetic(spec);
   SsTree tree(4);  // max_entries = 24
-  ASSERT_TRUE(tree.BulkLoad(data).ok());
-  // ceil(log_{24*0.4}(20000)) is about 5; allow generous slack.
-  EXPECT_LE(tree.Height(), 8u);
-  EXPECT_GE(tree.Height(), 3u);
+  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
+  // Nodes are cut for 20 items (85% of 24): the least h with 20^h >= 20k.
+  EXPECT_EQ(tree.Height(), 4u);
 }
 
 TEST(SsTreeTest, DuplicatePointsHandled) {
   SsTree tree(2);
-  for (uint64_t i = 0; i < 200; ++i) {
-    ASSERT_TRUE(tree.Insert(Hypersphere({1.0, 1.0}, 0.5), i).ok());
-  }
+  ASSERT_TRUE(tree.BulkLoadStr(std::vector<Hypersphere>(
+                                   200, Hypersphere({1.0, 1.0}, 0.5)))
+                  .ok());
   EXPECT_EQ(tree.size(), 200u);
+  EXPECT_EQ(tree.Height(), 2u);
   EXPECT_TRUE(tree.CheckInvariants().ok())
       << tree.CheckInvariants().ToString();
 }
 
 TEST(SsTreeTest, ZeroRadiusEntries) {
   Rng rng(804);
-  SsTree tree(3);
-  for (uint64_t i = 0; i < 500; ++i) {
-    ASSERT_TRUE(
-        tree.Insert(Hypersphere(test::RandomPoint(&rng, 3), 0.0), i).ok());
+  std::vector<Hypersphere> data;
+  for (int i = 0; i < 500; ++i) {
+    data.emplace_back(test::RandomPoint(&rng, 3), 0.0);
   }
+  SsTree tree(3);
+  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
+  EXPECT_EQ(tree.Height(), 3u);
   EXPECT_TRUE(tree.CheckInvariants().ok());
-}
-
-TEST(SsTreeTest, VarianceCutSplitsKeepInvariants) {
-  SyntheticSpec spec;
-  spec.n = 4000;
-  spec.dim = 4;
-  spec.radius_mean = 8.0;
-  spec.seed = 806;
-  const auto data = GenerateSynthetic(spec);
-  SsTree tree(4);
-  ASSERT_TRUE(tree.BulkLoad(data).ok());
-  EXPECT_TRUE(tree.CheckInvariants().ok())
-      << tree.CheckInvariants().ToString();
-  EXPECT_EQ(tree.size(), data.size());
 }
 
 TEST(SsTreeTest, DegenerateDuplicatesSplitSafely) {
   SsTreeOptions options;
   options.max_entries = 4;
   SsTree tree(2, options);
-  for (uint64_t i = 0; i < 100; ++i) {
-    ASSERT_TRUE(tree.Insert(Hypersphere({7.0, 7.0}, 1.0), i).ok());
-  }
+  ASSERT_TRUE(tree.BulkLoadStr(std::vector<Hypersphere>(
+                                   100, Hypersphere({7.0, 7.0}, 1.0)))
+                  .ok());
+  EXPECT_EQ(tree.Height(), 5u);
   EXPECT_TRUE(tree.CheckInvariants().ok())
       << tree.CheckInvariants().ToString();
 }
 
 // Every node sphere is centred on the midpoint of its items' bounding box
 // (a leaf's items are its entry spheres, an internal node's its child
-// spheres), with the radius that covers every item from there. Insertion
-// still descends by the centroid; the sphere does not.
+// spheres), with the radius that covers every item from there.
 TEST(SsTreeTest, BoundsAreCentredOnTheItemBox) {
   SyntheticSpec spec;
   spec.n = 2500;
@@ -205,50 +152,46 @@ TEST(SsTreeTest, BoundsAreCentredOnTheItemBox) {
   spec.radius_mean = 8.0;
   spec.seed = 810;
   const auto data = GenerateSynthetic(spec);
-  SsTree inserted(4);
-  ASSERT_TRUE(inserted.BulkLoad(data).ok());
-  SsTree bulk(4);
-  ASSERT_TRUE(bulk.BulkLoadStr(data).ok());
-  for (const SsTree* tree : {&inserted, &bulk}) {
-    EXPECT_TRUE(tree->CheckInvariants().ok())
-        << tree->CheckInvariants().ToString();
-    const size_t dim = tree->dim();
-    auto check = [&](auto& self, const SsTreeNode* node) -> void {
-      std::vector<SphereView> items;
-      if (node->is_leaf()) {
-        for (const auto& e : node->entries()) {
-          items.push_back(tree->store().view(e.slot));
-        }
-      } else {
-        for (const auto& child : node->children()) {
-          items.push_back(child->bounding_sphere().view());
-          self(self, child.get());
-        }
+  SsTree tree(4);
+  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
+  EXPECT_TRUE(tree.CheckInvariants().ok())
+      << tree.CheckInvariants().ToString();
+  const size_t dim = tree.dim();
+  auto check = [&](auto& self, const SsTreeNode* node) -> void {
+    std::vector<SphereView> items;
+    if (node->is_leaf()) {
+      for (const auto& e : node->entries()) {
+        items.push_back(tree.store().view(e.slot));
       }
-      Point lo(dim, std::numeric_limits<double>::infinity());
-      Point hi(dim, -std::numeric_limits<double>::infinity());
-      for (const SphereView& item : items) {
-        for (size_t d = 0; d < dim; ++d) {
-          lo[d] = std::min(lo[d], item.center[d] - item.radius);
-          hi[d] = std::max(hi[d], item.center[d] + item.radius);
-        }
+    } else {
+      for (const auto& child : node->children()) {
+        items.push_back(child->bounding_sphere().view());
+        self(self, child.get());
       }
-      Point center(dim);
-      for (size_t d = 0; d < dim; ++d) center[d] = 0.5 * lo[d] + 0.5 * hi[d];
-      double radius = 0.0;
-      for (const SphereView& item : items) {
-        radius = std::max(
-            radius, DistSpan(center.data(), item.center, dim) + item.radius);
+    }
+    Point lo(dim, std::numeric_limits<double>::infinity());
+    Point hi(dim, -std::numeric_limits<double>::infinity());
+    for (const SphereView& item : items) {
+      for (size_t d = 0; d < dim; ++d) {
+        lo[d] = std::min(lo[d], item.center[d] - item.radius);
+        hi[d] = std::max(hi[d], item.center[d] + item.radius);
       }
-      const Hypersphere& bound = node->bounding_sphere();
-      EXPECT_EQ(std::memcmp(bound.center().data(), center.data(),
-                            dim * sizeof(double)),
-                0);
-      const double bound_radius = bound.radius();
-      EXPECT_EQ(std::memcmp(&bound_radius, &radius, sizeof(double)), 0);
-    };
-    check(check, tree->root());
-  }
+    }
+    Point center(dim);
+    for (size_t d = 0; d < dim; ++d) center[d] = 0.5 * lo[d] + 0.5 * hi[d];
+    double radius = 0.0;
+    for (const SphereView& item : items) {
+      radius = std::max(
+          radius, DistSpan(center.data(), item.center, dim) + item.radius);
+    }
+    const Hypersphere& bound = node->bounding_sphere();
+    EXPECT_EQ(std::memcmp(bound.center().data(), center.data(),
+                          dim * sizeof(double)),
+              0);
+    const double bound_radius = bound.radius();
+    EXPECT_EQ(std::memcmp(&bound_radius, &radius, sizeof(double)), 0);
+  };
+  check(check, tree.root());
 }
 
 // An STR build appends each leaf's rows to the store as the leaf is made:
@@ -300,7 +243,7 @@ TEST_F(SsTreePersistenceTest, RoundTripPreservesStructureAndAnswers) {
   spec.seed = 808;
   const auto data = GenerateSynthetic(spec);
   SsTree tree(4);
-  ASSERT_TRUE(tree.BulkLoad(data).ok());
+  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
 
   const std::string path = TempPath();
   ASSERT_TRUE(SaveSnapshot(tree, path).ok());
@@ -376,7 +319,7 @@ TEST_F(SsTreePersistenceTest, TruncatedFileIsRejected) {
   spec.dim = 3;
   spec.seed = 809;
   SsTree tree(3);
-  ASSERT_TRUE(tree.BulkLoad(GenerateSynthetic(spec)).ok());
+  ASSERT_TRUE(tree.BulkLoadStr(GenerateSynthetic(spec)).ok());
   const std::string path = TempPath();
   ASSERT_TRUE(SaveSnapshot(tree, path).ok());
   // Chop the file in half.
@@ -402,7 +345,7 @@ TEST(SsTreeTest, SubtreeSizesConsistent) {
   spec.dim = 3;
   spec.seed = 805;
   SsTree tree(3);
-  ASSERT_TRUE(tree.BulkLoad(GenerateSynthetic(spec)).ok());
+  ASSERT_TRUE(tree.BulkLoadStr(GenerateSynthetic(spec)).ok());
   EXPECT_EQ(tree.root()->subtree_size(), 2000u);
 }
 

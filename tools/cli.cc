@@ -121,6 +121,7 @@ constexpr char kUsage[] =
     "conflict (store frozen or compacting — safe to retry later).\n";
 
 constexpr uint64_t kNoMax = std::numeric_limits<uint64_t>::max();
+constexpr double kMaxFinite = std::numeric_limits<double>::max();
 // The largest millisecond count whose microsecond value fits a uint64_t.
 constexpr uint64_t kMaxMillis = kNoMax / 1000;
 // The largest --threads (knn, serve) and --shards (serve): each worker is
@@ -153,6 +154,26 @@ Result<uint64_t> RequireUint(const ParsedArgs& args, const std::string& key,
   return value;
 }
 
+// Parses --key as a finite double in [min, max]: NaN, an infinity or a
+// value outside the range is refused, never clamped. `fallback` stands in
+// for an absent flag.
+Result<double> RequireDouble(const ParsedArgs& args, const std::string& key,
+                             double fallback, double min,
+                             double max = kMaxFinite) {
+  const std::string raw = args.GetFlag(key);
+  if (raw.empty()) return fallback;
+  double value = 0.0;
+  if (!ParseDouble(raw, &value) || !std::isfinite(value) || value < min ||
+      value > max) {
+    const std::string want =
+        max == kMaxFinite ? ">= " + FormatDouble(min)
+                          : FormatDouble(min) + ".." + FormatDouble(max);
+    return Status::InvalidArgument("bad --" + key + ": '" + raw + "' (want " +
+                                   want + ")");
+  }
+  return value;
+}
+
 Result<std::vector<Hypersphere>> LoadData(const ParsedArgs& args) {
   const std::string path = args.GetFlag("data");
   if (path.empty()) return Status::InvalidArgument("missing --data");
@@ -160,18 +181,18 @@ Result<std::vector<Hypersphere>> LoadData(const ParsedArgs& args) {
 }
 
 // Builds a query deadline from the optional --deadline-ms / --node-budget
-// flags; unbounded when neither is given.
+// flags; unbounded when neither is given. The wall deadline is whole
+// microseconds, as on the wire, so --deadline-ms starts at 0.001; an
+// absent flag reads as 0, no wall deadline.
 Result<Deadline> ParseDeadline(const ParsedArgs& args) {
-  Deadline deadline;
-  const std::string ms = args.GetFlag("deadline-ms");
-  if (!ms.empty()) {
-    double value = 0.0;
-    if (!ParseDouble(ms, &value) || value <= 0.0) {
-      return Status::InvalidArgument("bad --deadline-ms: '" + ms + "'");
-    }
-    deadline = Deadline::AfterDuration(std::chrono::nanoseconds(
-        static_cast<int64_t>(value * 1e6)));
-  }
+  auto ms = RequireDouble(args, "deadline-ms", 0.0, 0.001,
+                          static_cast<double>(kMaxMillis));
+  if (!ms.ok()) return ms.status();
+  // The largest values in range round to 2^64 microseconds or more, past
+  // any budget the clock can hold.
+  const double micros = *ms * 1000.0;
+  Deadline deadline = Deadline::FromBudgetMicros(
+      micros < 0x1p64 ? static_cast<uint64_t>(micros) : kNoMax);
   auto budget = RequireUint(args, "node-budget", 0, /*required=*/false);
   if (!budget.ok()) return budget.status();
   if (*budget > 0) deadline.SetNodeBudget(*budget);
@@ -194,10 +215,9 @@ Status CmdGenerate(const ParsedArgs& args, std::ostream& out) {
   if (spec.n == 0 || spec.dim == 0) {
     return Status::InvalidArgument("--n and --dim must be positive");
   }
-  const std::string mu = args.GetFlag("mu", "10");
-  if (!ParseDouble(mu, &spec.radius_mean) || spec.radius_mean < 0.0) {
-    return Status::InvalidArgument("bad --mu: '" + mu + "'");
-  }
+  auto mu = RequireDouble(args, "mu", 10.0, 0.0);
+  if (!mu.ok()) return mu.status();
+  spec.radius_mean = *mu;
   auto parse_dist = [](const std::string& v, Distribution* dist) {
     if (v == "gaussian") {
       *dist = Distribution::kGaussian;
@@ -299,7 +319,7 @@ Status CmdKnn(const ParsedArgs& args, std::ostream& out) {
   if (data->empty()) return Status::InvalidArgument("dataset is empty");
 
   SsTree tree(data->front().dim());
-  HYPERDOM_RETURN_NOT_OK(tree.BulkLoad(*data));
+  HYPERDOM_RETURN_NOT_OK(tree.BulkLoadStr(*data));
   // Route dominance through the instrumented wrapper so the per-criterion
   // verdict counters and decide latencies show up in --metrics-out.
   const auto criterion = MakeInstrumentedCriterion(*kind);
@@ -424,15 +444,16 @@ Status CmdRange(const ParsedArgs& args, std::ostream& out) {
   if (data->empty() || data->front().dim() != query->dim()) {
     return Status::InvalidArgument("query dimensionality mismatch");
   }
-  double range = -1.0;
-  if (!ParseDouble(args.GetFlag("range"), &range) || range < 0.0) {
-    return Status::InvalidArgument("missing or bad --range");
+  if (args.GetFlag("range").empty()) {
+    return Status::InvalidArgument("missing --range");
   }
+  auto range = RequireDouble(args, "range", 0.0, 0.0);
+  if (!range.ok()) return range.status();
   SsTree tree(data->front().dim());
-  HYPERDOM_RETURN_NOT_OK(tree.BulkLoad(*data));
-  const RangeResult result = RangeSearch(tree, *query, range);
+  HYPERDOM_RETURN_NOT_OK(tree.BulkLoadStr(*data));
+  const RangeResult result = RangeSearch(tree, *query, *range);
   out << result.certain.size() << " objects certainly within "
-      << FormatDouble(range) << ", " << result.possible.size()
+      << FormatDouble(*range) << ", " << result.possible.size()
       << " possibly within (" << result.stats.entries_accessed
       << " entries accessed, " << result.stats.nodes_pruned
       << " subtrees pruned)\n";
@@ -449,27 +470,25 @@ Status CmdExpiry(const ParsedArgs& args, std::ostream& out) {
   if (sa->dim() != sb->dim() || sa->dim() != sq->dim()) {
     return Status::InvalidArgument("spheres must share one dimensionality");
   }
-  double va = 0.0, vb = 0.0, vq = 0.0, horizon = 100.0;
-  if (!ParseDouble(args.GetFlag("va", "0"), &va) || va < 0.0 ||
-      !ParseDouble(args.GetFlag("vb", "0"), &vb) || vb < 0.0 ||
-      !ParseDouble(args.GetFlag("vq", "0"), &vq) || vq < 0.0) {
-    return Status::InvalidArgument("bad growth rates (must be >= 0)");
-  }
-  if (!ParseDouble(args.GetFlag("horizon", "100"), &horizon) ||
-      horizon < 0.0) {
-    return Status::InvalidArgument("bad --horizon");
-  }
-  const GrowingSphere ga{*sa, va};
-  const GrowingSphere gb{*sb, vb};
-  const GrowingSphere gq{*sq, vq};
+  auto va = RequireDouble(args, "va", 0.0, 0.0);
+  if (!va.ok()) return va.status();
+  auto vb = RequireDouble(args, "vb", 0.0, 0.0);
+  if (!vb.ok()) return vb.status();
+  auto vq = RequireDouble(args, "vq", 0.0, 0.0);
+  if (!vq.ok()) return vq.status();
+  auto horizon = RequireDouble(args, "horizon", 100.0, 0.0);
+  if (!horizon.ok()) return horizon.status();
+  const GrowingSphere ga{*sa, *va};
+  const GrowingSphere gb{*sb, *vb};
+  const GrowingSphere gq{*sq, *vq};
   if (!DominatesAtTime(ga, gb, gq, 0.0)) {
     out << "Sa does not dominate Sb at t = 0\n";
     return Status::OK();
   }
-  const double expiry = DominanceExpiry(ga, gb, gq, horizon);
-  if (expiry >= horizon) {
+  const double expiry = DominanceExpiry(ga, gb, gq, *horizon);
+  if (expiry >= *horizon) {
     out << "dominance holds through the whole horizon ("
-        << FormatDouble(horizon) << ")\n";
+        << FormatDouble(*horizon) << ")\n";
   } else {
     out << "dominance expires at t = " << FormatDouble(expiry) << "\n";
   }
@@ -484,10 +503,8 @@ Status CmdSelfCheck(const ParsedArgs& args, std::ostream& out) {
   if (!dim.ok()) return dim.status();
   auto seed = RequireUint(args, "seed", 0xC8ECull, /*required=*/false);
   if (!seed.ok()) return seed.status();
-  double mu = 10.0;
-  if (!ParseDouble(args.GetFlag("mu", "10"), &mu) || mu < 0.0) {
-    return Status::InvalidArgument("bad --mu");
-  }
+  auto mu = RequireDouble(args, "mu", 10.0, 0.0);
+  if (!mu.ok()) return mu.status();
   const bool certified = args.GetFlag("certified", "0") != "0";
 
   const auto oracle = MakeCriterion(CriterionKind::kNumericOracle);
@@ -510,7 +527,7 @@ Status CmdSelfCheck(const ParsedArgs& args, std::ostream& out) {
       Point c(*dim);
       for (auto& v : c) v = rng.Gaussian(100.0, 25.0);
       return Hypersphere(std::move(c),
-                         std::max(0.0, rng.Gaussian(mu, mu / 4.0)));
+                         std::max(0.0, rng.Gaussian(*mu, *mu / 4.0)));
     };
     const Hypersphere sa = sphere();
     const Hypersphere sb = sphere();
@@ -761,7 +778,7 @@ Status CmdServe(const ParsedArgs& args, std::ostream& out) {
     server.emplace(&*mutable_tree, criterion.get(), options);
   } else {
     tree.emplace(data->front().dim());
-    HYPERDOM_RETURN_NOT_OK(tree->BulkLoad(*data));
+    HYPERDOM_RETURN_NOT_OK(tree->BulkLoadStr(*data));
     server.emplace(&*tree, criterion.get(), options);
   }
   HYPERDOM_RETURN_NOT_OK(server->Start());
@@ -989,14 +1006,11 @@ Status ArmFaultsFromFlags(const ParsedArgs& args) {
     FaultRegistry::Instance().ArmSite(site, *nth);
     return Status::OK();
   }
-  double probability = 0.0;
-  if (!ParseDouble(rate, &probability) || probability < 0.0 ||
-      probability > 1.0) {
-    return Status::InvalidArgument("bad --fault-rate (in [0, 1])");
-  }
+  auto probability = RequireDouble(args, "fault-rate", 0.0, 0.0, 1.0);
+  if (!probability.ok()) return probability.status();
   auto seed = RequireUint(args, "seed", 0, /*required=*/false);
   if (!seed.ok()) return seed.status();
-  FaultRegistry::Instance().ArmRandom(*seed, probability);
+  FaultRegistry::Instance().ArmRandom(*seed, *probability);
   return Status::OK();
 }
 
@@ -1156,10 +1170,11 @@ Result<Hypersphere> ParseSphere(const std::string& spec) {
     }
   }
   double radius = 0.0;
-  if (!ParseDouble(spec.substr(semi + 1), &radius) || radius < 0.0) {
+  if (!ParseDouble(spec.substr(semi + 1), &radius)) {
     return Status::InvalidArgument("bad radius '" + spec.substr(semi + 1) +
                                    "'");
   }
+  HYPERDOM_RETURN_NOT_OK(Hypersphere::Validate(center, radius));
   return Hypersphere(std::move(center), radius);
 }
 

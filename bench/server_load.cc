@@ -3,16 +3,20 @@
 // Closed-loop load generator for the hyperdom query server: an in-process
 // Server on a loopback ephemeral port, driven by C closed-loop client
 // threads (each sends the next request the moment the previous response
-// lands). Two sweeps:
+// lands). Sweeps:
 //
 //   * throughput/latency at C = 1/2/4/8 clients against a generously
 //     provisioned server — p50/p99 client-observed latency and QPS, with
 //     every tenth request carrying a ~1 ms budget so deadline-expiry
 //     best-effort responses flow through the full wire path;
-//   * an overload point — 8 clients against 1 worker with a queue bound of
+//   * an overload point — 8 clients against 1 permit with a queue bound of
 //     1 — demonstrating load shedding: requests are refused with
 //     kOverloaded immediately (no hang, no crash) and the shed rate is
-//     reported.
+//     reported;
+//   * a contention point — 32 clients against 2 permits and a queue wide
+//     enough to shed nothing — where most requests wait for a permit and
+//     each release hands one to the oldest waiter;
+//   * the admin plane's cost at the top throughput point.
 //
 // Emits bench/results/BENCH_server.json via --json-out; --smoke shrinks
 // the workload so the whole binary finishes in a couple of seconds (the
@@ -225,11 +229,11 @@ int main(int argc, char** argv) {
     }
     server.Stop();
   }
-  std::printf("\n-- closed-loop throughput (workers = all cores) --\n");
+  std::printf("\n-- closed-loop throughput (permits = all cores) --\n");
   table.Print();
   reporter.RawSweep("throughput", rows);
 
-  // Sweep 2: overload — 8 closed-loop clients vs 1 worker and a queue
+  // Sweep 2: overload — 8 closed-loop clients vs 1 permit and a queue
   // bound of 1. Clients do NOT retry here, so every refusal is counted;
   // the interesting outcome is a nonzero shed rate with zero errors.
   std::vector<std::string> shed_rows;
@@ -252,11 +256,38 @@ int main(int argc, char** argv) {
     shed_rows.push_back(ResultRow(r));
     server.Stop();
   }
-  std::printf("\n-- overload shedding (1 worker, queue bound 1) --\n");
+  std::printf("\n-- overload shedding (1 permit, queue bound 1) --\n");
   shed_table.Print();
   reporter.RawSweep("overload shedding", shed_rows);
 
-  // Sweep 3: admin-plane cost. The top-concurrency throughput point runs
+  // Sweep 3: contention — many more clients than permits, and a queue bound
+  // above the client count so nothing is shed and most requests wait for
+  // a permit.
+  std::vector<std::string> contention_rows;
+  TablePrinter contention_table({"clients", "requests", "qps", "p50", "p99",
+                                 "p99.9", "max", "shed", "best-effort"});
+  {
+    server::ServerOptions options;
+    options.worker_threads = 2;
+    options.queue_capacity = 1024;
+    server::Server server(&tree, criterion.get(), options);
+    const Status started = server.Start();
+    if (!started.ok()) {
+      std::fprintf(stderr, "error: %s\n", started.ToString().c_str());
+      return 1;
+    }
+    const SweepResult r = RunSweep(
+        server.port(), queries, reporter.Scaled(32, 4),
+        requests_per_client / 4, /*allow_retry=*/false);
+    AddTableRow(contention_table, r);
+    contention_rows.push_back(ResultRow(r));
+    server.Stop();
+  }
+  std::printf("\n-- contention (2 permits, queue bound 1024) --\n");
+  contention_table.Print();
+  reporter.RawSweep("contention", contention_rows);
+
+  // Sweep 4: admin-plane cost. The top-concurrency throughput point runs
   // twice against fresh servers — once bare, once with a live admin plane
   // being scraped (/metrics) every 100 ms plus its 100 ms gauge tick —
   // and the QPS delta is recorded. The claim under test: the admin plane
@@ -350,6 +381,7 @@ int main(int argc, char** argv) {
       "\nExpected shape: QPS grows with client count until the cores\n"
       "saturate; p99 stays bounded (slow-client/IO waits are poll-capped);\n"
       "the overload row sheds a visible fraction with zero hard errors —\n"
-      "admission control refuses work instead of queueing unboundedly.\n");
+      "admission control refuses work instead of queueing unboundedly;\n"
+      "the contention row sheds nothing.\n");
   return reporter.Finish();
 }

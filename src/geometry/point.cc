@@ -328,13 +328,6 @@ double Dist(const Point& a, const Point& b) {
   return std::sqrt(SquaredDist(a, b));
 }
 
-Point Add(const Point& a, const Point& b) {
-  assert(a.size() == b.size());
-  Point out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-  return out;
-}
-
 Point Sub(const Point& a, const Point& b) {
   assert(a.size() == b.size());
   Point out(a.size());

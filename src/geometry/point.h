@@ -127,9 +127,6 @@ double SquaredDist(const Point& a, const Point& b);
 /// Euclidean distance between `a` and `b` (Eq. (1) of the paper).
 double Dist(const Point& a, const Point& b);
 
-/// a + b, element-wise.
-Point Add(const Point& a, const Point& b);
-
 /// a - b, element-wise.
 Point Sub(const Point& a, const Point& b);
 

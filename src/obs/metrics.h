@@ -444,10 +444,10 @@ inline constexpr MetricDef kServerActiveConnections{
     MetricType::kGauge};
 inline constexpr MetricDef kServerRequests{
     "hyperdom_server_requests_total",
-    "requests admitted to the work queue (label kind=knn|ping)",
+    "requests served (label kind=knn|ping|insert|remove)",
     MetricType::kCounter};
 inline constexpr MetricDef kServerQueueDepth{
-    "hyperdom_server_queue_depth", "requests waiting in the admission queue",
+    "hyperdom_server_queue_depth", "requests waiting for an admission permit",
     MetricType::kGauge};
 inline constexpr MetricDef kServerShed{
     "hyperdom_server_shed_total",

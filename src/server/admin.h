@@ -79,7 +79,7 @@ class AdminServer {
   /// Live-state sources sampled per request (/statusz) and per tick.
   /// Callbacks must be thread-safe; they run on admin-plane threads.
   struct Sources {
-    std::function<size_t()> queue_depth;          ///< admission queue
+    std::function<size_t()> queue_depth;          ///< waiting for a permit
     std::function<int64_t()> active_connections;  ///< query-plane conns
     std::function<uint64_t()> requests_served;
     std::function<uint64_t()> store_version;  ///< published store version

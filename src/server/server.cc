@@ -2,10 +2,12 @@
 
 #include "server/server.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
 #include "common/fault.h"
+#include "exec/thread_pool.h"
 #include "index/mutable_ss_tree.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -67,13 +69,13 @@ Status Server::Start() {
     return port.status();
   }
   port_ = *port;
+  permits_ = ThreadPool::ResolveThreads(options_.worker_threads);
+  // Each connection thread waits on at most one request, so no more than
+  // max_connections ever wait, whatever queue_capacity says.
+  slot_count_ = std::min(options_.queue_capacity, options_.max_connections);
+  slots_ = std::make_unique<std::condition_variable[]>(slot_count_);
   started_.store(true);
   draining_.store(false);
-  const size_t workers = ThreadPool::ResolveThreads(options_.worker_threads);
-  workers_ = std::make_unique<ThreadPool>(workers);
-  for (size_t i = 0; i < workers; ++i) {
-    workers_->Submit([this] { WorkerLoop(); });
-  }
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
 }
@@ -96,9 +98,10 @@ void Server::Stop() {
   listen_fd_ = -1;
   // 3. Wake every connection blocked on a read: they see EOF, finish
   //    writing any in-flight response (the write side stays open), and
-  //    wind down. Join WITHOUT holding conns_mu_ — each winding-down
-  //    thread takes the lock to retire its fd, and would deadlock against
-  //    a join that held it.
+  //    wind down; requests that hold or wait for a permit finish first.
+  //    Join WITHOUT holding conns_mu_ — each winding-down thread takes the
+  //    lock to retire its fd, and would deadlock against a join that held
+  //    it.
   ShutdownConnections();
   std::list<std::unique_ptr<Connection>> conns;
   {
@@ -108,53 +111,45 @@ void Server::Stop() {
   for (auto& conn : conns) {
     if (conn->thread.joinable()) conn->thread.join();
   }
-  // 4. Let the workers drain what was already admitted, then exit. Every
-  //    queued Work still gets processed and its promise fulfilled —
-  //    in-flight queries finish, nothing is dropped after admission.
-  CloseQueue();
-  if (workers_) {
-    workers_->Wait();
-    workers_.reset();
-  }
 }
 
-bool Server::TryEnqueue(std::unique_ptr<Work> work) {
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    if (queue_closed_ || draining_.load() ||
-        queue_.size() >= options_.queue_capacity) {
-      return false;
-    }
-    queue_.push_back(std::move(work));
-    HYPERDOM_GAUGE_SET(obs::kServerQueueDepth,
-                       static_cast<double>(queue_.size()));
+bool Server::AcquirePermit() {
+  std::unique_lock<std::mutex> lock(queue_mu_);
+  const uint64_t waiting = tickets_issued_ - tickets_admitted_;
+  if (draining_.load() || waiting >= slot_count_) return false;
+  // Requests wait only while every permit is held, so a free permit means
+  // nobody is ahead of this one.
+  if (running_ < permits_) {
+    ++running_;
+    return true;
   }
-  queue_ready_.notify_one();
+  const uint64_t ticket = tickets_issued_++;
+  HYPERDOM_GAUGE_SET(obs::kServerQueueDepth, static_cast<double>(waiting + 1));
+  slots_[ticket % slot_count_].wait(
+      lock, [&] { return tickets_admitted_ > ticket; });
   return true;
 }
 
-std::unique_ptr<Server::Work> Server::Dequeue() {
+void Server::ReleasePermit() {
   std::unique_lock<std::mutex> lock(queue_mu_);
-  queue_ready_.wait(lock, [this] { return queue_closed_ || !queue_.empty(); });
-  if (queue_.empty()) return nullptr;  // closed and drained
-  std::unique_ptr<Work> work = std::move(queue_.front());
-  queue_.pop_front();
+  if (tickets_admitted_ == tickets_issued_) {
+    --running_;
+    return;
+  }
+  // Hand the permit straight to the oldest waiter (running_ stays) and
+  // wake its slot only. The slots outlive every request, so the notify may
+  // come after the unlock; a later ticket may sleep on the same slot by
+  // then, so wake every sleeper there and let that one sleep on.
+  const uint64_t ticket = tickets_admitted_++;
   HYPERDOM_GAUGE_SET(obs::kServerQueueDepth,
-                     static_cast<double>(queue_.size()));
-  return work;
+                     static_cast<double>(tickets_issued_ - tickets_admitted_));
+  lock.unlock();
+  slots_[ticket % slot_count_].notify_all();
 }
 
 size_t Server::QueueDepth() const {
   std::lock_guard<std::mutex> lock(queue_mu_);
-  return queue_.size();
-}
-
-void Server::CloseQueue() {
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    queue_closed_ = true;
-  }
-  queue_ready_.notify_all();
+  return static_cast<size_t>(tickets_issued_ - tickets_admitted_);
 }
 
 void Server::AcceptLoop() {
@@ -288,29 +283,6 @@ void Server::ConnectionLoop(Connection* conn) {
 
     std::string response_frame;
     bool close_after_reply = false;
-    // Shared admission path for every queued request kind: deadline
-    // starts at admission (queue wait burns budget), shed requests get
-    // an immediate kOverloaded with the connection kept open, and an
-    // admitted request's promise is always fulfilled by a worker (even
-    // during drain the queue is processed to empty), so the wait cannot
-    // hang.
-    auto submit = [&](std::unique_ptr<Work> work) -> std::string {
-      work->admitted = std::chrono::steady_clock::now();
-      work->request_id = request_id;
-      std::future<std::string> response = work->response.get_future();
-      const bool admitted = HYPERDOM_FAULT_POINT_STATUS("server/enqueue").ok() &&
-                            TryEnqueue(std::move(work));
-      if (!admitted) {
-        // Load shedding is per-request, not per-connection: answer
-        // kOverloaded immediately and keep reading.
-        counters_.requests_shed.fetch_add(1, std::memory_order_relaxed);
-        HYPERDOM_COUNTER_INC(obs::kServerShed);
-        return EncodeFrame(FrameKind::kErrorResponse, request_id,
-                           EncodeErrorResponse(Status::Overloaded(
-                               "request queue full, try again later")));
-      }
-      return response.get();
-    };
     auto reject_malformed = [&](const Status& error) {
       counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
       HYPERDOM_COUNTER_INC(obs::kServerProtocolErrors);
@@ -332,11 +304,11 @@ void Server::ConnectionLoop(Connection* conn) {
           reject_malformed(request.status());
           break;
         }
-        auto work = std::make_unique<Work>();
-        work->kind = FrameKind::kKnnRequest;
-        work->request = request.TakeValue();
-        work->deadline = DeadlineFromRequest(work->request);
-        response_frame = submit(std::move(work));
+        Work work;
+        work.kind = FrameKind::kKnnRequest;
+        work.request = request.TakeValue();
+        work.deadline = DeadlineFromRequest(work.request);
+        response_frame = Admit(work, request_id);
         break;
       }
       case FrameKind::kInsertRequest: {
@@ -345,11 +317,11 @@ void Server::ConnectionLoop(Connection* conn) {
           reject_malformed(request.status());
           break;
         }
-        auto work = std::make_unique<Work>();
-        work->kind = FrameKind::kInsertRequest;
-        work->insert = request.TakeValue();
-        work->deadline = Deadline::FromBudgetMicros(work->insert.budget_micros);
-        response_frame = submit(std::move(work));
+        Work work;
+        work.kind = FrameKind::kInsertRequest;
+        work.insert = request.TakeValue();
+        work.deadline = Deadline::FromBudgetMicros(work.insert.budget_micros);
+        response_frame = Admit(work, request_id);
         break;
       }
       case FrameKind::kRemoveRequest: {
@@ -358,11 +330,11 @@ void Server::ConnectionLoop(Connection* conn) {
           reject_malformed(request.status());
           break;
         }
-        auto work = std::make_unique<Work>();
-        work->kind = FrameKind::kRemoveRequest;
-        work->remove = request.TakeValue();
-        work->deadline = Deadline::FromBudgetMicros(work->remove.budget_micros);
-        response_frame = submit(std::move(work));
+        Work work;
+        work.kind = FrameKind::kRemoveRequest;
+        work.remove = request.TakeValue();
+        work.deadline = Deadline::FromBudgetMicros(work.remove.budget_micros);
+        response_frame = Admit(work, request_id);
         break;
       }
       default:
@@ -407,32 +379,49 @@ void Server::ConnectionLoop(Connection* conn) {
                      static_cast<double>(remaining));
 }
 
-void Server::WorkerLoop() {
-  if (options_.worker_start_hook) options_.worker_start_hook();
-  while (std::unique_ptr<Work> work = Dequeue()) {
-    // Exception boundary: a throw out of ProcessRequest (e.g. bad_alloc
-    // encoding a large response) must fail this one request with a
-    // kInternal frame, not escape the worker thread and terminate the
-    // process. The promise is always fulfilled, so no connection hangs.
-    std::string frame;
-    try {
-      frame = ProcessRequest(*work);
-    } catch (const std::exception& e) {
-      HYPERDOM_LOG(obs::LogLevel::kError, "server", work->request_id,
-                   "request processing threw",
-                   obs::LogField::Str("what", e.what()));
-      frame = EncodeFrame(
-          FrameKind::kErrorResponse, work->request_id,
-          EncodeErrorResponse(Status::Internal(
-              std::string("request processing failed: ") + e.what())));
-    } catch (...) {
-      HYPERDOM_LOG(obs::LogLevel::kError, "server", work->request_id,
-                   "request processing threw");
-      frame = EncodeFrame(
-          FrameKind::kErrorResponse, work->request_id,
-          EncodeErrorResponse(Status::Internal("request processing failed")));
-    }
-    work->response.set_value(std::move(frame));
+std::string Server::Admit(Work& work, uint64_t request_id) {
+  // The deadline was built before this point, so the permit wait burns
+  // the request's budget.
+  work.admitted = std::chrono::steady_clock::now();
+  work.request_id = request_id;
+  if (!HYPERDOM_FAULT_POINT_STATUS("server/enqueue").ok() || !AcquirePermit()) {
+    // Load shedding is per-request, not per-connection: answer
+    // kOverloaded immediately and keep reading.
+    counters_.requests_shed.fetch_add(1, std::memory_order_relaxed);
+    HYPERDOM_COUNTER_INC(obs::kServerShed);
+    return EncodeFrame(FrameKind::kErrorResponse, work.request_id,
+                       EncodeErrorResponse(Status::Overloaded(
+                           "request queue full, try again later")));
+  }
+  // Gives the permit back however processing ends, and before the
+  // response is written, so a slow reader never holds one.
+  struct PermitGuard {
+    explicit PermitGuard(Server* s) : server(s) {}
+    PermitGuard(const PermitGuard&) = delete;
+    PermitGuard& operator=(const PermitGuard&) = delete;
+    ~PermitGuard() { server->ReleasePermit(); }
+    Server* server;
+  } permit(this);
+  // Exception boundary: a throw out of ProcessRequest (e.g. bad_alloc
+  // encoding a large response) fails this one request with a kInternal
+  // frame and keeps the connection open.
+  try {
+    if (options_.admitted_hook) options_.admitted_hook(work.request_id);
+    return ProcessRequest(work);
+  } catch (const std::exception& e) {
+    HYPERDOM_LOG(obs::LogLevel::kError, "server", work.request_id,
+                 "request processing threw",
+                 obs::LogField::Str("what", e.what()));
+    return EncodeFrame(
+        FrameKind::kErrorResponse, work.request_id,
+        EncodeErrorResponse(Status::Internal(
+            std::string("request processing failed: ") + e.what())));
+  } catch (...) {
+    HYPERDOM_LOG(obs::LogLevel::kError, "server", work.request_id,
+                 "request processing threw");
+    return EncodeFrame(
+        FrameKind::kErrorResponse, work.request_id,
+        EncodeErrorResponse(Status::Internal("request processing failed")));
   }
 }
 
@@ -444,7 +433,7 @@ std::string Server::ProcessRequest(Work& work) {
     case FrameKind::kRemoveRequest:
       return ProcessMutation(work);
     default:
-      // ConnectionLoop only enqueues the kinds above.
+      // ConnectionLoop only admits the kinds above.
       return EncodeFrame(
           FrameKind::kErrorResponse, work.request_id,
           EncodeErrorResponse(Status::Internal("unexpected work kind")));
@@ -473,8 +462,9 @@ std::string Server::ProcessKnn(Work& work) {
         "query dimensionality " + std::to_string(work.request.query.dim()) +
         " does not match store dimensionality " + std::to_string(dim));
   } else if (sharded_store_ != nullptr) {
-    // Scatter serially (null pool): this worker is already a pool thread,
-    // and a worker blocking on its own pool's tasks deadlocks.
+    // Scatter serially (null pool): the permits already bound concurrent
+    // requests, and a scatter pool would put a thread hand-off back on
+    // every request.
     Result<KnnResult> sharded =
         shard::ShardedKnn(*sharded_store_, work.request.query, *criterion_,
                           options, /*pool=*/nullptr);
@@ -540,7 +530,7 @@ std::string Server::ProcessKnn(Work& work) {
   }
   KnnResponse response;
   response.completeness = result.completeness;
-  response.answers = result.answers;
+  response.answers = std::move(result.answers);
   return EncodeFrame(FrameKind::kKnnResponse, work.request_id,
                      EncodeKnnResponse(response));
 }
@@ -559,7 +549,7 @@ std::string Server::ProcessMutation(Work& work) {
             "server is read-only: mutation frames are not accepted")));
   }
   // Unlike queries, a mutation cannot degrade to a partial answer: if the
-  // budget burned away in the queue, refuse it un-applied so the client's
+  // budget burned away before it ran, refuse it un-applied so the client's
   // deadline semantics stay exact (apply-or-error, never late-apply).
   if (work.deadline.WallExpired()) {
     counters_.requests_shed.fetch_add(1, std::memory_order_relaxed);

@@ -1,8 +1,8 @@
 // Copyright (c) hyperdom authors. Licensed under the MIT license.
 //
-// The hyperdom query server: a blocking-accept loop feeding the exec
-// ThreadPool through a bounded admission queue, speaking HDNP frames
-// (server/protocol.h) over TCP.
+// The hyperdom query server: a blocking-accept loop and one thread per
+// connection, which runs each request once FIFO admission grants it one of
+// a bounded number of permits, speaking HDNP frames (server/protocol.h).
 //
 // Robustness contract — every request either completes exactly, degrades
 // to a certified-subset kBestEffort answer, or is shed with an explicit
@@ -10,12 +10,12 @@
 // client never takes it down:
 //
 //   * Deadline propagation. A client budget becomes a Deadline at
-//     ADMISSION time, so time spent queued counts against it; the query
-//     drivers return flagged best-effort subsets on expiry (robustness.md
-//     §7), which flow back as normal responses, not errors.
-//   * Admission control. The request queue is bounded; when it is full
-//     (or the server is draining) the request is answered immediately
-//     with kOverloaded — the connection stays open, memory stays bounded.
+//     ADMISSION time, so time spent waiting for a permit counts against
+//     it; the query drivers return flagged best-effort subsets on expiry
+//     (robustness.md §7), which flow back as normal responses, not errors.
+//   * Admission control. Requests wait for a permit in arrival order; when
+//     the bounded wait is full (or the server is draining) the request is
+//     answered at once with kOverloaded — the connection stays open.
 //   * Hardened connection loop. Truncated frames, CRC mismatches,
 //     oversized or malformed payloads, and frames of any protocol version
 //     but kProtocolVersion get a kProtocolError frame and the connection
@@ -27,9 +27,9 @@
 //     payload, CRC mismatch) carries ID 0, and the connection is closed
 //     after it.
 //   * Graceful drain. Stop() closes the listener, wakes every connection
-//     with a read-side shutdown, lets in-flight queries finish and their
-//     responses flush, then joins all threads. Requests that race the
-//     drain are shed with kOverloaded.
+//     with a read-side shutdown, lets running and waiting requests finish
+//     and their responses flush, then joins all threads. Requests that
+//     race the drain are shed with kOverloaded.
 //
 // Fault sites server/accept, server/read, server/write, server/enqueue
 // make each failure edge deterministically testable.
@@ -40,9 +40,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -51,7 +49,6 @@
 
 #include "common/status.h"
 #include "dominance/criterion.h"
-#include "exec/thread_pool.h"
 #include "index/ss_tree.h"
 #include "server/protocol.h"
 
@@ -68,9 +65,11 @@ namespace server {
 struct ServerOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;  ///< 0 = pick an ephemeral port (read back via port())
-  /// Query workers; 0 = hardware concurrency.
+  /// Requests that may run at once; 0 = hardware concurrency. With many
+  /// more connections than permits, each hand-off idles a permit for one
+  /// thread wake-up (docs/robustness.md §9).
   size_t worker_threads = 0;
-  /// Admission-queue bound: requests beyond this are shed (kOverloaded).
+  /// Requests that may wait for a permit; any more are shed (kOverloaded).
   size_t queue_capacity = 128;
   /// Connections beyond this are told kOverloaded and closed at accept.
   size_t max_connections = 256;
@@ -86,9 +85,9 @@ struct ServerOptions {
   /// /readyz to 503 while the query port still accepts, so load balancers
   /// stop routing before connections start failing.
   std::function<void()> drain_begin_hook;
-  /// Test-only: runs at the start of every worker drain loop (lets tests
-  /// park workers to fill the queue deterministically).
-  std::function<void()> worker_start_hook;
+  /// Test-only: runs on a request's thread once it holds a permit, inside
+  /// the exception boundary (lets tests park running requests).
+  std::function<void(uint64_t request_id)> admitted_hook;
 };
 
 /// \brief Counters mirrored into obs metrics, readable directly in tests.
@@ -112,9 +111,8 @@ class Server {
 
   /// \brief Mutable mode: serves kNN against the mutable tree's pinned
   /// snapshots AND accepts insert/remove frames, which flow through the
-  /// same admission queue, deadline accounting, and shed policy as
-  /// queries. Read-only servers answer mutation frames with
-  /// kNotSupported.
+  /// same admission, deadline accounting, and shed policy as queries.
+  /// Read-only servers answer mutation frames with kNotSupported.
   Server(MutableSsTree* tree, const DominanceCriterion* criterion,
          ServerOptions options);
 
@@ -122,8 +120,8 @@ class Server {
   /// and gather through the merged best-known list, so answers are
   /// bit-identical to a single unsharded index for every criterion but
   /// MBR, whose answers depend on access order (shard/sharded_query.h).
-  /// The scatter runs serially on the worker thread — workers already ARE
-  /// the pool, and a worker waiting on its own pool would deadlock.
+  /// The scatter runs serially on the request's thread: permits already
+  /// bound concurrency, and a scatter pool would add a hand-off per request.
   /// Mutation frames get kNotSupported.
   Server(const shard::ShardedStore* store, const DominanceCriterion* criterion,
          ServerOptions options);
@@ -133,11 +131,11 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens and spins up the accept loop + workers.
+  /// Binds, listens and starts the accept loop.
   Status Start();
 
-  /// Graceful drain: stop accepting, finish in-flight queries, flush
-  /// their responses, join everything. Idempotent.
+  /// Graceful drain: stop accepting, finish running and waiting requests,
+  /// flush their responses, join everything. Idempotent.
   void Stop();
 
   /// The bound port (valid after Start(); resolves port 0 requests).
@@ -146,7 +144,7 @@ class Server {
   /// True once Stop() has begun refusing new work.
   bool draining() const { return draining_.load(); }
 
-  /// Current admission-queue depth (racy-but-consistent monitoring read;
+  /// Requests waiting for a permit (racy-but-consistent monitoring read;
   /// the admin plane's background tick samples this into the
   /// hyperdom_server_queue_depth gauge).
   size_t QueueDepth() const;
@@ -161,20 +159,21 @@ class Server {
     KnnRequest request;        // valid when kind == kKnnRequest
     InsertRequest insert;      // valid when kind == kInsertRequest
     RemoveRequest remove;      // valid when kind == kRemoveRequest
-    Deadline deadline;  // built at admission: queue wait burns budget
+    Deadline deadline;  // built before admission: the wait burns budget
     std::chrono::steady_clock::time_point admitted;
     uint64_t request_id = 0;  // echoed by the response, errors included
-    std::promise<std::string> response;  // an encoded HDNP frame
   };
 
-  // Bounded MPMC admission queue.
-  bool TryEnqueue(std::unique_ptr<Work> work);
-  std::unique_ptr<Work> Dequeue();  // null once closed and empty
-  void CloseQueue();
+  // FIFO admission: false means shed; true means the caller holds a permit
+  // until it calls ReleasePermit.
+  bool AcquirePermit();
+  void ReleasePermit();
 
   void AcceptLoop();
   void ConnectionLoop(Connection* conn);
-  void WorkerLoop();
+  // Stamps `work` with its admission time and ID, admits (or sheds) it
+  // and runs it here; returns the response frame.
+  std::string Admit(Work& work, uint64_t request_id);
   std::string ProcessRequest(Work& work);
   std::string ProcessKnn(Work& work);
   std::string ProcessMutation(Work& work);
@@ -193,13 +192,20 @@ class Server {
   std::atomic<bool> started_{false};
   std::atomic<bool> draining_{false};
 
+  // A request that finds all permits_ held takes ticket tickets_issued_
+  // and sleeps on slots_[ticket % slot_count_] until ReleasePermit hands
+  // it a permit by moving tickets_admitted_ past it. At most slot_count_
+  // tickets wait at once, so a slot's sleepers are at most one waiting
+  // ticket and granted ones that have not woken yet.
   mutable std::mutex queue_mu_;
-  std::condition_variable queue_ready_;
-  std::deque<std::unique_ptr<Work>> queue_;
-  bool queue_closed_ = false;
+  std::unique_ptr<std::condition_variable[]> slots_;
+  size_t slot_count_ = 0;
+  size_t permits_ = 0;
+  size_t running_ = 0;  // permits held
+  uint64_t tickets_issued_ = 0;
+  uint64_t tickets_admitted_ = 0;
 
   std::thread accept_thread_;
-  std::unique_ptr<ThreadPool> workers_;
 
   struct Connection {
     // Guarded by conns_mu_ after the thread starts. The connection thread

@@ -298,14 +298,15 @@ TEST_F(AdminServerIntegrationTest, AdminGarbageNeverTouchesQueryPath) {
 }
 
 // The background tick must keep the queue-depth gauge fresh with zero
-// traffic: park every worker, fill the queue, wipe the metrics, and the
-// next ticks alone must restore the gauge to the queue size.
+// traffic: park the request holding the only permit, fill the queue, wipe
+// the metrics, and the next ticks alone must restore the gauge to the
+// queue size.
 TEST_F(AdminServerIntegrationTest, TickRefreshesGaugesWithParkedWorkers) {
   std::atomic<bool> release{false};
   ServerOptions options;
   options.worker_threads = 1;
   options.queue_capacity = 4;
-  options.worker_start_hook = [&release] {
+  options.admitted_hook = [&release](uint64_t) {
     while (!release.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -320,9 +321,10 @@ TEST_F(AdminServerIntegrationTest, TickRefreshesGaugesWithParkedWorkers) {
   AdminServer admin(std::move(admin_options), std::move(sources));
   ASSERT_TRUE(admin.Start().ok());
 
-  // Fill the queue: the lone worker is parked, so requests pile up.
+  // Fill the queue: one request holds the permit, parked, so the other
+  // three pile up behind it.
   std::vector<std::thread> senders;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 4; ++i) {
     senders.emplace_back([this, port = server.port(), i] {
       ClientOptions client_options;
       client_options.port = port;

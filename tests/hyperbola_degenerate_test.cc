@@ -112,7 +112,7 @@ TEST(HyperbolaDegenerateTest, QueriesOnTheBisectorPlane) {
     Point axis = Normalized(Sub(cb, ca));
     Point off = test::RandomPoint(&rng, 3, 0.0, 20.0);
     off = AddScaled(off, -Dot(off, axis), axis);
-    const Point cq = Add(mid, off);
+    const Point cq = AddScaled(mid, 1.0, off);
     const Hypersphere sa(ca, rng.Uniform(0.0, 3.0));
     const Hypersphere sb(cb, rng.Uniform(0.0, 3.0));
     const Hypersphere sq(cq, rng.Uniform(0.0, 3.0));

@@ -210,9 +210,12 @@ TEST(HyperbolaInvarianceTest, Translation) {
     Point shift(4);
     for (auto& v : shift) v = rng.Uniform(-500.0, 500.0);
     const bool base = c.Dominates(s.sa, s.sb, s.sq);
-    const Hypersphere sa2(Add(s.sa.center(), shift), s.sa.radius());
-    const Hypersphere sb2(Add(s.sb.center(), shift), s.sb.radius());
-    const Hypersphere sq2(Add(s.sq.center(), shift), s.sq.radius());
+    const Hypersphere sa2(AddScaled(s.sa.center(), 1.0, shift),
+                          s.sa.radius());
+    const Hypersphere sb2(AddScaled(s.sb.center(), 1.0, shift),
+                          s.sb.radius());
+    const Hypersphere sq2(AddScaled(s.sq.center(), 1.0, shift),
+                          s.sq.radius());
     EXPECT_EQ(c.Dominates(sa2, sb2, sq2), base) << test::SceneToString(s);
   }
 }

@@ -93,7 +93,7 @@ TEST(MbrCriterionTest, OverlapImpliesFalse) {
   MbrCriterion c;
   for (int iter = 0; iter < 500; ++iter) {
     const Hypersphere sa = test::RandomSphere(&rng, 3, 15.0);
-    const Hypersphere sb(Add(sa.center(), {1.0, 0.0, 0.0}),
+    const Hypersphere sb(AddScaled(sa.center(), 1.0, {1.0, 0.0, 0.0}),
                          sa.radius() + 2.0);
     const Hypersphere sq = test::RandomSphere(&rng, 3, 10.0);
     ASSERT_TRUE(Overlaps(sa, sb));

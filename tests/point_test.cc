@@ -30,7 +30,6 @@ TEST(PointTest, DistMatchesPaperEquationOne) {
 }
 
 TEST(PointTest, Arithmetic) {
-  EXPECT_EQ(Add({1, 2}, {3, 4}), (Point{4, 6}));
   EXPECT_EQ(Sub({5, 5}, {2, 3}), (Point{3, 2}));
   EXPECT_EQ(Scale({1, -2}, 3.0), (Point{3, -6}));
   EXPECT_EQ(AddScaled({1, 1}, 2.0, {3, 4}), (Point{7, 9}));

@@ -1,7 +1,8 @@
 // Copyright (c) hyperdom authors. Licensed under the MIT license.
 //
 // HDNP request-ID correlation: the ID prefix round trip, a fresh ID on
-// every client call, error and shed frames echoing the request's ID, a
+// every client call, error and shed frames echoing the request's ID,
+// waiting requests admitted in arrival order (told apart by their IDs), a
 // frame sent before the ID is read (a refused version-1 header) echoing
 // ID 0 and closing the connection, and a genuine protocol error leaving
 // the client's later calls with their IDs.
@@ -10,8 +11,10 @@
 
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -171,25 +174,29 @@ TEST_F(InteropTest, ErrorFramesEchoTheRequestId) {
 }
 
 TEST_F(InteropTest, ShedFramesEchoTheRequestId) {
-  // Queue bound 1 + a parked worker: the second concurrent request is
-  // shed, and its kOverloaded frame must echo the second request's ID.
+  // One permit held by a parked request + a wait bound of 1: the third
+  // concurrent request is shed, and its kOverloaded frame must echo that
+  // request's ID.
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
   ServerOptions options;
   options.worker_threads = 1;
   options.queue_capacity = 1;
-  options.worker_start_hook = [released] { released.wait(); };
+  options.admitted_hook = [released](uint64_t) { released.wait(); };
   auto server = StartServer(options);
 
-  // Fill the queue with one request (worker is parked, so it stays).
-  const std::string filler = EncodeFrame(FrameKind::kKnnRequest, 11,
-                                         EncodeKnnRequest(MakeRequest()));
-  std::thread fill_thread([&] {
-    FrameHeader header;
-    std::string payload;
-    (void)RawExchange(server->port(), filler, &header, &payload);
-  });
-  // Wait for it to be admitted.
+  // Two fillers: one holds the permit (parked), the other waits for it.
+  std::vector<std::thread> fill_threads;
+  for (uint64_t id : {11, 12}) {
+    const std::string filler = EncodeFrame(FrameKind::kKnnRequest, id,
+                                           EncodeKnnRequest(MakeRequest()));
+    fill_threads.emplace_back([&server, filler] {
+      FrameHeader header;
+      std::string payload;
+      (void)RawExchange(server->port(), filler, &header, &payload);
+    });
+  }
+  // Wait until one of them waits for the permit.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (server->QueueDepth() < 1 &&
@@ -213,7 +220,62 @@ TEST_F(InteropTest, ShedFramesEchoTheRequestId) {
   EXPECT_EQ(remote.code(), StatusCode::kOverloaded);
 
   release.set_value();
-  fill_thread.join();
+  for (std::thread& t : fill_threads) t.join();
+}
+
+// Requests that wait for a permit run in arrival order: with the one
+// permit held by request 1, requests 2, 3 and 4 arrive one at a time, and
+// the admission hook sees them in that order once request 1 finishes.
+TEST_F(InteropTest, WaitingRequestsRunInArrivalOrder) {
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::mutex ran_mu;
+  std::vector<uint64_t> ran;
+  ServerOptions options;
+  options.worker_threads = 1;
+  options.queue_capacity = 8;
+  options.admitted_hook = [&ran_mu, &ran, released](uint64_t request_id) {
+    {
+      std::lock_guard<std::mutex> lock(ran_mu);
+      ran.push_back(request_id);
+    }
+    if (request_id == 1) released.wait();
+  };
+  auto server = StartServer(options);
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  auto wait_until = [&deadline](const std::function<bool()>& done) {
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  std::vector<std::thread> senders;
+  for (uint64_t id = 1; id <= 4; ++id) {
+    const std::string frame = EncodeFrame(
+        FrameKind::kKnnRequest, id, EncodeKnnRequest(MakeRequest(id)));
+    senders.emplace_back([&server, frame] {
+      FrameHeader header;
+      std::string payload;
+      EXPECT_TRUE(RawExchange(server->port(), frame, &header, &payload).ok());
+      EXPECT_EQ(header.kind, FrameKind::kKnnResponse);
+    });
+    if (id == 1) {
+      // Request 1 holds the permit once the hook has seen it.
+      wait_until([&] {
+        std::lock_guard<std::mutex> lock(ran_mu);
+        return !ran.empty();
+      });
+    } else {
+      wait_until([&] { return server->QueueDepth() == id - 1; });
+    }
+  }
+  EXPECT_EQ(server->QueueDepth(), 3u);
+
+  release.set_value();
+  for (std::thread& t : senders) t.join();
+  std::lock_guard<std::mutex> lock(ran_mu);
+  EXPECT_EQ(ran, (std::vector<uint64_t>{1, 2, 3, 4}));
 }
 
 // A retired version-1 frame (no request-ID prefix) is refused before any

@@ -43,6 +43,7 @@ TEST(ServerLoadSmokeTest, EmitsValidBenchArtifact) {
   EXPECT_NE(json.find("\"label\": \"throughput\""), std::string::npos);
   EXPECT_NE(json.find("\"label\": \"overload shedding\""),
             std::string::npos);
+  EXPECT_NE(json.find("\"label\": \"contention\""), std::string::npos);
   EXPECT_NE(json.find("\"concurrency\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"qps\": "), std::string::npos);
   EXPECT_NE(json.find("\"p50_micros\": "), std::string::npos);

@@ -192,14 +192,20 @@ TEST_F(ServerMutationTest, ReadOnlyServerRejectsMutationFrames) {
 }
 
 TEST_F(ServerMutationTest, ExpiredMutationBudgetIsRefusedUnapplied) {
-  auto server = StartServer();
+  // The admitted insert is held 2 ms before it is processed, so its 1 us
+  // budget has run out by the time it would be applied.
+  ServerOptions options;
+  options.admitted_hook = [](uint64_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  };
+  auto server = StartServer(options);
   Client client = MakeClient(server->port());
 
   const size_t live_before = tree_->live_size();
   InsertRequest insert;
   insert.id = 800'000;
   insert.sphere = Hypersphere({1.0, 1.0, 1.0}, 0.5);
-  insert.budget_micros = 1;  // burns away while queued
+  insert.budget_micros = 1;  // burns away before it is applied
   const Status status = client.Insert(insert).status();
   EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded)
       << status.ToString();
@@ -247,16 +253,16 @@ TEST_F(ServerMutationTest, BudgetsPastTheClockNeverExpire) {
 }
 
 TEST_F(ServerMutationTest, MutationsFlowThroughTheAdmissionQueue) {
-  // Stall the single worker so the queue (capacity 1) fills, then
-  // verify a mutation is shed with kOverloaded like any query — same
-  // admission path, same shed semantics.
+  // Stall the request holding the single permit so the queue (capacity
+  // 1) fills, then verify a mutation is shed with kOverloaded like any
+  // query — same admission path, same shed semantics.
   ServerOptions options;
   options.worker_threads = 1;
   options.queue_capacity = 1;
   std::promise<void> release;
   std::shared_future<void> released(release.get_future());
   std::atomic<int> starts{0};
-  options.worker_start_hook = [&, released] {
+  options.admitted_hook = [&, released](uint64_t) {
     if (starts.fetch_add(1) == 0) released.wait();
   };
   auto server = StartServer(options);
@@ -265,16 +271,25 @@ TEST_F(ServerMutationTest, MutationsFlowThroughTheAdmissionQueue) {
   copt.port = server->port();
   copt.max_attempts = 1;  // surface the shed instead of retrying
   Client slow(copt);
-  // First request parks in the queue while the worker is held.
-  std::thread parked([&] {
-    Client c = MakeClient(server->port());
-    KnnRequest request;
-    request.k = 1;
-    request.query = data_.front();
-    (void)c.Knn(request);
-  });
-  // Give the parked request time to occupy the queue slot.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Two requests park: the first holds the permit, the second waits in
+  // the queue for it.
+  std::vector<std::thread> parked;
+  for (int i = 0; i < 2; ++i) {
+    parked.emplace_back([&] {
+      Client c = MakeClient(server->port());
+      KnnRequest request;
+      request.k = 1;
+      request.query = data_.front();
+      (void)c.Knn(request);
+    });
+  }
+  // Wait until the second parked request occupies the queue slot.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server->QueueDepth() < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   InsertRequest insert;
   insert.id = 900'000;
@@ -283,7 +298,7 @@ TEST_F(ServerMutationTest, MutationsFlowThroughTheAdmissionQueue) {
   EXPECT_EQ(shed.code(), StatusCode::kOverloaded) << shed.ToString();
 
   release.set_value();
-  parked.join();
+  for (std::thread& t : parked) t.join();
   server->Stop();
   EXPECT_GE(server->counters().requests_shed.load(), 1u);
 }

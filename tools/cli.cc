@@ -124,9 +124,10 @@ constexpr uint64_t kNoMax = std::numeric_limits<uint64_t>::max();
 constexpr double kMaxFinite = std::numeric_limits<double>::max();
 // The largest millisecond count whose microsecond value fits a uint64_t.
 constexpr uint64_t kMaxMillis = kNoMax / 1000;
-// The largest --threads (knn, serve) and --shards (serve): each worker is
-// an OS thread and each shard a tree of its own, so a larger count is a
-// mistake, not a configuration.
+// The largest --threads (knn, serve) and --shards (serve): each knn worker
+// is an OS thread, each serve permit lets one more request run at once and
+// each shard is a tree of its own, so a larger count is a mistake, not a
+// configuration.
 constexpr uint64_t kMaxWorkers = 1024;
 
 // Parses --key as an unsigned integer in [min, max], the range the flag's

@@ -32,6 +32,10 @@
 //     amortized per-call overhead),
 //   * serial Hyperbola DecideVerdict loop vs DecideVerdictBatch (tier-1
 //     batching: the query-to-focus distance hoisted per block).
+// The same family times the two child bounds an SS-tree visit computes
+// per child: "mindist" (BatchedMinDistSpan, the sphere) and "boxmindist"
+// (BatchedBoxMinDistSpan, the box around each row's sphere, 2d doubles a
+// row), scalar-batched and dispatched.
 
 #include <algorithm>
 #include <chrono>
@@ -39,6 +43,7 @@
 #include <limits>
 #include <numeric>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench_util.h"
@@ -274,6 +279,13 @@ int main(int argc, char** argv) {
     const double* radii = store.radii_data();
 
     std::vector<double> min_out(kBlock), max_out(kBlock);
+    std::vector<double> boxes(n * 2 * dim);
+    for (size_t j = 0; j < n; ++j) {
+      for (size_t d = 0; d < dim; ++d) {
+        boxes[j * 2 * dim + d] = store.center(j)[d] - radii[j];
+        boxes[j * 2 * dim + dim + d] = store.center(j)[d] + radii[j];
+      }
+    }
 
     // Serial one-at-a-time baseline: the pre-batching leaf-scan cost — a
     // MaxDist call and a MinDist call per row, two center distances.
@@ -309,6 +321,38 @@ int main(int argc, char** argv) {
       }
       return acc;
     });
+
+    // The two child bounds, sphere and box, scalar and dispatched.
+    auto time_bound = [&](auto kernel) {
+      return BestNanosPerOp(reps, n, [&] {
+        double acc = 0.0;
+        for (uint32_t b : block_order) {
+          kernel(b * kBlock, min_out.data());
+          acc += min_out[0] + min_out[kBlock - 1];
+        }
+        return acc;
+      });
+    };
+    const double mindist_scalar_ns = time_bound([&](size_t row, double* out) {
+      scalar_ref::BatchedMinDistSpan(store.center(row), radii + row, dim,
+                                     kBlock, qc, qr, out);
+    });
+    const double mindist_ns = time_bound([&](size_t row, double* out) {
+      BatchedMinDistSpan(store.center(row), radii + row, dim, kBlock, qc, qr,
+                         out);
+    });
+    const double box_scalar_ns = time_bound([&](size_t row, double* out) {
+      scalar_ref::BatchedBoxMinDistSpan(boxes.data() + row * 2 * dim, dim,
+                                        kBlock, qc, qr, out);
+    });
+    const double box_ns = time_bound([&](size_t row, double* out) {
+      BatchedBoxMinDistSpan(boxes.data() + row * 2 * dim, dim, kBlock, qc, qr,
+                            out);
+    });
+    // kernel, scalar-batched ns, dispatched ns.
+    const std::tuple<const char*, double, double> bound_rows[] = {
+        {"mindist", mindist_scalar_ns, mindist_ns},
+        {"boxmindist", box_scalar_ns, box_ns}};
 
     // Hyperbola tier-1: serial DecideVerdict loop vs DecideVerdictBatch,
     // one (Sa, Sq) pair per block of candidates.
@@ -365,6 +409,13 @@ int main(int argc, char** argv) {
     std::snprintf(s3, sizeof(s3), "%.2fx", simd_speedup);
     std::snprintf(s4, sizeof(s4), "%.2fx", batch_speedup);
     table.AddRow({"minmax", s0, s1, s2, s3, s4});
+    for (const auto& [kernel, scalar_ns, simd_ns] : bound_rows) {
+      std::snprintf(s1, sizeof(s1), "%.2f", scalar_ns);
+      std::snprintf(s2, sizeof(s2), "%.2f", simd_ns);
+      std::snprintf(s3, sizeof(s3), "%.2fx",
+                    simd_ns > 0.0 ? scalar_ns / simd_ns : 0.0);
+      table.AddRow({kernel, "-", s1, s2, s3, "-"});
+    }
     std::snprintf(s0, sizeof(s0), "%.2f", hyp_serial_ns);
     std::snprintf(s2, sizeof(s2), "%.2f", hyp_batched_ns);
     std::snprintf(s3, sizeof(s3), "%.2fx", hyp_speedup);
@@ -383,6 +434,18 @@ int main(int argc, char** argv) {
         ", \"simd_speedup\": " + FormatDouble(simd_speedup) +
         ", \"batch_speedup\": " + FormatDouble(batch_speedup) +
         ", \"dispatch\": \"" + KernelDispatchName() + "\"}");
+    for (const auto& [kernel, scalar_ns, simd_ns] : bound_rows) {
+      json_rows.push_back(
+          std::string("{\"kernel\": \"") + kernel +
+          "\", \"order\": \"shuffled_blocks\", \"dim\": " +
+          std::to_string(dim) + ", \"n\": " + std::to_string(n) +
+          ", \"block\": " + std::to_string(kBlock) +
+          ", \"scalar_batched_ns_per_op\": " + FormatDouble(scalar_ns) +
+          ", \"simd_batched_ns_per_op\": " + FormatDouble(simd_ns) +
+          ", \"simd_speedup\": " +
+          FormatDouble(simd_ns > 0.0 ? scalar_ns / simd_ns : 0.0) +
+          ", \"dispatch\": \"" + KernelDispatchName() + "\"}");
+    }
     json_rows.push_back(
         std::string("{\"kernel\": \"hyperbola_tier1\", \"order\": "
                     "\"shuffled_blocks\", \"dim\": ") +

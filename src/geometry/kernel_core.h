@@ -70,29 +70,35 @@ HYPERDOM_ALWAYS_INLINE double ReduceLanes(double l0, double l1, double l2,
   return (l0 + l2) + (l1 + l3);
 }
 
-/// Fixed-order reduction of term(a[i], b[i]) over i = 0..dim-1 under the
-/// v2 contract above. Only instantiate from TUs compiled with
-/// -ffp-contract=off (rule 1).
+/// Fixed-order reduction of term(i) over i = 0..dim-1 under the v2
+/// contract above: the one accumulation loop. Only instantiate from TUs
+/// compiled with -ffp-contract=off (rule 1).
 template <typename TermFn>
-HYPERDOM_ALWAYS_INLINE double AccumulateSpan(const double* a, const double* b,
-                                             size_t dim, TermFn term) {
+HYPERDOM_ALWAYS_INLINE double Accumulate(size_t dim, TermFn term) {
   if (dim < kStridedCutover) {
     double acc = 0.0;
-    for (size_t i = 0; i < dim; ++i) acc += term(a[i], b[i]);
+    for (size_t i = 0; i < dim; ++i) acc += term(i);
     return acc;
   }
   double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
   const size_t main = dim & ~(kStridedLanes - 1);
   size_t i = 0;
   for (; i < main; i += kStridedLanes) {
-    l0 += term(a[i], b[i]);
-    l1 += term(a[i + 1], b[i + 1]);
-    l2 += term(a[i + 2], b[i + 2]);
-    l3 += term(a[i + 3], b[i + 3]);
+    l0 += term(i);
+    l1 += term(i + 1);
+    l2 += term(i + 2);
+    l3 += term(i + 3);
   }
   double acc = ReduceLanes(l0, l1, l2, l3);
-  for (; i < dim; ++i) acc += term(a[i], b[i]);
+  for (; i < dim; ++i) acc += term(i);
   return acc;
+}
+
+/// Accumulate over term(a[i], b[i]): the two-span reductions.
+template <typename TermFn>
+HYPERDOM_ALWAYS_INLINE double AccumulateSpan(const double* a, const double* b,
+                                             size_t dim, TermFn term) {
+  return Accumulate(dim, [&](size_t i) { return term(a[i], b[i]); });
 }
 
 /// Inner-product core under the v2 order.
@@ -109,6 +115,27 @@ HYPERDOM_ALWAYS_INLINE double SquaredDistCore(const double* a, const double* b,
     const double diff = x - y;
     return diff * diff;
   });
+}
+
+/// One axis of the box distance: the squared gap from q to [lo, hi],
+/// ((lo - q)+ + (q - hi)+)^2. For lo <= hi at most one term is positive.
+/// The clamps vectorize to branch-free compare-and-mask pairs; a std::max
+/// spelling compiles to branches that run several times slower.
+HYPERDOM_ALWAYS_INLINE double BoxGapSquared(double lo, double hi, double q) {
+  const double below = lo - q;
+  const double above = q - hi;
+  const double gap =
+      (below > 0.0 ? below : 0.0) + (above > 0.0 ? above : 0.0);
+  return gap * gap;
+}
+
+/// Squared distance from q to the axis-aligned box [lo, hi] under the v2
+/// order.
+HYPERDOM_ALWAYS_INLINE double SquaredBoxDistCore(const double* lo,
+                                                 const double* hi,
+                                                 const double* q, size_t dim) {
+  return Accumulate(
+      dim, [&](size_t i) { return BoxGapSquared(lo[i], hi[i], q[i]); });
 }
 
 // -- Radius combines -------------------------------------------------------

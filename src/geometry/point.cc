@@ -22,6 +22,12 @@
 #include <immintrin.h>
 #define HYPERDOM_KERNELS_AVX2 1
 #endif
+// The box kernel's vector path needs only SSE2, the x86-64 baseline, so
+// the portable build takes it too.
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#define HYPERDOM_KERNELS_SSE2 1
+#endif
 
 namespace hyperdom {
 
@@ -183,6 +189,53 @@ HYPERDOM_ALWAYS_INLINE void SqrtX8(const double* sq, double* out) {
 
 #endif  // HYPERDOM_KERNELS_AVX2
 
+#if defined(HYPERDOM_KERNELS_SSE2)
+
+// kernel_core::SquaredBoxDistCore's v2 strided order in two 128-bit
+// accumulators, {l0, l1} and {l2, l3}, reduced as (l0 + l2) + (l1 + l3);
+// only called at dim >= kStridedCutover. The gap of a lane is
+// max(max(lo - q, q - hi), 0): after the two subtractions, two maxpd where
+// the core's clamps and their sum take five instructions. For lo <= hi,
+// which holds for every box, at most one of lo - q and q - hi is
+// positive, so both spellings give the same bits.
+HYPERDOM_ALWAYS_INLINE double SquaredBoxDistSse2(const double* lo,
+                                                 const double* hi,
+                                                 const double* q,
+                                                 size_t dim) {
+  const __m128d zero = _mm_setzero_pd();
+  auto gap = [&](size_t i) {
+    const __m128d qv = _mm_loadu_pd(q + i);
+    return _mm_max_pd(_mm_max_pd(_mm_sub_pd(_mm_loadu_pd(lo + i), qv),
+                                 _mm_sub_pd(qv, _mm_loadu_pd(hi + i))),
+                      zero);
+  };
+  __m128d low_lanes = zero;
+  __m128d high_lanes = zero;
+  const size_t main = dim & ~(kStridedLanes - 1);
+  size_t i = 0;
+  for (; i < main; i += kStridedLanes) {
+    const __m128d g01 = gap(i);
+    const __m128d g23 = gap(i + 2);
+    low_lanes = _mm_add_pd(low_lanes, _mm_mul_pd(g01, g01));
+    high_lanes = _mm_add_pd(high_lanes, _mm_mul_pd(g23, g23));
+  }
+  const __m128d pair = _mm_add_pd(low_lanes, high_lanes);
+  double out =
+      _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
+  for (; i < dim; ++i) out += kernel_core::BoxGapSquared(lo[i], hi[i], q[i]);
+  return out;
+}
+
+#endif  // HYPERDOM_KERNELS_SSE2
+
+double SquaredBoxDist(const double* lo, const double* hi, const double* q,
+                      size_t dim) {
+#if defined(HYPERDOM_KERNELS_SSE2)
+  if (dim >= kStridedCutover) return SquaredBoxDistSse2(lo, hi, q, dim);
+#endif
+  return kernel_core::SquaredBoxDistCore(lo, hi, q, dim);
+}
+
 }  // namespace
 
 const char* KernelDispatchName() {
@@ -305,6 +358,15 @@ void BatchedMinMaxDistSpan(const double* rows, const double* radii,
     const double d = DistSpan(rows + r * dim, q, dim);
     min_out[r] = kernel_core::CombineMinDist(d, radii[r], qr);
     max_out[r] = kernel_core::CombineMaxDist(d, radii[r], qr);
+  }
+}
+
+void BatchedBoxMinDistSpan(const double* boxes, size_t dim, size_t count,
+                           const double* q, double qr, double* out) {
+  for (size_t r = 0; r < count; ++r) {
+    const double* lo = boxes + r * 2 * dim;
+    const double d = std::sqrt(SquaredBoxDist(lo, lo + dim, q, dim));
+    out[r] = kernel_core::CombineMinDist(d, 0.0, qr);
   }
 }
 

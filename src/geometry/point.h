@@ -81,6 +81,13 @@ void BatchedMinMaxDistSpan(const double* rows, const double* radii,
                            size_t dim, size_t count, const double* q,
                            double qr, double* min_out, double* max_out);
 
+/// out[r] = MinDist of axis-aligned box r to the query (center q, radius
+/// qr): max(0, sqrt(sum_i gap_i^2) - qr), gap_i = (lo_i - q_i)+ +
+/// (q_i - hi_i)+. Box r is the 2 * dim doubles at boxes + r * 2 * dim: its
+/// low corner, then its high corner.
+void BatchedBoxMinDistSpan(const double* boxes, size_t dim, size_t count,
+                           const double* q, double qr, double* out);
+
 // -- Scalar reference kernels ----------------------------------------------
 //
 // The same kernels, permanently compiled WITHOUT vector instructions
@@ -107,6 +114,8 @@ void BatchedMinDistSpan(const double* rows, const double* radii, size_t dim,
 void BatchedMinMaxDistSpan(const double* rows, const double* radii,
                            size_t dim, size_t count, const double* q,
                            double qr, double* min_out, double* max_out);
+void BatchedBoxMinDistSpan(const double* boxes, size_t dim, size_t count,
+                           const double* q, double qr, double* out);
 
 }  // namespace scalar_ref
 

@@ -73,5 +73,15 @@ void BatchedMinMaxDistSpan(const double* rows, const double* radii,
   }
 }
 
+void BatchedBoxMinDistSpan(const double* boxes, size_t dim, size_t count,
+                           const double* q, double qr, double* out) {
+  for (size_t r = 0; r < count; ++r) {
+    const double* lo = boxes + r * 2 * dim;
+    const double d =
+        std::sqrt(kernel_core::SquaredBoxDistCore(lo, lo + dim, q, dim));
+    out[r] = kernel_core::CombineMinDist(d, 0.0, qr);
+  }
+}
+
 }  // namespace scalar_ref
 }  // namespace hyperdom

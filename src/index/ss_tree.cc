@@ -20,6 +20,23 @@ namespace {
 // bounding radii are accumulated in floating point.
 constexpr double kCoverageSlack = 1e-7;
 
+// A box is 2 * dim doubles: its low corner, then its high corner.
+
+// Sets `box` to the empty box, which covers nothing.
+void ClearBox(double* box, size_t dim) {
+  std::fill(box, box + dim, std::numeric_limits<double>::infinity());
+  std::fill(box + dim, box + 2 * dim,
+            -std::numeric_limits<double>::infinity());
+}
+
+// Grows `box` to cover `other`.
+void CoverBox(double* box, const double* other, size_t dim) {
+  for (size_t d = 0; d < dim; ++d) {
+    box[d] = std::min(box[d], other[d]);
+    box[dim + d] = std::max(box[dim + d], other[dim + d]);
+  }
+}
+
 }  // namespace
 
 SsTree::SsTree(size_t dim, SsTreeOptions options)
@@ -33,11 +50,17 @@ Status SsTree::ValidateOptions() const {
   return Status::OK();
 }
 
-void SsTree::RebuildNodeStats(SsTreeNode* node) {
+void SsTree::RebuildNodeStats(SsTreeNode* node, double* box) {
   // A leaf holds entries and no children; an internal node the reverse.
   node->count_ = node->entries_.size();
   for (const auto& child : node->children_) node->count_ += child->count_;
-  RefreshBoundingSphere(node);
+  RefreshBoundingSphere(node, box);
+}
+
+double* SsTree::NextChildBox(SsTreeNode* parent) const {
+  std::vector<double>& packed = parent->child_bounds_;
+  packed.resize(packed.size() + 2 * dim_);
+  return packed.data() + packed.size() - 2 * dim_;
 }
 
 // The top-down bulk loader's inputs and working arrays. `keyed` pairs a
@@ -67,7 +90,8 @@ struct SsTree::BulkInput {
 };
 
 std::unique_ptr<SsTreeNode> SsTree::BulkBuild(BulkInput* in, size_t lo,
-                                              size_t hi, size_t span) {
+                                              size_t hi, size_t span,
+                                              double* box) {
   if (span == in->leaf_capacity) {
     // The leaf's rows go to the store now, so they are contiguous and in
     // leaf order.
@@ -79,22 +103,24 @@ std::unique_ptr<SsTreeNode> SsTree::BulkBuild(BulkInput* in, size_t lo,
           store_->Add(in->spheres[i]),
           in->ids.empty() ? static_cast<uint64_t>(i) : in->ids[i]});
     }
-    RebuildNodeStats(leaf.get());
+    RebuildNodeStats(leaf.get(), box);
     return leaf;
   }
   const size_t child_span = span / in->leaf_capacity;
   const size_t groups = (hi - lo + child_span - 1) / child_span;
   auto node = std::make_unique<SsTreeNode>(/*is_leaf=*/false);
   node->children_.reserve(groups);
+  node->child_bounds_.reserve(groups * (3 * dim_ + 1));
   BulkSplit(in, lo, hi, groups, child_span, node.get());
-  RebuildNodeStats(node.get());
+  RebuildNodeStats(node.get(), box);
   return node;
 }
 
 void SsTree::BulkSplit(BulkInput* in, size_t lo, size_t hi, size_t groups,
                        size_t child_span, SsTreeNode* parent) {
   if (groups == 1) {
-    parent->children_.push_back(BulkBuild(in, lo, hi, child_span));
+    double* box = NextChildBox(parent);
+    parent->children_.push_back(BulkBuild(in, lo, hi, child_span, box));
     return;
   }
   // The run splits into `groups` runs whose sizes differ by at most one;
@@ -149,6 +175,7 @@ Status SsTree::BulkLoadStrWithIds(const std::vector<Hypersphere>& spheres,
   }
   HYPERDOM_FAULT_POINT("ss_tree/str_pack");
   root_.reset();
+  root_box_.clear();
   size_ = 0;
   store_ = std::make_shared<SphereStore>(dim_);
   if (spheres.empty()) {
@@ -174,41 +201,51 @@ Status SsTree::BulkLoadStrWithIds(const std::vector<Hypersphere>& spheres,
   // them all.
   size_t span = in.leaf_capacity;
   while (span < spheres.size()) span *= in.leaf_capacity;
-  root_ = BulkBuild(&in, 0, spheres.size(), span);
+  root_box_.resize(2 * dim_);
+  root_ = BulkBuild(&in, 0, spheres.size(), span, root_box_.data());
   size_ = spheres.size();
   recorder.Finish(size_);
   return Status::OK();
 }
 
-void SsTree::RefreshBoundingSphere(SsTreeNode* node) {
+void SsTree::RefreshBoundingSphere(SsTreeNode* node, double* box) {
   // The node's items: a leaf's entry spheres, an internal node's child
   // spheres (packed first, so both read from flat rows).
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   const bool leaf = node->is_leaf_;
   const size_t n = leaf ? node->entries_.size() : node->children_.size();
+  double* centers = nullptr;
+  double* radii = nullptr;
   if (!leaf) {
-    node->child_centers_.resize(n * dim_);
-    node->child_radii_.resize(n);
+    // The node's data box is the union of its children's, which the
+    // builder packed first; the child spheres go behind them.
+    std::vector<double>& packed = node->child_bounds_;
+    ClearBox(box, dim_);
+    for (size_t i = 0; i < n; ++i) {
+      CoverBox(box, packed.data() + i * 2 * dim_, dim_);
+    }
+    packed.resize(n * (3 * dim_ + 1));
+    centers = packed.data() + n * 2 * dim_;
+    radii = centers + n * dim_;
     for (size_t i = 0; i < n; ++i) {
       const Hypersphere& child = node->children_[i]->bounding_;
       std::copy(child.center().begin(), child.center().end(),
-                node->child_centers_.begin() + i * dim_);
-      node->child_radii_[i] = child.radius();
+                centers + i * dim_);
+      radii[i] = child.radius();
     }
   }
   auto item_center = [&](size_t i) {
-    return leaf ? store_->center(node->entries_[i].slot)
-                : node->child_centers_.data() + i * dim_;
+    return leaf ? store_->center(node->entries_[i].slot) : centers + i * dim_;
   };
   auto item_radius = [&](size_t i) {
-    return leaf ? store_->radius(node->entries_[i].slot)
-                : node->child_radii_[i];
+    return leaf ? store_->radius(node->entries_[i].slot) : radii[i];
   };
   // Centred on the midpoint of the items' bounding box, a pure function of
   // the items: tighter than the centroid when the items fill a slab.
   // `center` holds the box's low corner until the midpoint is taken; one
   // pass reads each item's row in order.
-  Point center(dim_, std::numeric_limits<double>::infinity());
-  Point hi(dim_, -std::numeric_limits<double>::infinity());
+  Point center(dim_, kInf);
+  Point hi(dim_, -kInf);
   for (size_t i = 0; i < n; ++i) {
     const double* c = item_center(i);
     const double r = item_radius(i);
@@ -216,6 +253,11 @@ void SsTree::RefreshBoundingSphere(SsTreeNode* node) {
       center[d] = std::min(center[d], c[d] - r);
       hi[d] = std::max(hi[d], c[d] + r);
     }
+  }
+  if (leaf) {
+    // A leaf's items are its data spheres, so their box is its data box.
+    std::copy(center.begin(), center.end(), box);
+    std::copy(hi.begin(), hi.end(), box + dim_);
   }
   for (size_t d = 0; d < dim_; ++d) center[d] = 0.5 * center[d] + 0.5 * hi[d];
   double radius = 0.0;
@@ -237,10 +279,12 @@ size_t SsTree::Height() const {
 
 namespace {
 
+// Checks the subtree under `node` and writes the box around its data
+// spheres, taken from the store rows, to box[0, 2 * dim).
 Status CheckNode(const SsTreeNode* node, const SphereStore& store,
                  const SsTreeOptions& options, bool is_root, size_t depth,
                  size_t* leaf_depth, size_t* entry_total,
-                 std::vector<bool>* slot_seen) {
+                 std::vector<bool>* slot_seen, double* box) {
   const Hypersphere& bound = node->bounding_sphere();
   const double slack =
       kCoverageSlack * (1.0 + bound.radius() + Norm(bound.center()));
@@ -253,6 +297,8 @@ Status CheckNode(const SsTreeNode* node, const SphereStore& store,
   if (!is_root && occupancy < 2) {
     return Status::Corruption("non-root node with fewer than 2 items");
   }
+  const size_t dim = bound.dim();
+  ClearBox(box, dim);
 
   if (node->is_leaf()) {
     if (*leaf_depth == 0) {
@@ -275,6 +321,12 @@ Status CheckNode(const SsTreeNode* node, const SphereStore& store,
           bound.radius() + slack) {
         return Status::Corruption("leaf entry escapes bounding sphere");
       }
+      const double* c = store.center(e.slot);
+      const double r = store.radius(e.slot);
+      for (size_t d = 0; d < dim; ++d) {
+        box[d] = std::min(box[d], c[d] - r);
+        box[dim + d] = std::max(box[dim + d], c[d] + r);
+      }
       ++count;
     }
     if (count != node->subtree_size()) {
@@ -284,19 +336,18 @@ Status CheckNode(const SsTreeNode* node, const SphereStore& store,
     return Status::OK();
   }
 
-  const size_t dim = bound.dim();
-  if (node->child_centers().size() != occupancy * dim ||
-      node->child_radii().size() != occupancy) {
+  if (node->child_bounds().size() != occupancy * (3 * dim + 1)) {
     return Status::Corruption("packed child bounds have the wrong size");
   }
+  std::vector<double> child_box(2 * dim);
   size_t child_total = 0;
   for (size_t i = 0; i < occupancy; ++i) {
     const SsTreeNode* child = node->children()[i].get();
     const Hypersphere& cb = child->bounding_sphere();
     const double packed_radius = node->child_radii()[i];
     const double child_radius = cb.radius();
-    if (std::memcmp(node->child_centers().data() + i * dim,
-                    cb.center().data(), dim * sizeof(double)) != 0 ||
+    if (std::memcmp(node->child_centers() + i * dim, cb.center().data(),
+                    dim * sizeof(double)) != 0 ||
         std::memcmp(&packed_radius, &child_radius, sizeof(double)) != 0) {
       return Status::Corruption("packed child bound differs from the child's");
     }
@@ -306,7 +357,13 @@ Status CheckNode(const SsTreeNode* node, const SphereStore& store,
     }
     HYPERDOM_RETURN_NOT_OK(CheckNode(child, store, options,
                                      /*is_root=*/false, depth + 1, leaf_depth,
-                                     entry_total, slot_seen));
+                                     entry_total, slot_seen, child_box.data()));
+    if (std::memcmp(node->child_boxes() + i * 2 * dim, child_box.data(),
+                    2 * dim * sizeof(double)) != 0) {
+      return Status::Corruption(
+          "packed child box differs from the box around its data");
+    }
+    CoverBox(box, child_box.data(), dim);
     child_total += child->subtree_size();
   }
   if (child_total != node->subtree_size()) {
@@ -476,11 +533,16 @@ Status SsTree::Deserialize(std::istream& in, SsTree* out) {
     HYPERDOM_RETURN_NOT_OK(LoadNode(in, *tree.store_, max_entries,
                                     /*depth=*/0, &tree.root_));
     // Recompute derived per-node data bottom-up.
-    auto rebuild = [&tree](auto& self, SsTreeNode* node) -> void {
-      for (auto& child : node->children_) self(self, child.get());
-      tree.RebuildNodeStats(node);
+    auto rebuild = [&tree](auto& self, SsTreeNode* node, double* box) -> void {
+      node->child_bounds_.reserve(node->children_.size() *
+                                  (3 * tree.dim_ + 1));
+      for (auto& child : node->children_) {
+        self(self, child.get(), tree.NextChildBox(node));
+      }
+      tree.RebuildNodeStats(node, box);
     };
-    rebuild(rebuild, tree.root_.get());
+    tree.root_box_.resize(2 * dim);
+    rebuild(rebuild, tree.root_.get(), tree.root_box_.data());
     if (tree.root_->count_ != size) {
       return Status::Corruption("entry count does not match header");
     }
@@ -499,9 +561,15 @@ Status SsTree::CheckInvariants() const {
   size_t leaf_depth = 0;
   size_t entry_total = 0;
   std::vector<bool> slot_seen(store_->size(), false);
+  std::vector<double> box(2 * dim_);
   HYPERDOM_RETURN_NOT_OK(CheckNode(root_.get(), *store_, options_,
                                    /*is_root=*/true, /*depth=*/1, &leaf_depth,
-                                   &entry_total, &slot_seen));
+                                   &entry_total, &slot_seen, box.data()));
+  if (root_box_.size() != box.size() ||
+      std::memcmp(root_box_.data(), box.data(),
+                  box.size() * sizeof(double)) != 0) {
+    return Status::Corruption("root box differs from the box around the data");
+  }
   if (entry_total != size_) {
     return Status::Corruption("total entry count mismatch: tree says " +
                               std::to_string(size_) + ", walk found " +

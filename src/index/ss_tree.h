@@ -27,11 +27,19 @@
 //     internal node's child spheres), which sits nearer the middle of the
 //     slab-shaped regions the variance cuts make, and its radius is the
 //     least that covers every item from there. It is a pure function of
-//     the items, so a reload reproduces it bit for bit. An internal node
-//     also keeps a packed copy of its children's bounding spheres (centres
-//     at stride d, radii in a parallel array), so a traversal bounds every
-//     child of a node with one batched kernel call without touching the
-//     child nodes.
+//     the items, so a reload reproduces it bit for bit.
+//   * Next to its sphere, every child is bounded by the axis-aligned box
+//     around its data spheres, after Katayama & Satoh's SR-tree (SIGMOD
+//     1997): the low corner is the least c - r and the high corner the
+//     greatest c + r over every data sphere beneath the child. A traversal
+//     bounds a child by the larger of its sphere's and its box's MinDist;
+//     at low d the box encloses a slab of spheres far more tightly than
+//     any sphere does. An internal node keeps a packed copy of its
+//     children's boxes and spheres, so a traversal bounds every child of a
+//     node with two batched kernel calls without touching the child nodes;
+//     the tree keeps the root's box. Boxes, like spheres, are derived from
+//     the data: a reload recomputes them bit for bit, and the snapshot
+//     format does not store them.
 //   * Beyond White & Jain: binary persistence.
 
 #ifndef HYPERDOM_INDEX_SS_TREE_H_
@@ -75,12 +83,22 @@ class SsTreeNode {
   const std::vector<std::unique_ptr<SsTreeNode>>& children() const {
     return children_;
   }
-  /// The children's bounding spheres, packed in child order: child i's
-  /// centre is the d doubles at child_centers()[i * d], its radius
-  /// child_radii()[i]. Bit-equal to the children's bounding_sphere(); empty
-  /// for a leaf.
-  const std::vector<double>& child_centers() const { return child_centers_; }
-  const std::vector<double>& child_radii() const { return child_radii_; }
+  /// The children's bounds, packed in child order in one block of
+  /// n * (3d + 1) doubles for n children (empty for a leaf): first the
+  /// boxes, then the sphere centres, then the radii.
+  const std::vector<double>& child_bounds() const { return child_bounds_; }
+  /// Child i's box is the 2d doubles at child_boxes() + i * 2d: the least
+  /// c - r, then the greatest c + r, per axis over every data sphere
+  /// beneath the child.
+  const double* child_boxes() const { return child_bounds_.data(); }
+  /// Child i's sphere centre is the d doubles at child_centers() + i * d,
+  /// its radius child_radii()[i]; bit-equal to its bounding_sphere().
+  const double* child_centers() const {
+    return child_boxes() + children_.size() * 2 * bounding_.dim();
+  }
+  const double* child_radii() const {
+    return child_centers() + children_.size() * bounding_.dim();
+  }
   /// Number of data entries in this subtree.
   size_t subtree_size() const { return count_; }
 
@@ -91,9 +109,9 @@ class SsTreeNode {
   Hypersphere bounding_;
   std::vector<SsTreeEntry> entries_;
   std::vector<std::unique_ptr<SsTreeNode>> children_;
-  /// Packed child bounds; written only by SsTree::RefreshBoundingSphere.
-  std::vector<double> child_centers_;
-  std::vector<double> child_radii_;
+  /// Packed child bounds: the builder appends each child's box as the
+  /// child is made, and SsTree::RefreshBoundingSphere the spheres.
+  std::vector<double> child_bounds_;
   /// Number of data entries beneath this node.
   size_t count_ = 0;
 };
@@ -134,6 +152,11 @@ class SsTree {
   /// Root node; null while the tree is empty.
   const SsTreeNode* root() const { return root_.get(); }
 
+  /// The box around every data sphere, laid out as a packed child box
+  /// (2 * dim doubles: low corner, then high corner); empty while the tree
+  /// is empty.
+  const std::vector<double>& root_box() const { return root_box_; }
+
   /// The columnar sphere storage backing every leaf entry. Fixed between
   /// builds; each bulk load or Deserialize() replaces it.
   const SphereStore& store() const { return *store_; }
@@ -149,9 +172,11 @@ class SsTree {
   /// check, and tests'): every data sphere is covered by each ancestor's
   /// bounding sphere, node occupancies respect the limits, all leaves at
   /// the same depth, subtree counts are consistent, no store slot is
-  /// referenced twice, and each internal node's packed child bounds equal
-  /// its children's bounding spheres bit for bit. Returns the first
-  /// violation found.
+  /// referenced twice, each internal node's packed child spheres equal its
+  /// children's bounding spheres bit for bit, and each packed child box,
+  /// and the root box, equals the least c - r and greatest c + r over the
+  /// data spheres beneath it bit for bit. Returns the first violation
+  /// found.
   Status CheckInvariants() const;
 
   /// \brief Writes the tree to `out` in the compact binary format
@@ -161,18 +186,26 @@ class SsTree {
   Status Serialize(std::ostream& out) const;
 
   /// \brief Reads a tree written by Serialize() into `*out` (replacing its
-  /// contents). Derived per-node data (subtree counts, bounding spheres) is
-  /// recomputed, so a successful load always satisfies CheckInvariants()
-  /// and has the saved tree's bounding spheres bit for bit.
+  /// contents). Derived per-node data (subtree counts, bounding spheres and
+  /// boxes) is recomputed, so a successful load always satisfies
+  /// CheckInvariants() and has the saved tree's spheres and boxes bit for
+  /// bit.
   /// Any format version but the current one is kNotSupported.
   static Status Deserialize(std::istream& in, SsTree* out);
 
  private:
   Status ValidateOptions() const;
   /// Recomputes `node`'s bounding sphere from its items (entry spheres or
-  /// child spheres), centred on the midpoint of their bounding box, and
-  /// repacks an internal node's child bounds.
-  void RefreshBoundingSphere(SsTreeNode* node);
+  /// child spheres), centred on the midpoint of their bounding box; packs
+  /// an internal node's child spheres behind the child boxes its builder
+  /// packed; and writes the box around the node's data spheres to
+  /// box[0, 2 * dim): the items' box in a leaf, the union of the child
+  /// boxes above.
+  void RefreshBoundingSphere(SsTreeNode* node, double* box);
+  /// Appends a slot for the next child's box to `parent`'s packed bounds
+  /// and returns it; it stays valid until the next slot is taken. Callers
+  /// reserve the block's final size, n * (3 * dim + 1), first.
+  double* NextChildBox(SsTreeNode* parent) const;
   /// Reads one slot-reference node record against a loaded store.
   static Status LoadNode(std::istream& in, const SphereStore& store,
                          size_t max_entries, size_t depth,
@@ -181,17 +214,19 @@ class SsTree {
   struct BulkInput;
   /// Builds the subtree of at most `span` rows (a leaf when `span` is the
   /// leaf capacity) over the inputs named by in->keyed[lo, hi), appending
-  /// each leaf's rows to the store as the leaf is made.
+  /// each leaf's rows to the store as the leaf is made, and writes its box
+  /// to box[0, 2 * dim).
   std::unique_ptr<SsTreeNode> BulkBuild(BulkInput* in, size_t lo, size_t hi,
-                                        size_t span);
+                                        size_t span, double* box);
   /// Cuts in->keyed[lo, hi) into `groups` runs of near-equal size by binary
   /// cuts on the centre coordinate of largest variance, and appends each
   /// run's subtree of at most `child_span` rows to `parent`, in order.
   void BulkSplit(BulkInput* in, size_t lo, size_t hi, size_t groups,
                  size_t child_span, SsTreeNode* parent);
-  /// Recomputes a node's subtree count and bounding sphere from its
-  /// current payload (bulk-load and load helper).
-  void RebuildNodeStats(SsTreeNode* node);
+  /// Recomputes a node's subtree count, bounding sphere and box (written
+  /// to box[0, 2 * dim)) from its current payload (bulk-load and load
+  /// helper).
+  void RebuildNodeStats(SsTreeNode* node, double* box);
 
   size_t dim_;
   SsTreeOptions options_;
@@ -199,6 +234,7 @@ class SsTree {
   /// ownership so query-side result sets can pin it if they ever need to.
   std::shared_ptr<SphereStore> store_;
   std::unique_ptr<SsTreeNode> root_;
+  std::vector<double> root_box_;
   size_t size_ = 0;
 };
 

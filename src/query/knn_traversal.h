@@ -160,8 +160,10 @@ void EmitLeaf(const Entries& entries, const SphereStore& store,
 /// delta rows live outside the tree: they go to the list first, in
 /// contiguous blocks, which for kNN also tightens distk before any node is
 /// descended. Then DF or HS runs over the tree, skipping the base slots the
-/// overlay hides. An internal node's child bounds come from its packed
-/// block in one batched kernel call, bit-identical to MinDist on each
+/// overlay hides. A node's bound is the larger of the MinDist of its
+/// bounding sphere and of the box around its data spheres (SR-tree
+/// regions); an internal node's child bounds come from its packed block in
+/// two batched kernel calls, the first bit-identical to MinDist on each
 /// child's bounding sphere.
 template <typename List, typename Stats>
 void TraverseSsTree(const SsTree& tree, const Hypersphere& sq,
@@ -175,8 +177,12 @@ void TraverseSsTree(const SsTree& tree, const Hypersphere& sq,
   const SsTreeNode* root = tree.root();
   if (root == nullptr) return;
   const SphereStore& store = tree.store();
+  const size_t dim = tree.dim();
+  const double* q = sq.center().data();
+  const double qr = sq.radius();
   std::vector<EntryView> leaf_scratch;
-  std::vector<double> child_bounds;
+  std::vector<double> sphere_bounds;
+  std::vector<double> box_bounds;
   auto visit = [&](const SsTreeNode* node, const auto& emit_entries,
                    const auto& emit_child) {
     if (node->is_leaf()) {
@@ -184,17 +190,23 @@ void TraverseSsTree(const SsTree& tree, const Hypersphere& sq,
       return;
     }
     const auto& children = node->children();
-    child_bounds.resize(children.size());
-    BatchedMinDistSpan(node->child_centers().data(),
-                       node->child_radii().data(), tree.dim(),
-                       children.size(), sq.center().data(), sq.radius(),
-                       child_bounds.data());
-    for (size_t i = 0; i < children.size(); ++i) {
-      emit_child(child_bounds[i], children[i].get());
+    const size_t n = children.size();
+    sphere_bounds.resize(n);
+    box_bounds.resize(n);
+    BatchedMinDistSpan(node->child_centers(), node->child_radii(), dim, n, q,
+                       qr, sphere_bounds.data());
+    BatchedBoxMinDistSpan(node->child_boxes(), dim, n, q, qr,
+                          box_bounds.data());
+    for (size_t i = 0; i < n; ++i) {
+      emit_child(std::max(sphere_bounds[i], box_bounds[i]),
+                 children[i].get());
     }
   };
-  Traverse(root, MinDist(root->bounding_sphere(), sq), strategy, visit, list,
-           stats, guard);
+  double root_box_bound = 0.0;
+  BatchedBoxMinDistSpan(tree.root_box().data(), dim, 1, q, qr,
+                        &root_box_bound);
+  Traverse(root, std::max(MinDist(root->bounding_sphere(), sq), root_box_bound),
+           strategy, visit, list, stats, guard);
 }
 
 /// The one finalization: the exact final-Sk filter, or — when a deadline

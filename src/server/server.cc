@@ -30,6 +30,14 @@ uint64_t NowNs() {
           .count());
 }
 
+// Nanoseconds since `start` on the steady clock.
+uint64_t NanosSince(std::chrono::steady_clock::time_point start) {
+  return NowNs() - static_cast<uint64_t>(
+                       std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           start.time_since_epoch())
+                           .count());
+}
+
 }  // namespace
 
 Server::Server(const SsTree* tree, const DominanceCriterion* criterion,
@@ -441,67 +449,72 @@ std::string Server::ProcessRequest(Work& work) {
 }
 
 std::string Server::ProcessKnn(Work& work) {
-  HYPERDOM_SPAN(span, "server/request");
-  HYPERDOM_SPAN_ANNOTATE(span, "k", std::to_string(work.request.k));
-  HYPERDOM_SPAN_ANNOTATE(span, "request_id", work.request_id);
-  KnnOptions options;
-  options.k = work.request.k;
-  options.strategy = work.request.strategy;
-  options.deadline = work.deadline;
-  // The traversal reads as many query coordinates as the store has
-  // dimensions, so a query of any other dimensionality is refused before
-  // it runs, as a wrong-dimensional insert is.
-  const size_t dim = sharded_store_ != nullptr ? sharded_store_->dim()
-                     : mutable_tree_ != nullptr ? mutable_tree_->dim()
-                                                : tree_->dim();
   Status refused = Status::OK();
   KnnResult result;
   uint64_t pinned_version = 0;
-  if (dim != 0 && work.request.query.dim() != dim) {
-    refused = Status::InvalidArgument(
-        "query dimensionality " + std::to_string(work.request.query.dim()) +
-        " does not match store dimensionality " + std::to_string(dim));
-  } else if (sharded_store_ != nullptr) {
-    // Scatter serially (null pool): the permits already bound concurrent
-    // requests, and a scatter pool would put a thread hand-off back on
-    // every request.
-    Result<KnnResult> sharded =
-        shard::ShardedKnn(*sharded_store_, work.request.query, *criterion_,
-                          options, /*pool=*/nullptr);
-    if (sharded.ok()) {
-      result = sharded.TakeValue();
+  {
+    // The span closes before the response is encoded, and the request
+    // histogram is recorded after that, so a request's histogram time
+    // contains its span.
+    HYPERDOM_SPAN(span, "server/request");
+    HYPERDOM_SPAN_ANNOTATE(span, "k", std::to_string(work.request.k));
+    HYPERDOM_SPAN_ANNOTATE(span, "request_id", work.request_id);
+    KnnOptions options;
+    options.k = work.request.k;
+    options.strategy = work.request.strategy;
+    options.deadline = work.deadline;
+    // The traversal reads as many query coordinates as the store has
+    // dimensions, so a query of any other dimensionality is refused before
+    // it runs, as a wrong-dimensional insert is.
+    const size_t dim = sharded_store_ != nullptr ? sharded_store_->dim()
+                       : mutable_tree_ != nullptr ? mutable_tree_->dim()
+                                                  : tree_->dim();
+    if (dim != 0 && work.request.query.dim() != dim) {
+      refused = Status::InvalidArgument(
+          "query dimensionality " + std::to_string(work.request.query.dim()) +
+          " does not match store dimensionality " + std::to_string(dim));
+    } else if (sharded_store_ != nullptr) {
+      // Scatter serially (null pool): the permits already bound concurrent
+      // requests, and a scatter pool would put a thread hand-off back on
+      // every request.
+      Result<KnnResult> sharded =
+          shard::ShardedKnn(*sharded_store_, work.request.query, *criterion_,
+                            options, /*pool=*/nullptr);
+      if (sharded.ok()) {
+        result = sharded.TakeValue();
+      } else {
+        refused = sharded.status();
+      }
+    } else if (mutable_tree_ != nullptr) {
+      // Mutable mode: the searcher runs against a pinned, immutable
+      // version of the store, so concurrent inserts/removes cannot skew
+      // this answer.
+      Versioned<KnnResult> versioned =
+          MutableKnn(*mutable_tree_, *criterion_, options, work.request.query);
+      pinned_version = versioned.version;
+      result = std::move(versioned.result);
     } else {
-      refused = sharded.status();
+      const KnnSearcher searcher(criterion_, options);
+      result = searcher.Search(*tree_, work.request.query);
     }
-  } else if (mutable_tree_ != nullptr) {
-    // Mutable mode: the searcher runs against a pinned, immutable
-    // version of the store, so concurrent inserts/removes cannot skew
-    // this answer.
-    Versioned<KnnResult> versioned =
-        MutableKnn(*mutable_tree_, *criterion_, options, work.request.query);
-    pinned_version = versioned.version;
-    result = std::move(versioned.result);
-  } else {
-    const KnnSearcher searcher(criterion_, options);
-    result = searcher.Search(*tree_, work.request.query);
+    counters_.requests_served.fetch_add(1, std::memory_order_relaxed);
+    HYPERDOM_COUNTER_INC_L(obs::kServerRequests, "kind", "knn");
+    if (refused.ok() && result.completeness == Completeness::kBestEffort) {
+      counters_.best_effort_responses.fetch_add(1, std::memory_order_relaxed);
+      HYPERDOM_COUNTER_INC(obs::kServerBestEffort);
+      HYPERDOM_SPAN_EVENT_CURRENT("best_effort");
+    }
   }
-  counters_.requests_served.fetch_add(1, std::memory_order_relaxed);
-  HYPERDOM_COUNTER_INC_L(obs::kServerRequests, "kind", "knn");
   if (!refused.ok()) {
     return EncodeFrame(FrameKind::kErrorResponse, work.request_id,
                        EncodeErrorResponse(refused));
   }
-  if (result.completeness == Completeness::kBestEffort) {
-    counters_.best_effort_responses.fetch_add(1, std::memory_order_relaxed);
-    HYPERDOM_COUNTER_INC(obs::kServerBestEffort);
-    HYPERDOM_SPAN_EVENT_CURRENT("best_effort");
-  }
-  const uint64_t elapsed_ns =
-      NowNs() -
-      static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              work.admitted.time_since_epoch())
-              .count());
+  KnnResponse response;
+  response.completeness = result.completeness;
+  response.answers = std::move(result.answers);
+  std::string frame = EncodeFrame(FrameKind::kKnnResponse, work.request_id,
+                                  EncodeKnnResponse(response));
+  const uint64_t elapsed_ns = NanosSince(work.admitted);
   HYPERDOM_HISTOGRAM_RECORD(obs::kServerRequestDuration, elapsed_ns);
   const uint64_t threshold_ns = options_.slow_query_micros * 1000;
   if (threshold_ns != 0 && elapsed_ns >= threshold_ns) {
@@ -528,56 +541,56 @@ std::string Server::ProcessKnn(Work& work) {
     slow.epoch_lag = EpochManager::Global().EpochLag();
     obs::LogSlowQuery(slow);
   }
-  KnnResponse response;
-  response.completeness = result.completeness;
-  response.answers = std::move(result.answers);
-  return EncodeFrame(FrameKind::kKnnResponse, work.request_id,
-                     EncodeKnnResponse(response));
+  return frame;
 }
 
 std::string Server::ProcessMutation(Work& work) {
-  HYPERDOM_SPAN(span, "server/request");
   const bool is_insert = work.kind == FrameKind::kInsertRequest;
-  const char* kind_label = is_insert ? "insert" : "remove";
-  HYPERDOM_SPAN_ANNOTATE(span, "kind", kind_label);
-  HYPERDOM_SPAN_ANNOTATE(span, "request_id", work.request_id);
-  HYPERDOM_COUNTER_INC_L(obs::kServerRequests, "kind", kind_label);
-  if (mutable_tree_ == nullptr) {
-    return EncodeFrame(
-        FrameKind::kErrorResponse, work.request_id,
-        EncodeErrorResponse(Status::NotSupported(
-            "server is read-only: mutation frames are not accepted")));
+  Status applied;
+  {
+    // As in ProcessKnn, the span closes before the encode and the
+    // histogram records after it.
+    HYPERDOM_SPAN(span, "server/request");
+    const char* kind_label = is_insert ? "insert" : "remove";
+    HYPERDOM_SPAN_ANNOTATE(span, "kind", kind_label);
+    HYPERDOM_SPAN_ANNOTATE(span, "request_id", work.request_id);
+    HYPERDOM_COUNTER_INC_L(obs::kServerRequests, "kind", kind_label);
+    if (mutable_tree_ == nullptr) {
+      return EncodeFrame(
+          FrameKind::kErrorResponse, work.request_id,
+          EncodeErrorResponse(Status::NotSupported(
+              "server is read-only: mutation frames are not accepted")));
+    }
+    // Unlike queries, a mutation cannot degrade to a partial answer: if the
+    // budget burned away before it ran, refuse it un-applied so the
+    // client's deadline semantics stay exact (apply-or-error, never
+    // late-apply).
+    if (work.deadline.WallExpired()) {
+      counters_.requests_shed.fetch_add(1, std::memory_order_relaxed);
+      HYPERDOM_COUNTER_INC(obs::kServerShed);
+      return EncodeFrame(FrameKind::kErrorResponse, work.request_id,
+                         EncodeErrorResponse(Status::DeadlineExceeded(
+                             "mutation budget exhausted before apply")));
+    }
+    applied = is_insert
+                  ? mutable_tree_->Insert(work.insert.sphere, work.insert.id)
+                  : mutable_tree_->Remove(work.remove.id);
   }
-  // Unlike queries, a mutation cannot degrade to a partial answer: if the
-  // budget burned away before it ran, refuse it un-applied so the client's
-  // deadline semantics stay exact (apply-or-error, never late-apply).
-  if (work.deadline.WallExpired()) {
-    counters_.requests_shed.fetch_add(1, std::memory_order_relaxed);
-    HYPERDOM_COUNTER_INC(obs::kServerShed);
-    return EncodeFrame(FrameKind::kErrorResponse, work.request_id,
-                       EncodeErrorResponse(Status::DeadlineExceeded(
-                           "mutation budget exhausted before apply")));
+  std::string frame;
+  if (applied.ok()) {
+    counters_.requests_served.fetch_add(1, std::memory_order_relaxed);
+    MutateResponse response;
+    response.version = mutable_tree_->version();
+    response.live = mutable_tree_->live_size();
+    frame = EncodeFrame(FrameKind::kMutateResponse, work.request_id,
+                        EncodeMutateResponse(response));
+  } else {
+    frame = EncodeFrame(FrameKind::kErrorResponse, work.request_id,
+                        EncodeErrorResponse(applied));
   }
-  Status applied =
-      is_insert ? mutable_tree_->Insert(work.insert.sphere, work.insert.id)
-                : mutable_tree_->Remove(work.remove.id);
-  const uint64_t elapsed_ns =
-      NowNs() -
-      static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              work.admitted.time_since_epoch())
-              .count());
-  HYPERDOM_HISTOGRAM_RECORD(obs::kServerRequestDuration, elapsed_ns);
-  if (!applied.ok()) {
-    return EncodeFrame(FrameKind::kErrorResponse, work.request_id,
-                       EncodeErrorResponse(applied));
-  }
-  counters_.requests_served.fetch_add(1, std::memory_order_relaxed);
-  MutateResponse response;
-  response.version = mutable_tree_->version();
-  response.live = mutable_tree_->live_size();
-  return EncodeFrame(FrameKind::kMutateResponse, work.request_id,
-                     EncodeMutateResponse(response));
+  HYPERDOM_HISTOGRAM_RECORD(obs::kServerRequestDuration,
+                            NanosSince(work.admitted));
+  return frame;
 }
 
 void Server::ShutdownConnections() {

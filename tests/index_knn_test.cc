@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
 #include <string_view>
@@ -172,8 +173,8 @@ TEST(IndexKnnTest, TraversalWorkIsPinned) {
   constexpr SearchStrategy kDf = SearchStrategy::kDepthFirst;
   constexpr SearchStrategy kHs = SearchStrategy::kBestFirst;
   const Pin pins[] = {
-      {"ss", kDf, 2744, 2636, 47500, 13574},
-      {"ss", kHs, 2115, 3265, 35384, 7130},
+      {"ss", kDf, 1748, 2232, 29704, 7363},
+      {"ss", kHs, 1698, 2282, 28738, 6445},
       {"rstar", kDf, 2502, 3011, 38856, 8986},
       {"rstar", kHs, 2287, 3226, 35048, 6834},
       {"vp", kDf, 10585, 1595, 45796, 8797},
@@ -205,16 +206,19 @@ TEST(IndexKnnTest, TraversalWorkIsPinned) {
 
 // HS visits exactly the nodes that any exact traversal knowing only the
 // node bounds must visit: those reached from the root through nodes whose
-// bound (MinDist to the query) is at most the query's final DistK, the
-// MaxDist of answer k-1. So HS's node visits fall only when the tree has
-// fewer such nodes, not through the visit order. Of those, the bound slack
-// (ROADMAP item 6) is the visited nodes whose subtree holds no entry with
-// MinDist <= the final DistK: a perfect bound would skip them. On
-// knn_paper-shaped data (hyperdom_bench: centres Gaussian(1000, 250),
-// mu = 10, d = 4, k = 10; here N = 20k and 50 queries) the test checks the
-// visits per query and pins the summed node visits, entries accessed and
-// slack. The visits that are not slack (977) depend only on the tree's
-// shape, so a change to the node spheres alone leaves them as they are.
+// bound (the larger of the MinDist of the node's sphere and of its box) is
+// at most the query's final DistK, the MaxDist of answer k-1. So HS's node
+// visits fall only when the tree has fewer such nodes, not through the
+// visit order. Of those, the bound slack (ROADMAP item 6) is the visited
+// nodes whose subtree holds no entry with MinDist <= the final DistK: a
+// perfect bound would skip them. On knn_paper-shaped data (hyperdom_bench:
+// centres Gaussian(1000, 250), mu = 10, d = 4, k = 10; here N = 20k and 50
+// queries) the test checks the visits per query, checks that HS visits no
+// more nodes than the spheres alone would reach, and pins the summed node
+// visits, entries accessed and slack. The visits that are not slack (977)
+// depend only on the tree's shape, so a change to the node bounds alone
+// leaves them as they are: with spheres alone the same tree pinned 3,791
+// visits, 42,420 entries and a slack of 2,814.
 TEST(IndexKnnTest, BestFirstVisitsExactlyTheNodesWithinFinalDistK) {
   SyntheticSpec spec;
   spec.n = 20'000;
@@ -239,34 +243,47 @@ TEST(IndexKnnTest, BestFirstVisitsExactlyTheNodesWithinFinalDistK) {
     const KnnResult result = searcher.Search(tree, sq);
     ASSERT_GE(result.answers.size(), options.k);
     const double distk = MaxDist(result.answers[options.k - 1].sphere, sq);
-    // Walks the whole subtree; counts the nodes reached through bounds
-    // <= distk (`reached` says the parent was) into `within`, and the
-    // slack among them into `slack`. Returns whether the subtree holds an
-    // entry with MinDist <= distk.
+    // Walks the whole subtree under `node`, whose sphere's and box's
+    // MinDist are `sphere_bound` and `box_bound`; counts the nodes reached
+    // through bounds <= distk (`reached` says the parent was) into
+    // `within`, the slack among them into `slack`, and the nodes the
+    // sphere bounds alone reach into `sphere_within`. Returns whether the
+    // subtree holds an entry with MinDist <= distk.
     uint64_t within = 0;
-    auto walk = [&](auto& self, const SsTreeNode* node, bool reached) -> bool {
-      reached = reached && MinDist(node->bounding_sphere(), sq) <= distk;
+    uint64_t sphere_within = 0;
+    auto walk = [&](auto& self, const SsTreeNode* node, double sphere_bound,
+                    double box_bound, bool reached,
+                    bool sphere_reached) -> bool {
+      reached = reached && std::max(sphere_bound, box_bound) <= distk;
+      sphere_reached = sphere_reached && sphere_bound <= distk;
       bool holds = false;
       if (node->is_leaf()) {
         for (const auto& e : node->entries()) {
           holds |= MinDist(tree.store().view(e.slot), sq.view()) <= distk;
         }
       } else {
-        for (const auto& child : node->children()) {
-          holds |= self(self, child.get(), reached);
+        std::vector<double> spheres, boxes;
+        test::SsChildBounds(*node, sq, &spheres, &boxes);
+        for (size_t i = 0; i < spheres.size(); ++i) {
+          holds |= self(self, node->children()[i].get(), spheres[i],
+                        boxes[i], reached, sphere_reached);
         }
       }
       within += reached ? 1 : 0;
+      sphere_within += sphere_reached ? 1 : 0;
       slack += reached && !holds ? 1 : 0;
       return holds;
     };
-    walk(walk, tree.root(), /*reached=*/true);
+    const auto [root_sphere, root_box] = test::SsRootBounds(tree, sq);
+    walk(walk, tree.root(), root_sphere, root_box, /*reached=*/true,
+         /*sphere_reached=*/true);
     EXPECT_EQ(result.stats.nodes_visited, within);
+    EXPECT_LE(result.stats.nodes_visited, sphere_within);
     sum += result.stats;
   }
-  EXPECT_EQ(sum.nodes_visited, 3791u);
-  EXPECT_EQ(sum.entries_accessed, 42420u);
-  EXPECT_EQ(slack, 2814u);
+  EXPECT_EQ(sum.nodes_visited, 1751u);
+  EXPECT_EQ(sum.entries_accessed, 25219u);
+  EXPECT_EQ(slack, 774u);
 }
 
 // Pins the answers of every criterion, and the whole output of the eager
@@ -274,7 +291,9 @@ TEST(IndexKnnTest, BestFirstVisitsExactlyTheNodesWithinFinalDistK) {
 // schedule must leave all of them alone. kDeferred: one answer digest per
 // criterion over DF and HS, k in {1, 10}, 20 queries. kEager (Hyperbola):
 // per strategy and k, an answer digest and all nine summed KnnStats
-// fields.
+// fields. The MBR digest and the kEager pins also follow the order in
+// which entries reach the list, so a change to the node bounds moves them
+// too; the exact criteria's digests must not move.
 TEST(IndexKnnTest, EveryCriterionAndEagerModeArePinned) {
   SyntheticSpec spec;
   spec.n = 5000;
@@ -294,7 +313,7 @@ TEST(IndexKnnTest, EveryCriterionAndEagerModeArePinned) {
   };
   const CriterionPin criterion_pins[] = {
       {CriterionKind::kMinMax, 0x994c5ad3cc9e77a5ULL},
-      {CriterionKind::kMbr, 0x16f2819a6736790cULL},
+      {CriterionKind::kMbr, 0x928f267919a39df8ULL},
       {CriterionKind::kGp, 0x86b78b87057db4e5ULL},
       {CriterionKind::kTrigonometric, 0xf91d483b14a8c235ULL},
       {CriterionKind::kHyperbola, 0xa4272fddcc02a0f9ULL},
@@ -326,14 +345,14 @@ TEST(IndexKnnTest, EveryCriterionAndEagerModeArePinned) {
     KnnStats stats;  // in KnnStats declaration order
   };
   const EagerPin eager_pins[] = {
-      {kDf, 1, 0x9c7fa2e0ea0a696eULL,
-       {1582, 2978, 25929, 10484, 1863, 21170, 1882, 0, 0}},
-      {kDf, 10, 0xeb9b20728c9014f1ULL,
-       {2509, 2831, 43033, 72662, 3870, 31763, 3818, 0, 0}},
-      {kHs, 1, 0xed99b7a7c80c8343ULL,
-       {1001, 3559, 14745, 5525, 350, 12589, 797, 0, 0}},
-      {kHs, 10, 0xf6a16d04ef7c551bULL,
-       {2013, 3327, 33465, 35168, 1859, 26670, 1147, 0, 0}},
+      {kDf, 1, 0x0f641706d6053360ULL,
+       {811, 1749, 13031, 5290, 558, 10824, 626, 0, 0}},
+      {kDf, 10, 0x1d8facd0a296c044ULL,
+       {1710, 1950, 29261, 36195, 2446, 21758, 1411, 0, 0}},
+      {kHs, 1, 0xcfcf8abc8a2a0e4dULL,
+       {671, 1889, 10337, 4380, 229, 8657, 424, 0, 0}},
+      {kHs, 10, 0xcdcb1191d87f1b98ULL,
+       {1627, 2033, 27666, 26422, 1843, 21278, 624, 0, 0}},
   };
   HyperbolaCriterion exact;
   for (const EagerPin& pin : eager_pins) {

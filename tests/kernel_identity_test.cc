@@ -140,6 +140,43 @@ TEST(KernelIdentityTest, BatchedEqualsSerialAndScalarReference) {
   }
 }
 
+// The box bound: dispatched and scalar-reference kernels agree bit for
+// bit, batched and one box at a time, with the query centre inside, beside
+// and outside the boxes on different axes.
+TEST(KernelIdentityTest, BoxMinDistEqualsScalarReference) {
+  Rng rng(77005);
+  constexpr size_t kCount = 37;  // not a multiple of any lane width
+  for (size_t dim : kDims) {
+    std::vector<double> boxes(kCount * 2 * dim);
+    for (size_t r = 0; r < kCount; ++r) {
+      double* lo = boxes.data() + r * 2 * dim;
+      for (size_t d = 0; d < dim; ++d) {
+        lo[d] = rng.Uniform(-100.0, 100.0);
+        lo[dim + d] = lo[d] + rng.Uniform(0.0, 60.0);
+      }
+    }
+    const std::vector<double> q = RandomSpan(&rng, dim);
+    const double qr = rng.Uniform(0.0, 5.0);
+    std::vector<double> out(kCount), ref(kCount);
+    BatchedBoxMinDistSpan(boxes.data(), dim, kCount, q.data(), qr,
+                          out.data());
+    scalar_ref::BatchedBoxMinDistSpan(boxes.data(), dim, kCount, q.data(), qr,
+                                      ref.data());
+    size_t positive = 0;
+    for (size_t r = 0; r < kCount; ++r) {
+      EXPECT_TRUE(SameBits(out[r], ref[r]))
+          << "boxmindist dim=" << dim << " row=" << r;
+      double one = 0.0;
+      BatchedBoxMinDistSpan(boxes.data() + r * 2 * dim, dim, 1, q.data(), qr,
+                            &one);
+      EXPECT_TRUE(SameBits(one, out[r]))
+          << "serial boxmindist dim=" << dim << " row=" << r;
+      positive += out[r] > 0.0 ? 1 : 0;
+    }
+    EXPECT_GT(positive, 0u) << "dim=" << dim;
+  }
+}
+
 TEST(KernelIdentityTest, ViewKernelsMatchSpanKernelCombines) {
   // The PR-5 lesson: the hypersphere.h view kernels are inline for ABI
   // reasons, which historically invited their bodies to drift from the

@@ -162,17 +162,17 @@ TEST(RangeSearchTest, RangeWorkIsPinned) {
     uint64_t digest;
   };
   const Pin pins[] = {
-      {"ss", 0.0, 566, 3494, 6867, 0x6de1f3bccef46636ULL},
-      {"ss", 10.0, 1044, 3716, 15380, 0x39cb022cf82d286dULL},
-      {"ss", 40.0, 3559, 1861, 63155, 0xf529fd121c414433ULL},
+      {"ss", 0.0, 235, 1105, 3127, 0x6de1f3bccef46636ULL},
+      {"ss", 10.0, 613, 1467, 9690, 0x39cb022cf82d286dULL},
+      {"ss", 40.0, 3287, 1773, 58296, 0xf529fd121c414433ULL},
       {"ss", 120.0, 5480, 0, 100000, 0xf31081c4b72d5121ULL},
-      {"overlay", 0.0, 559, 3368, 16429, 0xf7940311ef24e128ULL},
-      {"overlay", 10.0, 1013, 3256, 24548, 0xc431f83292fde95cULL},
-      {"overlay", 40.0, 3214, 1587, 64833, 0x8790d64be8539899ULL},
+      {"overlay", 0.0, 222, 931, 12890, 0xf7940311ef24e128ULL},
+      {"overlay", 10.0, 592, 1397, 18968, 0xc431f83292fde95cULL},
+      {"overlay", 40.0, 2990, 1526, 60963, 0x8790d64be8539899ULL},
       {"overlay", 120.0, 4820, 0, 94700, 0x1f087a027fb26185ULL},
-      {"shards", 0.0, 1167, 4305, 15062, 0x6de1f3bccef46636ULL},
-      {"shards", 10.0, 1780, 3724, 27013, 0x39cb022cf82d286dULL},
-      {"shards", 40.0, 4316, 1204, 76483, 0xf529fd121c414433ULL},
+      {"shards", 0.0, 577, 2143, 6890, 0x6de1f3bccef46636ULL},
+      {"shards", 10.0, 1108, 2220, 16536, 0x39cb022cf82d286dULL},
+      {"shards", 40.0, 4043, 1349, 71323, 0xf529fd121c414433ULL},
       {"shards", 120.0, 5520, 0, 100000, 0xf31081c4b72d5121ULL},
   };
   for (const Pin& pin : pins) {

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "data/generator.h"
@@ -118,6 +119,60 @@ TEST_F(SlowlogE2eTest, SlowQueryRecordMatchesEchoedRequestId) {
   }
   EXPECT_TRUE(client_span) << "no client/call span annotated with the ID";
   EXPECT_TRUE(server_span) << "no server/request span annotated with the ID";
+}
+
+// The request histogram's time for a kNN request contains the request's
+// server/request span: the span closes before the response is encoded and
+// the histogram records after the encode. A slow-query record carries the
+// same elapsed time the histogram records, so joining the records and the
+// spans on request_id compares the two per request.
+TEST_F(SlowlogE2eTest, RequestHistogramTimeContainsTheRequestSpan) {
+  std::vector<std::string> slowlog_lines;
+  obs::Logger::Instance().SetLevel(obs::LogLevel::kWarn);
+  obs::Logger::Instance().SetCallbackSink(
+      [&slowlog_lines](const std::string& line) {
+        if (line.find("hyperdom-slowlog-v1") != std::string::npos) {
+          slowlog_lines.push_back(line);
+        }
+      });
+  obs::Tracer::Instance().Enable();
+
+  ServerOptions options;
+  options.slow_query_micros = 1;  // every query is "slow"
+  Server server(tree_.get(), criterion_.get(), options);
+  ASSERT_TRUE(server.Start().ok());
+  ClientOptions client_options;
+  client_options.port = server.port();
+  Client client(client_options);
+  constexpr size_t kRequests = 40;
+  for (size_t i = 0; i < kRequests; ++i) {
+    KnnRequest request;
+    request.query = queries_[i % queries_.size()];
+    request.k = 10;
+    ASSERT_TRUE(client.Knn(request).ok());
+  }
+  server.Stop();
+  obs::Tracer::Instance().Disable();
+
+  std::unordered_map<uint64_t, uint64_t> histogram_ns;
+  for (const std::string& line : slowlog_lines) {
+    histogram_ns[JsonU64Field(line, "request_id")] =
+        JsonU64Field(line, "latency_ns");
+  }
+  ASSERT_EQ(histogram_ns.size(), kRequests);
+  size_t joined = 0;
+  for (const obs::TraceRecord& span : obs::Tracer::Instance().Records()) {
+    if (span.name != "server/request") continue;
+    for (const obs::TraceArg& arg : span.args) {
+      if (arg.key != "request_id") continue;
+      const auto it = histogram_ns.find(std::stoull(arg.value));
+      ASSERT_NE(it, histogram_ns.end()) << "request " << arg.value;
+      EXPECT_GE(it->second, static_cast<uint64_t>(span.dur_ns))
+          << "request " << arg.value;
+      ++joined;
+    }
+  }
+  EXPECT_EQ(joined, kRequests);
 }
 
 TEST_F(SlowlogE2eTest, FastQueriesBelowThresholdEmitNothing) {

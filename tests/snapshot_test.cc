@@ -108,10 +108,11 @@ TEST(SnapshotTest, SsTreeRoundTripPreservesQueryAnswers) {
   std::remove(path.c_str());
 }
 
-// Serialize then Deserialize reproduces every node sphere bit for bit on
+// Serialize then Deserialize reproduces every node sphere, every packed
+// child bound (boxes and spheres) and the root box bit for bit on
 // knn_paper-shaped data (hyperdom_bench: centres Gaussian(1000, 250),
-// mu = 10, d = 4). A node sphere is a pure function of the node's items
-// (index/ss_tree.h), which the load recomputes bottom up.
+// mu = 10, d = 4). Spheres and boxes are pure functions of the node's
+// items (index/ss_tree.h), which the load recomputes bottom up.
 TEST(SnapshotTest, SsTreeRoundTripReproducesEveryNodeSphere) {
   SyntheticSpec spec;
   spec.n = 20'000;
@@ -138,9 +139,14 @@ TEST(SnapshotTest, SsTreeRoundTripReproducesEveryNodeSphere) {
     const double ra = sa.radius();
     const double rb = sb.radius();
     ++nodes;
+    const std::vector<double>& pa = a->child_bounds();
+    const std::vector<double>& pb = b->child_bounds();
     if (std::memcmp(sa.center().data(), sb.center().data(),
                     sa.dim() * sizeof(double)) != 0 ||
-        std::memcmp(&ra, &rb, sizeof(double)) != 0) {
+        std::memcmp(&ra, &rb, sizeof(double)) != 0 ||
+        pa.size() != pb.size() ||
+        (!pa.empty() &&
+         std::memcmp(pa.data(), pb.data(), pa.size() * sizeof(double)) != 0)) {
       ++differing;
     }
     for (size_t i = 0; i < a->children().size(); ++i) {
@@ -150,7 +156,12 @@ TEST(SnapshotTest, SsTreeRoundTripReproducesEveryNodeSphere) {
   compare(compare, tree.root(), loaded.root());
   EXPECT_GT(nodes, 1000u);
   EXPECT_EQ(differing, 0u) << differing << " of " << nodes
-                           << " node spheres differ after the round trip";
+                           << " nodes' bounds differ after the round trip";
+  ASSERT_EQ(tree.root_box().size(), 8u);
+  ASSERT_EQ(loaded.root_box().size(), 8u);
+  EXPECT_EQ(std::memcmp(tree.root_box().data(), loaded.root_box().data(),
+                        8 * sizeof(double)),
+            0);
 }
 
 TEST(SnapshotTest, VerifyReportsEnvelopeFacts) {

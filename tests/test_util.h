@@ -11,12 +11,14 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "dominance/numeric_oracle.h"
 #include "geometry/hypersphere.h"
 #include "index/entry.h"
+#include "index/ss_tree.h"
 
 namespace hyperdom {
 namespace test {
@@ -97,6 +99,32 @@ inline uint64_t DigestEntries(uint64_t h,
     mix(std::bit_cast<uint64_t>(e.sphere.radius()));
   }
   return h;
+}
+
+/// The bounds the SS-tree traversal (query/knn_traversal.h) gives the
+/// children of internal `node` against `sq`, from the same kernel calls:
+/// (*sphere)[i] is the MinDist of child i's sphere, (*box)[i] of its box.
+/// The traversal bounds the child by the larger of the two.
+inline void SsChildBounds(const SsTreeNode& node, const Hypersphere& sq,
+                          std::vector<double>* sphere,
+                          std::vector<double>* box) {
+  const size_t n = node.children().size();
+  sphere->resize(n);
+  box->resize(n);
+  BatchedMinDistSpan(node.child_centers(), node.child_radii(), sq.dim(), n,
+                     sq.center().data(), sq.radius(), sphere->data());
+  BatchedBoxMinDistSpan(node.child_boxes(), sq.dim(), n, sq.center().data(),
+                        sq.radius(), box->data());
+}
+
+/// The same pair for the root of a non-empty tree: the MinDist of the
+/// root sphere, then of the root box.
+inline std::pair<double, double> SsRootBounds(const SsTree& tree,
+                                              const Hypersphere& sq) {
+  double box = 0.0;
+  BatchedBoxMinDistSpan(tree.root_box().data(), sq.dim(), 1,
+                        sq.center().data(), sq.radius(), &box);
+  return {MinDist(tree.root()->bounding_sphere(), sq), box};
 }
 
 }  // namespace test

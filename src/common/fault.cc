@@ -25,9 +25,6 @@ constexpr std::string_view kAllSites[] = {
     "ss_tree/str_pack",
     "ss_tree/serialize",
     "ss_tree/deserialize",
-    "vp_tree/build",
-    "vp_tree/build_node",
-    "rstar_tree/insert",
     // index/snapshot — checksummed persistence envelope.
     "snapshot/write",
     "snapshot/read",

@@ -29,30 +29,6 @@ Mbr Mbr::FromSphere(SphereView s) {
   return Mbr(std::move(lo), std::move(hi));
 }
 
-bool Mbr::Contains(const Point& p) const {
-  assert(p.size() == dim());
-  for (size_t i = 0; i < dim(); ++i) {
-    if (p[i] < lo_[i] || p[i] > hi_[i]) return false;
-  }
-  return true;
-}
-
-bool Mbr::Intersects(const Mbr& other) const {
-  assert(other.dim() == dim());
-  for (size_t i = 0; i < dim(); ++i) {
-    if (hi_[i] < other.lo_[i] || other.hi_[i] < lo_[i]) return false;
-  }
-  return true;
-}
-
-void Mbr::ExtendToCover(const Mbr& other) {
-  assert(other.dim() == dim());
-  for (size_t i = 0; i < dim(); ++i) {
-    lo_[i] = std::min(lo_[i], other.lo_[i]);
-    hi_[i] = std::max(hi_[i], other.hi_[i]);
-  }
-}
-
 std::string Mbr::ToString() const {
   return "Mbr(lo=" + hyperdom::ToString(lo_) +
          ", hi=" + hyperdom::ToString(hi_) + ")";
@@ -66,93 +42,6 @@ double MinDistComponent(double lo, double hi, double t) {
   if (t < lo) return lo - t;
   if (t > hi) return t - hi;
   return 0.0;
-}
-
-double MinDist(const Mbr& a, const Mbr& b) {
-  assert(a.dim() == b.dim());
-  double acc = 0.0;
-  for (size_t i = 0; i < a.dim(); ++i) {
-    double gap = std::max({0.0, b.lo()[i] - a.hi()[i], a.lo()[i] - b.hi()[i]});
-    acc += gap * gap;
-  }
-  return std::sqrt(acc);
-}
-
-double MaxDist(const Mbr& a, const Mbr& b) {
-  assert(a.dim() == b.dim());
-  double acc = 0.0;
-  for (size_t i = 0; i < a.dim(); ++i) {
-    double span = std::max(std::abs(b.hi()[i] - a.lo()[i]),
-                           std::abs(a.hi()[i] - b.lo()[i]));
-    acc += span * span;
-  }
-  return std::sqrt(acc);
-}
-
-double MinDist(const Mbr& a, const Point& p) {
-  assert(a.dim() == p.size());
-  double acc = 0.0;
-  for (size_t i = 0; i < a.dim(); ++i) {
-    const double gap = MinDistComponent(a.lo()[i], a.hi()[i], p[i]);
-    acc += gap * gap;
-  }
-  return std::sqrt(acc);
-}
-
-double MinDist(const Mbr& a, const Hypersphere& s) {
-  const double d = MinDist(a, s.center()) - s.radius();
-  return d > 0.0 ? d : 0.0;
-}
-
-double MinDist(const Mbr& a, SphereView s) {
-  assert(a.dim() == s.dim);
-  double acc = 0.0;
-  for (size_t i = 0; i < a.dim(); ++i) {
-    const double gap = MinDistComponent(a.lo()[i], a.hi()[i], s.center[i]);
-    acc += gap * gap;
-  }
-  const double d = std::sqrt(acc) - s.radius;
-  return d > 0.0 ? d : 0.0;
-}
-
-double MaxDist(const Mbr& a, const Point& p) {
-  assert(a.dim() == p.size());
-  double acc = 0.0;
-  for (size_t i = 0; i < a.dim(); ++i) {
-    const double span = MaxDistComponent(a.lo()[i], a.hi()[i], p[i]);
-    acc += span * span;
-  }
-  return std::sqrt(acc);
-}
-
-double Volume(const Mbr& a) {
-  double v = 1.0;
-  for (size_t i = 0; i < a.dim(); ++i) v *= a.hi()[i] - a.lo()[i];
-  return v;
-}
-
-double Margin(const Mbr& a) {
-  double m = 0.0;
-  for (size_t i = 0; i < a.dim(); ++i) m += a.hi()[i] - a.lo()[i];
-  return m;
-}
-
-double OverlapVolume(const Mbr& a, const Mbr& b) {
-  assert(a.dim() == b.dim());
-  double v = 1.0;
-  for (size_t i = 0; i < a.dim(); ++i) {
-    const double lo = std::max(a.lo()[i], b.lo()[i]);
-    const double hi = std::min(a.hi()[i], b.hi()[i]);
-    if (hi <= lo) return 0.0;
-    v *= hi - lo;
-  }
-  return v;
-}
-
-Mbr Union(const Mbr& a, const Mbr& b) {
-  Mbr out = a;
-  out.ExtendToCover(b);
-  return out;
 }
 
 namespace {

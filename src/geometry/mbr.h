@@ -1,9 +1,12 @@
 // Copyright (c) hyperdom authors. Licensed under the MIT license.
 //
-// Minimum bounding hyperrectangles and the optimal rectangle dominance
-// decision of Emrich et al., "Boosting spatial pruning: on optimal pruning
-// of MBRs" (SIGMOD 2010) — reference [14] of the paper. The hypersphere MBR
-// criterion (Section 2.2) bounds each sphere by its MBR and delegates here.
+// The optimal rectangle dominance decision of Emrich et al., "Boosting
+// spatial pruning: on optimal pruning of MBRs" (SIGMOD 2010) — reference
+// [14] of the paper. The hypersphere MBR criterion (Section 2.2) bounds
+// each sphere by its MBR and delegates to RectDominatesSpheres, which
+// computes the boxes on the fly. The box type and RectDominates are that
+// decision's reference form on materialized boxes, against which the
+// sphere form is tested.
 
 #ifndef HYPERDOM_GEOMETRY_MBR_H_
 #define HYPERDOM_GEOMETRY_MBR_H_
@@ -29,26 +32,9 @@ class Mbr {
   /// Same, from a non-owning sphere view (identical arithmetic).
   static Mbr FromSphere(SphereView s);
 
-  /// The degenerate box around a single point.
-  static Mbr FromPoint(const Point& p) { return Mbr(p, p); }
-
   const Point& lo() const { return lo_; }
   const Point& hi() const { return hi_; }
   size_t dim() const { return lo_.size(); }
-
-  /// Box midpoint on dimension `i`.
-  double Mid(size_t i) const { return 0.5 * (lo_[i] + hi_[i]); }
-  /// Box half-extent on dimension `i`.
-  double HalfExtent(size_t i) const { return 0.5 * (hi_[i] - lo_[i]); }
-
-  /// True iff `p` lies inside or on the boundary.
-  bool Contains(const Point& p) const;
-
-  /// True iff the two boxes share at least one point.
-  bool Intersects(const Mbr& other) const;
-
-  /// Grows this box to cover `other`.
-  void ExtendToCover(const Mbr& other);
 
   std::string ToString() const;
 
@@ -56,33 +42,6 @@ class Mbr {
   Point lo_;
   Point hi_;
 };
-
-/// Minimum distance between two boxes (0 when they intersect).
-double MinDist(const Mbr& a, const Mbr& b);
-
-/// Minimum distance from a box to a point (0 when inside).
-double MinDist(const Mbr& a, const Point& p);
-
-/// Minimum distance from a box to a hypersphere (0 when they intersect).
-double MinDist(const Mbr& a, const Hypersphere& s);
-
-/// Maximum distance from a box to a point.
-double MaxDist(const Mbr& a, const Point& p);
-
-/// The box volume (product of side lengths).
-double Volume(const Mbr& a);
-
-/// The box margin (sum of side lengths; the R*-tree split heuristic).
-double Margin(const Mbr& a);
-
-/// The volume of the intersection of two boxes (0 when disjoint).
-double OverlapVolume(const Mbr& a, const Mbr& b);
-
-/// The smallest box covering both inputs.
-Mbr Union(const Mbr& a, const Mbr& b);
-
-/// Maximum distance between two boxes.
-double MaxDist(const Mbr& a, const Mbr& b);
 
 /// \brief Largest |a - t| over a in [lo, hi]: the one-dimensional MaxDist
 /// component. Exposed for tests.
@@ -112,9 +71,6 @@ bool RectDominates(const Mbr& a, const Mbr& b, const Mbr& q);
 /// loop — the arithmetic is exactly `RectDominates(Mbr::FromSphere(a),
 /// Mbr::FromSphere(b), Mbr::FromSphere(q))` with zero allocation.
 bool RectDominatesSpheres(SphereView a, SphereView b, SphereView q);
-
-/// Minimum distance from a box to a sphere view (0 when they intersect).
-double MinDist(const Mbr& a, SphereView s);
 
 }  // namespace hyperdom
 

@@ -3,6 +3,7 @@
 #include "index/index_metrics.h"
 
 #include <chrono>
+#include <string_view>
 
 #include "obs/metrics.h"
 
@@ -18,25 +19,21 @@ int64_t NowNs() {
 
 }  // namespace
 
-IndexBuildRecorder::IndexBuildRecorder(std::string_view index_tag,
-                                       std::string_view method)
-    : tag_(index_tag), start_ns_(NowNs()), span_("index/build") {
+IndexBuildRecorder::IndexBuildRecorder()
+    : start_ns_(NowNs()), span_("index/build") {
   if (span_.active()) {
-    span_.Annotate("index", index_tag);
-    span_.Annotate("method", method);
+    span_.Annotate("index", std::string_view("ss"));
+    span_.Annotate("method", std::string_view("str_pack"));
   }
 }
 
 void IndexBuildRecorder::Finish(size_t entries) {
   const uint64_t elapsed_ns = static_cast<uint64_t>(NowNs() - start_ns_);
-  // Builds are rare (one per index per run), so resolving the labelled
-  // handles through the registry each time is fine.
-  auto& reg = obs::MetricsRegistry::Instance();
-  reg.GetCounter(obs::kIndexBuilds, "index", tag_)->Add(1);
-  reg.GetHistogram(obs::kIndexBuildDuration, "index", tag_)
-      ->Record(elapsed_ns);
-  reg.GetGauge(obs::kIndexSize, "index", tag_)
-      ->Set(static_cast<double>(entries));
+  HYPERDOM_COUNTER_INC_L(obs::kIndexBuilds, "index", "ss");
+  HYPERDOM_HISTOGRAM_RECORD_L(obs::kIndexBuildDuration, "index", "ss",
+                              elapsed_ns);
+  HYPERDOM_GAUGE_SET_L(obs::kIndexSize, "index", "ss",
+                       static_cast<double>(entries));
   if (span_.active()) {
     span_.Annotate("entries", static_cast<uint64_t>(entries));
   }

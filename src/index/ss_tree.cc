@@ -168,7 +168,7 @@ Status SsTree::BulkLoadStr(const std::vector<Hypersphere>& spheres) {
 
 Status SsTree::BulkLoadStrWithIds(const std::vector<Hypersphere>& spheres,
                                   const std::vector<uint64_t>& ids) {
-  IndexBuildRecorder recorder("ss", "str_pack");
+  IndexBuildRecorder recorder;
   HYPERDOM_RETURN_NOT_OK(ValidateOptions());
   if (!ids.empty() && ids.size() != spheres.size()) {
     return Status::InvalidArgument("ids and spheres must have equal sizes");

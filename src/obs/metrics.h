@@ -272,7 +272,7 @@ const std::vector<MetricDef>& MetricCatalogue();
 // verb, and docs/observability.md.
 // ---------------------------------------------------------------------------
 
-// kNN traversal (label index="ss"|"rstar"|"vp"; mirrors KnnStats).
+// kNN traversal (label index="ss"; mirrors KnnStats).
 inline constexpr MetricDef kKnnQueries{
     "hyperdom_knn_queries_total", "kNN queries executed",
     MetricType::kCounter};

@@ -1,7 +1,7 @@
 // Copyright (c) hyperdom authors. Licensed under the MIT license.
 //
-// The paper's best-known list L (Section 6), factored out so that every
-// index (SS-tree, R*-tree, VP-tree) and the linear scan share one
+// The paper's best-known list L (Section 6), factored out so that the
+// SS-tree search and the shard merge (shard/sharded_query.h) share one
 // implementation of the case-1/2/3 maintenance rules and of the final-Sk
 // filter that makes the answer exactly Definition 2 (see DESIGN.md,
 // "kNN answer semantics").

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "query/knn_metrics.h"
 #include "query/knn_traversal.h"
 #include "storage/epoch.h"
 
@@ -35,12 +36,17 @@ KnnResult KnnSearcher::Search(const SsTree& tree, const Hypersphere& sq,
   // overlay references stays alive until we return (storage/epoch.h).
   // Nested guards are cheap, so a caller may already hold one.
   EpochManager::Guard epoch_guard;
-  return knn_internal::RunSearch(
-      "ss", tree, sq, *criterion_, options_,
-      [overlay](const SsTree& t, const Hypersphere& q, SearchStrategy strategy,
-                BestKnownList* list, KnnStats* stats, TraversalGuard* guard) {
-        KnnSearchInto(t, q, strategy, overlay, list, stats, guard);
-      });
+  KnnQueryRecorder recorder;
+  KnnResult result;
+  BestKnownList list(criterion_, &sq, options_.k, options_.pruning_mode,
+                     &result.stats);
+  TraversalGuard guard(options_.deadline);
+  KnnSearchInto(tree, sq, options_.strategy, overlay, &list, &result.stats,
+                &guard);
+  knn_internal::Finalize(guard.expired(), guard.pending_bound(), &list,
+                         &result);
+  recorder.Publish(result);
+  return result;
 }
 
 KnnResult KnnLinearScan(const std::vector<Hypersphere>& data,

@@ -17,9 +17,9 @@
 // Definition 2 exactly, with merely-correct criteria it is a superset
 // (lower precision), never a subset.
 //
-// KnnSearcher runs over the SS-tree; the alternative indexes have their own
-// entry points (query/index_knn.h). All of them are node adapters for one
-// pair of DF/HS drivers (query/knn_traversal.h) over the same list.
+// KnnSearcher runs over the SS-tree, through its node adapter for the one
+// pair of DF/HS drivers (query/knn_traversal.h) that range queries and the
+// shard scatter share.
 
 #ifndef HYPERDOM_QUERY_KNN_H_
 #define HYPERDOM_QUERY_KNN_H_

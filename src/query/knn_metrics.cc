@@ -3,9 +3,7 @@
 #include "query/knn_metrics.h"
 
 #include <chrono>
-#include <map>
-#include <mutex>
-#include <string>
+#include <string_view>
 
 #include "obs/metrics.h"
 
@@ -19,78 +17,38 @@ int64_t NowNs() {
       .count();
 }
 
-// The registry handles for one index label, resolved once per tag (the tag
-// is a runtime value, so the macros' per-call-site statics don't apply).
-struct KnnInstruments {
-  obs::Counter* queries;
-  obs::Counter* best_effort;
-  obs::Counter* nodes_visited;
-  obs::Counter* nodes_pruned;
-  obs::Counter* entries_accessed;
-  obs::Counter* dominance_checks;
-  obs::Counter* pruned_case2;
-  obs::Counter* pruned_case3;
-  obs::Counter* removed_case1;
-  obs::Counter* uncertain_verdicts;
-  obs::Counter* deadline_skipped;
-  obs::Histogram* duration;
-};
-
-const KnnInstruments& InstrumentsFor(std::string_view tag) {
-  static std::mutex mu;
-  static std::map<std::string, KnnInstruments, std::less<>>* const cache =
-      new std::map<std::string, KnnInstruments, std::less<>>();
-  std::lock_guard<std::mutex> lock(mu);
-  auto it = cache->find(tag);
-  if (it == cache->end()) {
-    auto& reg = obs::MetricsRegistry::Instance();
-    KnnInstruments in;
-    in.queries = reg.GetCounter(obs::kKnnQueries, "index", tag);
-    in.best_effort = reg.GetCounter(obs::kKnnBestEffort, "index", tag);
-    in.nodes_visited = reg.GetCounter(obs::kKnnNodesVisited, "index", tag);
-    in.nodes_pruned = reg.GetCounter(obs::kKnnNodesPruned, "index", tag);
-    in.entries_accessed =
-        reg.GetCounter(obs::kKnnEntriesAccessed, "index", tag);
-    in.dominance_checks =
-        reg.GetCounter(obs::kKnnDominanceChecks, "index", tag);
-    in.pruned_case2 = reg.GetCounter(obs::kKnnPrunedCase2, "index", tag);
-    in.pruned_case3 = reg.GetCounter(obs::kKnnPrunedCase3, "index", tag);
-    in.removed_case1 = reg.GetCounter(obs::kKnnRemovedCase1, "index", tag);
-    in.uncertain_verdicts =
-        reg.GetCounter(obs::kKnnUncertainVerdicts, "index", tag);
-    in.deadline_skipped =
-        reg.GetCounter(obs::kKnnDeadlineSkippedNodes, "index", tag);
-    in.duration = reg.GetHistogram(obs::kKnnQueryDuration, "index", tag);
-    it = cache->emplace(std::string(tag), in).first;
-  }
-  return it->second;
-}
-
 }  // namespace
 
-KnnQueryRecorder::KnnQueryRecorder(std::string_view index_tag)
-    : tag_(index_tag), start_ns_(NowNs()), span_("knn/query") {
-  if (span_.active()) span_.Annotate("index", index_tag);
+KnnQueryRecorder::KnnQueryRecorder()
+    : start_ns_(NowNs()), span_("knn/query") {
+  if (span_.active()) span_.Annotate("index", std::string_view("ss"));
 }
 
 void KnnQueryRecorder::Publish(const KnnResult& result) {
   const uint64_t elapsed_ns = static_cast<uint64_t>(NowNs() - start_ns_);
   const KnnStats& s = result.stats;
-  const KnnInstruments& in = InstrumentsFor(tag_);
-  in.queries->Add(1);
-  if (result.completeness == Completeness::kBestEffort) {
-    in.best_effort->Add(1);
-  }
-  in.nodes_visited->Add(s.nodes_visited);
-  in.nodes_pruned->Add(s.nodes_pruned);
-  in.entries_accessed->Add(s.entries_accessed);
-  in.dominance_checks->Add(s.dominance_checks);
-  in.pruned_case2->Add(s.pruned_case2);
-  in.pruned_case3->Add(s.pruned_case3);
-  in.removed_case1->Add(s.removed_case1);
-  in.uncertain_verdicts->Add(s.uncertain_verdicts);
-  in.deadline_skipped->Add(s.nodes_deadline_skipped);
-  in.duration->Record(elapsed_ns);
+  const bool best_effort = result.completeness == Completeness::kBestEffort;
+  HYPERDOM_COUNTER_INC_L(obs::kKnnQueries, "index", "ss");
+  // Added on every query, so the series is exported from the first one.
+  HYPERDOM_COUNTER_ADD_L(obs::kKnnBestEffort, "index", "ss",
+                         best_effort ? 1 : 0);
+  HYPERDOM_COUNTER_ADD_L(obs::kKnnNodesVisited, "index", "ss",
+                         s.nodes_visited);
+  HYPERDOM_COUNTER_ADD_L(obs::kKnnNodesPruned, "index", "ss", s.nodes_pruned);
+  HYPERDOM_COUNTER_ADD_L(obs::kKnnEntriesAccessed, "index", "ss",
+                         s.entries_accessed);
+  HYPERDOM_COUNTER_ADD_L(obs::kKnnDominanceChecks, "index", "ss",
+                         s.dominance_checks);
+  HYPERDOM_COUNTER_ADD_L(obs::kKnnPrunedCase2, "index", "ss", s.pruned_case2);
+  HYPERDOM_COUNTER_ADD_L(obs::kKnnPrunedCase3, "index", "ss", s.pruned_case3);
+  HYPERDOM_COUNTER_ADD_L(obs::kKnnRemovedCase1, "index", "ss",
+                         s.removed_case1);
+  HYPERDOM_COUNTER_ADD_L(obs::kKnnUncertainVerdicts, "index", "ss",
+                         s.uncertain_verdicts);
+  HYPERDOM_COUNTER_ADD_L(obs::kKnnDeadlineSkippedNodes, "index", "ss",
+                         s.nodes_deadline_skipped);
+  HYPERDOM_HISTOGRAM_RECORD_L(obs::kKnnQueryDuration, "index", "ss",
+                              elapsed_ns);
   if (span_.active()) {
     span_.Annotate("nodes_visited", s.nodes_visited);
     span_.Annotate("nodes_pruned", s.nodes_pruned);
@@ -98,10 +56,8 @@ void KnnQueryRecorder::Publish(const KnnResult& result) {
     span_.Annotate("dominance_checks", s.dominance_checks);
     span_.Annotate("nodes_deadline_skipped", s.nodes_deadline_skipped);
     span_.Annotate("answers", static_cast<uint64_t>(result.answers.size()));
-    span_.Annotate("best_effort",
-                   result.completeness == Completeness::kBestEffort
-                       ? std::string_view("true")
-                       : std::string_view("false"));
+    span_.Annotate("best_effort", best_effort ? std::string_view("true")
+                                              : std::string_view("false"));
   }
 }
 

@@ -1,12 +1,12 @@
 // Copyright (c) hyperdom authors. Licensed under the MIT license.
 //
 // The one index traversal behind every query that walks an index: the kNN
-// query (paper Section 6, Definition 2) on every index, and the range query
-// (query/range.h) on the SS-tree. DF is the depth-first search of
-// Roussopoulos et al. [26], HS the best-first search of Hjaltason &
-// Samet [15]. Both prune a subtree once its lower bound exceeds the list's
-// DistK(), and both poll the query's TraversalGuard before expanding a node
-// and record the bound of every subtree a deadline skips.
+// query (paper Section 6, Definition 2) and the range query (query/range.h),
+// both on the SS-tree. DF is the depth-first search of Roussopoulos et al.
+// [26], HS the best-first search of Hjaltason & Samet [15]. Both prune a
+// subtree once its lower bound exceeds the list's DistK(), and both poll
+// the query's TraversalGuard before expanding a node and record the bound
+// of every subtree a deadline skips.
 //
 // The drivers are generic over the list and the stats they feed:
 //
@@ -18,17 +18,17 @@
 //   * the stats provide nodes_visited, nodes_pruned and
 //     nodes_deadline_skipped (KnnStats and RangeStats).
 //
-// An index plugs in through a node adapter: its root, the root's bound, and
+// The SS-tree plugs in through its node adapter (TraverseSsTree): the root,
+// the root's bound, and
 //
 //   visit(node, emit_entries, emit_child)
 //
-// which hands over the node's data entries as contiguous EntryView blocks
-// (emit_entries(rows, n): one list->AccessBatch call per block) and each
-// child together with its bound (emit_child(bound, child)). A bound must
-// lower-bound MinDist(S, Sq) for every data sphere S beneath the child. The
-// bound travels with the child, so an index whose child bound depends on
-// the parent (the VP-tree's vantage band) fits the same contract as one
-// whose nodes carry their own bounding volume.
+// which hands over a leaf's data entries as one contiguous EntryView block
+// (emit_entries(rows, n): one list->AccessBatch call) and each child of an
+// internal node together with its bound (emit_child(bound, child)). A
+// bound must lower-bound MinDist(S, Sq) for every data sphere S beneath the
+// child, so a tighter bound is a change to the adapter alone
+// (docs/performance.md §8).
 //
 // Child order, and so the node counts in the stats, follows std::sort and
 // std::priority_queue on the bound alone: DF visits children in ascending
@@ -38,17 +38,16 @@
 //
 // Every dominance decision funnels through BestKnownList, which never
 // prunes on an uncertain verdict, so the drivers stay exact under an
-// error-aware criterion without per-index handling.
+// error-aware criterion.
 //
-// Internal to the searchers (query/knn.cc, query/index_knn.cc,
-// query/range.cc) and the shard scatter (shard/sharded_query.cc).
+// Internal to the searchers (query/knn.cc, query/range.cc) and the shard
+// scatter (shard/sharded_query.cc).
 
 #ifndef HYPERDOM_QUERY_KNN_TRAVERSAL_H_
 #define HYPERDOM_QUERY_KNN_TRAVERSAL_H_
 
 #include <algorithm>
 #include <queue>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -56,7 +55,6 @@
 #include "index/overlay.h"
 #include "index/ss_tree.h"
 #include "query/best_known_list.h"
-#include "query/knn_metrics.h"
 #include "query/knn_types.h"
 
 namespace hyperdom {
@@ -141,21 +139,6 @@ void Traverse(const Node* root, double root_bound, SearchStrategy strategy,
   }
 }
 
-/// A leaf's block for emit_entries: resolves the leaf's store handles into
-/// `scratch` (reused across leaves, so no steady-state allocation), skipping
-/// base slots a non-null overlay hides, and emits them as one block.
-template <typename Entries, typename EmitEntries>
-void EmitLeaf(const Entries& entries, const SphereStore& store,
-              const SearchOverlay* overlay, std::vector<EntryView>* scratch,
-              const EmitEntries& emit_entries) {
-  scratch->clear();
-  for (const auto& entry : entries) {
-    if (overlay != nullptr && !overlay->VisibleBase(entry.slot)) continue;
-    scratch->push_back(store.Resolve(entry));
-  }
-  emit_entries(scratch->data(), scratch->size());
-}
-
 /// The SS-tree node adapter, shared by kNN and range. A non-null overlay's
 /// delta rows live outside the tree: they go to the list first, in
 /// contiguous blocks, which for kNN also tightens distk before any node is
@@ -186,7 +169,14 @@ void TraverseSsTree(const SsTree& tree, const Hypersphere& sq,
   auto visit = [&](const SsTreeNode* node, const auto& emit_entries,
                    const auto& emit_child) {
     if (node->is_leaf()) {
-      EmitLeaf(node->entries(), store, overlay, &leaf_scratch, emit_entries);
+      // The leaf's store handles, resolved into one reused block (no
+      // steady-state allocation), without the base slots the overlay hides.
+      leaf_scratch.clear();
+      for (const auto& entry : node->entries()) {
+        if (overlay != nullptr && !overlay->VisibleBase(entry.slot)) continue;
+        leaf_scratch.push_back(store.Resolve(entry));
+      }
+      emit_entries(leaf_scratch.data(), leaf_scratch.size());
       return;
     }
     const auto& children = node->children();
@@ -220,25 +210,6 @@ inline void Finalize(bool expired, double pending_bound, BestKnownList* list,
   } else {
     result->answers = list->TakeAnswers();
   }
-}
-
-/// The one query scaffold: records the query under `index_tag`, builds the
-/// list and guard from `options`, runs the index's
-/// `search_into(tree, sq, strategy, list, stats, guard)` and finalizes.
-template <typename Tree, typename SearchIntoFn>
-KnnResult RunSearch(std::string_view index_tag, const Tree& tree,
-                    const Hypersphere& sq, const DominanceCriterion& criterion,
-                    const KnnOptions& options,
-                    const SearchIntoFn& search_into) {
-  KnnQueryRecorder recorder(index_tag);
-  KnnResult result;
-  BestKnownList list(&criterion, &sq, options.k, options.pruning_mode,
-                     &result.stats);
-  TraversalGuard guard(options.deadline);
-  search_into(tree, sq, options.strategy, &list, &result.stats, &guard);
-  Finalize(guard.expired(), guard.pending_bound(), &list, &result);
-  recorder.Publish(result);
-  return result;
 }
 
 }  // namespace knn_internal

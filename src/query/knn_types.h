@@ -85,7 +85,7 @@ struct KnnResult {
   KnnStats stats;
 };
 
-/// Options shared by every index's kNN searcher.
+/// Options of the kNN searcher.
 struct KnnOptions {
   size_t k = 10;
   SearchStrategy strategy = SearchStrategy::kBestFirst;

@@ -14,7 +14,7 @@
 // pointer arithmetic. Slot order is the order rows were added, so the
 // owner decides what is contiguous: the SS-tree (SsTree::BulkLoadStr)
 // adds each leaf's rows together, so a leaf scan reads one run of rows,
-// while the R*-tree and the mutable store's delta keep insertion order.
+// while the mutable store's delta keeps insertion order.
 // The span kernels in geometry/ run bit-identically on store rows and on
 // Hypersphere vectors, so the two layouts are interchangeable at the
 // arithmetic level (see docs/performance.md, "Data layout").

@@ -20,10 +20,7 @@
 #include "data/generator.h"
 #include "dominance/hyperbola.h"
 #include "eval/workload.h"
-#include "index/rstar_tree.h"
 #include "index/ss_tree.h"
-#include "index/vp_tree.h"
-#include "query/index_knn.h"
 #include "query/knn.h"
 #include "query/range.h"
 #include "query/rknn.h"
@@ -206,38 +203,6 @@ TEST_P(KnnDeadlineTest, SsTreeBudgetYieldsFlaggedSubset) {
     const KnnResult whole = KnnSearcher(&exact, ample).Search(tree, sq);
     EXPECT_EQ(whole.completeness, Completeness::kExact);
     EXPECT_EQ(Ids(whole.answers), truth);
-  }
-}
-
-TEST_P(KnnDeadlineTest, AlternativeIndexesYieldFlaggedSubsets) {
-  const auto data = TestData(3200, 1200);
-  RStarTree rstar(4);
-  ASSERT_TRUE(rstar.BulkLoad(data).ok());
-  VpTree vp;
-  ASSERT_TRUE(vp.Build(data).ok());
-
-  HyperbolaCriterion exact;
-  KnnOptions options;
-  options.strategy = GetParam();
-
-  for (const auto& sq : MakeKnnQueries(data, 4, 3201)) {
-    const auto check = [&](const KnnResult& full, const KnnResult& bounded,
-                           const char* index) {
-      ASSERT_EQ(full.completeness, Completeness::kExact) << index;
-      if (bounded.completeness == Completeness::kExact) {
-        EXPECT_EQ(Ids(bounded.answers), Ids(full.answers)) << index;
-      } else {
-        EXPECT_TRUE(IsSubset(Ids(bounded.answers), Ids(full.answers)))
-            << index;
-        EXPECT_GT(bounded.stats.nodes_deadline_skipped, 0u) << index;
-      }
-    };
-    KnnOptions bounded = options;
-    bounded.deadline = Deadline::WithNodeBudget(4);
-    check(RStarKnnSearch(rstar, sq, exact, options),
-          RStarKnnSearch(rstar, sq, exact, bounded), "R*-tree");
-    check(VpTreeKnnSearch(vp, sq, exact, options),
-          VpTreeKnnSearch(vp, sq, exact, bounded), "VP-tree");
   }
 }
 

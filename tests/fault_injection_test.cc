@@ -1,7 +1,7 @@
 // Copyright (c) hyperdom authors. Licensed under the MIT license.
 //
 // Fault-injection sweeps (common/fault.h). A workload touching every
-// fallible subsystem — CSV I/O, all three index builds, snapshot
+// fallible subsystem — CSV I/O, the SS-tree build, snapshot
 // save/load, the certified escalation chain — is run with each site armed
 // in turn: every failure must surface as a clean Status naming the site
 // (or, for the certified degrade sites, as a conservative verdict), never
@@ -30,10 +30,8 @@
 #include "eval/workload.h"
 #include "index/mutable_ss_tree.h"
 #include "index/rotation.h"
-#include "index/rstar_tree.h"
 #include "index/snapshot.h"
 #include "index/ss_tree.h"
-#include "index/vp_tree.h"
 #include "query/knn.h"
 
 namespace hyperdom {
@@ -76,14 +74,6 @@ Status RunFallibleWorkload(const std::vector<Hypersphere>& data,
   HYPERDOM_RETURN_NOT_OK(SaveSnapshot(str_tree, ss_path));
   SsTree ss_loaded(1);
   HYPERDOM_RETURN_NOT_OK(LoadSnapshot(ss_path, &ss_loaded));
-
-  VpTree vp;
-  HYPERDOM_RETURN_NOT_OK(vp.Build(data));
-
-  RStarTree rstar(3);
-  for (size_t i = 0; i < data.size(); ++i) {
-    HYPERDOM_RETURN_NOT_OK(rstar.Insert(data[i], i));
-  }
 
   // Certified chain: tier 1 (certified/quartic) runs on every call.
   const CertifiedDominance engine;
@@ -141,7 +131,7 @@ TEST(FaultRegistryTest, RandomModeIsDeterministicInSeed) {
     registry.ArmRandom(seed, 0.3);
     std::vector<bool> fired;
     for (int i = 0; i < 200; ++i) {
-      fired.push_back(!registry.Hit("rstar_tree/insert").ok());
+      fired.push_back(!registry.Hit("store/insert").ok());
     }
     return fired;
   };
@@ -337,7 +327,7 @@ TEST(FaultQueryScopeTest, QueryStreamIsIndependentOfExecutionOrder) {
     FaultQueryScope scope(query_id);
     std::vector<bool> fired;
     for (int i = 0; i < kHits; ++i) {
-      fired.push_back(!registry.Hit("rstar_tree/insert").ok());
+      fired.push_back(!registry.Hit("store/insert").ok());
     }
     return fired;
   };
@@ -372,7 +362,7 @@ TEST(FaultQueryScopeTest, UnscopedStreamKeepsTheGlobalCounterBehavior) {
   auto pattern = [&] {
     std::vector<bool> fired;
     for (int i = 0; i < 100; ++i) {
-      fired.push_back(!registry.Hit("rstar_tree/insert").ok());
+      fired.push_back(!registry.Hit("store/insert").ok());
     }
     return fired;
   };
@@ -388,14 +378,14 @@ TEST(FaultQueryScopeTest, UnscopedStreamKeepsTheGlobalCounterBehavior) {
 TEST(FaultQueryScopeTest, ArmSiteNthExecutionStaysProcessWide) {
   RegistryGuard guard;
   auto& registry = FaultRegistry::Instance();
-  registry.ArmSite("rstar_tree/insert", /*nth=*/3);
+  registry.ArmSite("store/insert", /*nth=*/3);
   FaultQueryScope scope(5);
   // Single-shot arming counts process-wide executions even inside a
   // query scope: exactly the third hit fires.
-  EXPECT_TRUE(registry.Hit("rstar_tree/insert").ok());
-  EXPECT_TRUE(registry.Hit("rstar_tree/insert").ok());
-  EXPECT_FALSE(registry.Hit("rstar_tree/insert").ok());
-  EXPECT_TRUE(registry.Hit("rstar_tree/insert").ok());
+  EXPECT_TRUE(registry.Hit("store/insert").ok());
+  EXPECT_TRUE(registry.Hit("store/insert").ok());
+  EXPECT_FALSE(registry.Hit("store/insert").ok());
+  EXPECT_TRUE(registry.Hit("store/insert").ok());
 }
 
 }  // namespace

@@ -1,25 +1,24 @@
 // Copyright (c) hyperdom authors. Licensed under the MIT license.
 //
-// Cross-index equivalence: all three indexes — SS-tree, R*-tree, VP-tree —
-// must return exactly the Definition-2 answer set when searched with the
-// exact criterion in deferred mode, i.e. identical to each other and to
-// the linear scan, for both traversal strategies.
+// The SS-tree kNN search against the linear scan, and the pinned work of
+// the DF/HS drivers (query/knn_traversal.h): the searcher must return
+// exactly the Definition-2 answer set with the exact criterion in deferred
+// mode, for both traversal strategies, and its node visits are accounted
+// against the nodes any exact traversal must visit.
 
-#include "query/index_knn.h"
+#include "query/knn.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 #include <string>
-#include <string_view>
+#include <vector>
 
 #include "data/generator.h"
 #include "dominance/criterion.h"
 #include "dominance/hyperbola.h"
-#include "dominance/minmax.h"
 #include "eval/workload.h"
-#include "query/knn.h"
 #include "test_util.h"
 
 namespace hyperdom {
@@ -45,10 +44,6 @@ TEST_P(IndexEquivalenceTest, AllIndexesMatchLinearScan) {
 
   SsTree ss_tree(4);
   ASSERT_TRUE(ss_tree.BulkLoadStr(data).ok());
-  RStarTree rstar(4);
-  ASSERT_TRUE(rstar.BulkLoad(data).ok());
-  VpTree vp;
-  ASSERT_TRUE(vp.Build(data).ok());
 
   HyperbolaCriterion exact;
   KnnOptions options;
@@ -58,11 +53,7 @@ TEST_P(IndexEquivalenceTest, AllIndexesMatchLinearScan) {
 
   for (const auto& sq : MakeKnnQueries(data, 12, 2101)) {
     const auto truth = Ids(KnnLinearScan(data, sq, k, exact));
-    EXPECT_EQ(Ids(ss_searcher.Search(ss_tree, sq)), truth) << "SS-tree";
-    EXPECT_EQ(Ids(RStarKnnSearch(rstar, sq, exact, options)), truth)
-        << "R*-tree";
-    EXPECT_EQ(Ids(VpTreeKnnSearch(vp, sq, exact, options)), truth)
-        << "VP-tree";
+    EXPECT_EQ(Ids(ss_searcher.Search(ss_tree, sq)), truth);
   }
 }
 
@@ -72,74 +63,15 @@ INSTANTIATE_TEST_SUITE_P(
                                          SearchStrategy::kDepthFirst),
                        ::testing::Values<size_t>(1, 5, 20)));
 
-TEST(IndexKnnTest, EmptyIndexesGiveEmptyResults) {
-  HyperbolaCriterion exact;
-  KnnOptions options;
-  const Hypersphere sq({0.0, 0.0}, 1.0);
-  RStarTree rstar(2);
-  EXPECT_TRUE(RStarKnnSearch(rstar, sq, exact, options).answers.empty());
-  VpTree vp;
-  ASSERT_TRUE(vp.Build({}).ok());
-  EXPECT_TRUE(VpTreeKnnSearch(vp, sq, exact, options).answers.empty());
-}
-
-TEST(IndexKnnTest, WeakCriterionSupersetOnEveryIndex) {
-  SyntheticSpec spec;
-  spec.n = 2000;
-  spec.dim = 3;
-  spec.seed = 2102;
-  const auto data = GenerateSynthetic(spec);
-  RStarTree rstar(3);
-  ASSERT_TRUE(rstar.BulkLoad(data).ok());
-  VpTree vp;
-  ASSERT_TRUE(vp.Build(data).ok());
-
-  HyperbolaCriterion exact;
-  MinMaxCriterion weak;
-  KnnOptions options;
-  options.k = 8;
-  for (const auto& sq : MakeKnnQueries(data, 6, 2103)) {
-    const auto truth = Ids(KnnLinearScan(data, sq, options.k, exact));
-    for (const auto& result :
-         {RStarKnnSearch(rstar, sq, weak, options),
-          VpTreeKnnSearch(vp, sq, weak, options)}) {
-      const auto weak_ids = Ids(result);
-      for (uint64_t id : truth) {
-        EXPECT_TRUE(weak_ids.count(id)) << "lost an exact answer";
-      }
-    }
-  }
-}
-
-TEST(IndexKnnTest, StatsReflectPruning) {
-  SyntheticSpec spec;
-  spec.n = 5000;
-  spec.dim = 4;
-  spec.radius_mean = 3.0;
-  spec.seed = 2104;
-  const auto data = GenerateSynthetic(spec);
-  RStarTree rstar(4);
-  ASSERT_TRUE(rstar.BulkLoad(data).ok());
-  HyperbolaCriterion exact;
-  KnnOptions options;
-  options.k = 5;
-  const KnnResult result = RStarKnnSearch(rstar, data[0], exact, options);
-  // A tight query over a large dataset must prune something and must not
-  // touch every entry.
-  EXPECT_GT(result.stats.nodes_pruned + result.stats.pruned_case3, 0u);
-  EXPECT_LT(result.stats.entries_accessed, data.size());
-  EXPECT_FALSE(result.answers.empty());
-}
-
 // Pins the work of the shared DF/HS drivers (query/knn_traversal.h) on one
-// seeded dataset: per index and strategy, the summed traversal counters
-// over 20 queries, the final filter's dominance checks (one per candidate
-// past position k, query/best_known_list.h) and a digest of every answer.
-// The counts assume libstdc++'s std::sort and std::priority_queue tie
-// order (and glibc's libm for the generator's Gaussian draws). A deliberate
+// seeded dataset: per strategy, the summed traversal counters over 20
+// queries, the final filter's dominance checks (one per candidate past
+// position k, query/best_known_list.h) and a digest of every answer. The
+// counts assume libstdc++'s std::sort and std::priority_queue tie order
+// (and glibc's libm for the generator's Gaussian draws). A deliberate
 // change to a child bound or to the visit order (ROADMAP item 6's tighter
-// bounds) updates them, and the change in node visits is
-// that change's measurement.
+// bounds) updates them, and the change in node visits is that change's
+// measurement.
 TEST(IndexKnnTest, TraversalWorkIsPinned) {
   SyntheticSpec spec;
   spec.n = 5000;
@@ -150,20 +82,9 @@ TEST(IndexKnnTest, TraversalWorkIsPinned) {
   const auto queries = MakeKnnQueries(data, 20, 2106);
   SsTree ss_tree(4);
   ASSERT_TRUE(ss_tree.BulkLoadStr(data).ok());
-  RStarTree rstar(4);
-  ASSERT_TRUE(rstar.BulkLoad(data).ok());
-  VpTree vp;
-  ASSERT_TRUE(vp.Build(data).ok());
   HyperbolaCriterion exact;
-  auto search = [&](std::string_view index, const Hypersphere& sq,
-                    const KnnOptions& options) {
-    if (index == "ss") return KnnSearcher(&exact, options).Search(ss_tree, sq);
-    if (index == "rstar") return RStarKnnSearch(rstar, sq, exact, options);
-    return VpTreeKnnSearch(vp, sq, exact, options);
-  };
 
   struct Pin {
-    std::string_view index;
     SearchStrategy strategy;
     uint64_t nodes_visited;
     uint64_t nodes_pruned;
@@ -173,28 +94,24 @@ TEST(IndexKnnTest, TraversalWorkIsPinned) {
   constexpr SearchStrategy kDf = SearchStrategy::kDepthFirst;
   constexpr SearchStrategy kHs = SearchStrategy::kBestFirst;
   const Pin pins[] = {
-      {"ss", kDf, 1748, 2232, 29704, 7363},
-      {"ss", kHs, 1698, 2282, 28738, 6445},
-      {"rstar", kDf, 2502, 3011, 38856, 8986},
-      {"rstar", kHs, 2287, 3226, 35048, 6834},
-      {"vp", kDf, 10585, 1595, 45796, 8797},
-      {"vp", kHs, 10007, 1715, 42526, 7233},
+      {kDf, 1748, 2232, 29704, 7363},
+      {kHs, 1698, 2282, 28738, 6445},
   };
-  // Every index returns the same Definition-2 answers in the same order.
+  // Both strategies return the same Definition-2 answers in the same order.
   constexpr uint64_t kAnswerDigest = 0x7050b4efe4a42475ULL;
   for (const Pin& pin : pins) {
     KnnOptions options;
     options.k = 10;
     options.strategy = pin.strategy;
+    const KnnSearcher searcher(&exact, options);
     KnnStats sum;
     uint64_t digest = test::kDigestSeed;
     for (const auto& sq : queries) {
-      const KnnResult result = search(pin.index, sq, options);
+      const KnnResult result = searcher.Search(ss_tree, sq);
       sum += result.stats;
       digest = test::DigestEntries(digest, result.answers);
     }
-    const std::string where = std::string(pin.index) +
-                              (pin.strategy == kDf ? " DF" : " HS");
+    const std::string where = pin.strategy == kDf ? "DF" : "HS";
     EXPECT_EQ(sum.nodes_visited, pin.nodes_visited) << where;
     EXPECT_EQ(sum.nodes_pruned, pin.nodes_pruned) << where;
     EXPECT_EQ(sum.entries_accessed, pin.entries_accessed) << where;
@@ -204,22 +121,9 @@ TEST(IndexKnnTest, TraversalWorkIsPinned) {
   }
 }
 
-// HS visits exactly the nodes that any exact traversal knowing only the
-// node bounds must visit: those reached from the root through nodes whose
-// bound (the larger of the MinDist of the node's sphere and of its box) is
-// at most the query's final DistK, the MaxDist of answer k-1. So HS's node
-// visits fall only when the tree has fewer such nodes, not through the
-// visit order. Of those, the bound slack (ROADMAP item 6) is the visited
-// nodes whose subtree holds no entry with MinDist <= the final DistK: a
-// perfect bound would skip them. On knn_paper-shaped data (hyperdom_bench:
-// centres Gaussian(1000, 250), mu = 10, d = 4, k = 10; here N = 20k and 50
-// queries) the test checks the visits per query, checks that HS visits no
-// more nodes than the spheres alone would reach, and pins the summed node
-// visits, entries accessed and slack. The visits that are not slack (977)
-// depend only on the tree's shape, so a change to the node bounds alone
-// leaves them as they are: with spheres alone the same tree pinned 3,791
-// visits, 42,420 entries and a slack of 2,814.
-TEST(IndexKnnTest, BestFirstVisitsExactlyTheNodesWithinFinalDistK) {
+// knn_paper-shaped data (hyperdom_bench: centres Gaussian(1000, 250),
+// mu = 10, d = 4), here N = 20k, for the visit accounting below.
+std::vector<Hypersphere> KnnPaperShapedData() {
   SyntheticSpec spec;
   spec.n = 20'000;
   spec.dim = 4;
@@ -227,7 +131,70 @@ TEST(IndexKnnTest, BestFirstVisitsExactlyTheNodesWithinFinalDistK) {
   spec.center_mean = 1000.0;
   spec.center_stddev = 250.0;
   spec.seed = 2109;
-  const auto data = GenerateSynthetic(spec);
+  return GenerateSynthetic(spec);
+}
+
+// The nodes of `tree` classified against one query's final DistK (the
+// MaxDist of answer k-1). `within`: the nodes reached from the root through
+// nodes whose bound (the larger of the MinDist of the node's sphere and of
+// its box) is at most `distk`; any exact traversal knowing only the node
+// bounds must visit them. `sphere_within`: the same through the sphere
+// bounds alone. `slack` (ROADMAP item 6): the nodes in `within` whose
+// subtree holds no entry with MinDist <= `distk`; a perfect bound would
+// skip them.
+struct FinalDistKNodes {
+  uint64_t within = 0;
+  uint64_t sphere_within = 0;
+  uint64_t slack = 0;
+};
+
+FinalDistKNodes ClassifyNodes(const SsTree& tree, const Hypersphere& sq,
+                              double distk) {
+  FinalDistKNodes out;
+  // Walks the whole subtree under `node`, whose sphere's and box's MinDist
+  // are `sphere_bound` and `box_bound`; `reached` says the parent was
+  // reached through bounds <= distk. Returns whether the subtree holds an
+  // entry with MinDist <= distk.
+  auto walk = [&](auto& self, const SsTreeNode* node, double sphere_bound,
+                  double box_bound, bool reached, bool sphere_reached) -> bool {
+    reached = reached && std::max(sphere_bound, box_bound) <= distk;
+    sphere_reached = sphere_reached && sphere_bound <= distk;
+    bool holds = false;
+    if (node->is_leaf()) {
+      for (const auto& e : node->entries()) {
+        holds |= MinDist(tree.store().view(e.slot), sq.view()) <= distk;
+      }
+    } else {
+      std::vector<double> spheres, boxes;
+      test::SsChildBounds(*node, sq, &spheres, &boxes);
+      for (size_t i = 0; i < spheres.size(); ++i) {
+        holds |= self(self, node->children()[i].get(), spheres[i], boxes[i],
+                      reached, sphere_reached);
+      }
+    }
+    out.within += reached ? 1 : 0;
+    out.sphere_within += sphere_reached ? 1 : 0;
+    out.slack += reached && !holds ? 1 : 0;
+    return holds;
+  };
+  const auto [root_sphere, root_box] = test::SsRootBounds(tree, sq);
+  walk(walk, tree.root(), root_sphere, root_box, /*reached=*/true,
+       /*sphere_reached=*/true);
+  return out;
+}
+
+// HS visits exactly the nodes that any exact traversal knowing only the
+// node bounds must visit (FinalDistKNodes::within), so its node visits fall
+// only when the tree has fewer such nodes, not through the visit order. On
+// 50 queries over knn_paper-shaped data (k = 10) the test checks the visits
+// per query, checks that HS visits no more nodes than the spheres alone
+// would reach, and pins the summed node visits, entries accessed and
+// slack. The visits that are not slack (977) depend only on the tree's
+// shape, so a change to the node bounds alone leaves them as they are:
+// with spheres alone the same tree pinned 3,791 visits, 42,420 entries and
+// a slack of 2,814.
+TEST(IndexKnnTest, BestFirstVisitsExactlyTheNodesWithinFinalDistK) {
+  const auto data = KnnPaperShapedData();
   const auto queries = MakeKnnQueries(data, 50, 2110);
   SsTree tree(4);
   ASSERT_TRUE(tree.BulkLoadStr(data).ok());
@@ -242,47 +209,53 @@ TEST(IndexKnnTest, BestFirstVisitsExactlyTheNodesWithinFinalDistK) {
   for (const auto& sq : queries) {
     const KnnResult result = searcher.Search(tree, sq);
     ASSERT_GE(result.answers.size(), options.k);
-    const double distk = MaxDist(result.answers[options.k - 1].sphere, sq);
-    // Walks the whole subtree under `node`, whose sphere's and box's
-    // MinDist are `sphere_bound` and `box_bound`; counts the nodes reached
-    // through bounds <= distk (`reached` says the parent was) into
-    // `within`, the slack among them into `slack`, and the nodes the
-    // sphere bounds alone reach into `sphere_within`. Returns whether the
-    // subtree holds an entry with MinDist <= distk.
-    uint64_t within = 0;
-    uint64_t sphere_within = 0;
-    auto walk = [&](auto& self, const SsTreeNode* node, double sphere_bound,
-                    double box_bound, bool reached,
-                    bool sphere_reached) -> bool {
-      reached = reached && std::max(sphere_bound, box_bound) <= distk;
-      sphere_reached = sphere_reached && sphere_bound <= distk;
-      bool holds = false;
-      if (node->is_leaf()) {
-        for (const auto& e : node->entries()) {
-          holds |= MinDist(tree.store().view(e.slot), sq.view()) <= distk;
-        }
-      } else {
-        std::vector<double> spheres, boxes;
-        test::SsChildBounds(*node, sq, &spheres, &boxes);
-        for (size_t i = 0; i < spheres.size(); ++i) {
-          holds |= self(self, node->children()[i].get(), spheres[i],
-                        boxes[i], reached, sphere_reached);
-        }
-      }
-      within += reached ? 1 : 0;
-      sphere_within += sphere_reached ? 1 : 0;
-      slack += reached && !holds ? 1 : 0;
-      return holds;
-    };
-    const auto [root_sphere, root_box] = test::SsRootBounds(tree, sq);
-    walk(walk, tree.root(), root_sphere, root_box, /*reached=*/true,
-         /*sphere_reached=*/true);
-    EXPECT_EQ(result.stats.nodes_visited, within);
-    EXPECT_LE(result.stats.nodes_visited, sphere_within);
+    const FinalDistKNodes nodes = ClassifyNodes(
+        tree, sq, MaxDist(result.answers[options.k - 1].sphere, sq));
+    EXPECT_EQ(result.stats.nodes_visited, nodes.within);
+    EXPECT_LE(result.stats.nodes_visited, nodes.sphere_within);
+    slack += nodes.slack;
     sum += result.stats;
   }
   EXPECT_EQ(sum.nodes_visited, 1751u);
   EXPECT_EQ(sum.entries_accessed, 25219u);
+  EXPECT_EQ(slack, 774u);
+}
+
+// DF visits every node HS does (FinalDistKNodes::within): its DistK only
+// shrinks towards the final one, so no node reached through bounds <= the
+// final DistK is ever pruned. The test checks per query that DF visits at
+// least that many nodes; what it visits beyond them is its order excess
+// (ROADMAP item 6): nodes whose bound exceeds the final DistK, descended
+// before DistK shrank below it. Same data and queries as the HS test
+// above; the slack is the same 774 nodes, since both strategies return
+// the same answers.
+TEST(IndexKnnTest, DepthFirstVisitsEveryNodeWithinFinalDistK) {
+  const auto data = KnnPaperShapedData();
+  const auto queries = MakeKnnQueries(data, 50, 2110);
+  SsTree tree(4);
+  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
+  HyperbolaCriterion exact;
+  KnnOptions options;
+  options.k = 10;
+  options.strategy = SearchStrategy::kDepthFirst;
+  const KnnSearcher searcher(&exact, options);
+
+  KnnStats sum;
+  uint64_t slack = 0;
+  uint64_t order_excess = 0;
+  for (const auto& sq : queries) {
+    const KnnResult result = searcher.Search(tree, sq);
+    ASSERT_GE(result.answers.size(), options.k);
+    const FinalDistKNodes nodes = ClassifyNodes(
+        tree, sq, MaxDist(result.answers[options.k - 1].sphere, sq));
+    ASSERT_GE(result.stats.nodes_visited, nodes.within);
+    order_excess += result.stats.nodes_visited - nodes.within;
+    slack += nodes.slack;
+    sum += result.stats;
+  }
+  EXPECT_EQ(sum.nodes_visited, 1856u);
+  EXPECT_EQ(sum.entries_accessed, 27201u);
+  EXPECT_EQ(order_excess, 105u);
   EXPECT_EQ(slack, 774u);
 }
 

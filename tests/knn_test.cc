@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "data/generator.h"
 #include "dominance/hyperbola.h"
 #include "dominance/minmax.h"
 #include "eval/workload.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 
 namespace hyperdom {
@@ -212,6 +214,46 @@ TEST(KnnSearcherTest, BestFirstAccessesNoMoreEntriesThanDepthFirst) {
   }
   // HS's global best-first order is at least as good on aggregate.
   EXPECT_LE(hs_total, df_total);
+}
+
+// Every query publishes every {index="ss"} kNN series, the best-effort
+// counter included (it adds 0 to an exact query), so an operator's
+// dashboard finds each series from the first query on.
+TEST(KnnSearcherTest, EveryKnnSeriesIsExportedAfterOneQuery) {
+  SyntheticSpec spec;
+  spec.n = 200;
+  spec.dim = 3;
+  spec.seed = 880;
+  const auto data = GenerateSynthetic(spec);
+  SsTree tree(3);
+  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
+  HyperbolaCriterion exact;
+  auto& registry = obs::MetricsRegistry::Instance();
+  auto counter = [&](const obs::MetricDef& def) {
+    return registry.GetCounter(def, "index", "ss")->Value();
+  };
+  const uint64_t queries_before = counter(obs::kKnnQueries);
+  const uint64_t best_effort_before = counter(obs::kKnnBestEffort);
+  const KnnResult result =
+      KnnSearcher(&exact, KnnOptions{}).Search(tree, data[7]);
+  ASSERT_EQ(result.completeness, Completeness::kExact);
+
+  EXPECT_EQ(counter(obs::kKnnQueries), queries_before + 1);
+  EXPECT_EQ(counter(obs::kKnnBestEffort), best_effort_before);
+  const std::string text = registry.RenderPrometheus();
+  for (const obs::MetricDef* def :
+       {&obs::kKnnQueries, &obs::kKnnBestEffort, &obs::kKnnNodesVisited,
+        &obs::kKnnNodesPruned, &obs::kKnnEntriesAccessed,
+        &obs::kKnnDominanceChecks, &obs::kKnnPrunedCase2,
+        &obs::kKnnPrunedCase3, &obs::kKnnRemovedCase1,
+        &obs::kKnnUncertainVerdicts, &obs::kKnnDeadlineSkippedNodes}) {
+    EXPECT_NE(text.find(obs::LabeledName(def->name, "index", "ss") + " "),
+              std::string::npos)
+        << def->name;
+  }
+  EXPECT_NE(text.find(std::string(obs::kKnnQueryDuration.name) +
+                      "_count{index=\"ss\"} "),
+            std::string::npos);
 }
 
 }  // namespace

@@ -15,38 +15,7 @@ TEST(MbrTest, FromSphere) {
   const Mbr box = Mbr::FromSphere(Hypersphere({10.0, 20.0}, 3.0));
   EXPECT_EQ(box.lo(), (Point{7, 17}));
   EXPECT_EQ(box.hi(), (Point{13, 23}));
-  EXPECT_DOUBLE_EQ(box.Mid(0), 10.0);
-  EXPECT_DOUBLE_EQ(box.HalfExtent(1), 3.0);
-}
-
-TEST(MbrTest, FromPointIsDegenerate) {
-  const Mbr box = Mbr::FromPoint({1.0, 2.0});
-  EXPECT_EQ(box.lo(), box.hi());
-  EXPECT_TRUE(box.Contains({1.0, 2.0}));
-}
-
-TEST(MbrTest, ContainsIncludesBoundary) {
-  const Mbr box({0.0, 0.0}, {2.0, 2.0});
-  EXPECT_TRUE(box.Contains({0.0, 0.0}));
-  EXPECT_TRUE(box.Contains({2.0, 2.0}));
-  EXPECT_TRUE(box.Contains({1.0, 1.0}));
-  EXPECT_FALSE(box.Contains({2.1, 1.0}));
-  EXPECT_FALSE(box.Contains({1.0, -0.1}));
-}
-
-TEST(MbrTest, Intersects) {
-  const Mbr a({0.0, 0.0}, {2.0, 2.0});
-  EXPECT_TRUE(a.Intersects(Mbr({1.0, 1.0}, {3.0, 3.0})));
-  EXPECT_TRUE(a.Intersects(Mbr({2.0, 2.0}, {3.0, 3.0})));  // corner touch
-  EXPECT_FALSE(a.Intersects(Mbr({2.1, 0.0}, {3.0, 1.0})));
-  EXPECT_FALSE(a.Intersects(Mbr({0.0, 2.1}, {1.0, 3.0})));
-}
-
-TEST(MbrTest, ExtendToCover) {
-  Mbr a({0.0, 0.0}, {1.0, 1.0});
-  a.ExtendToCover(Mbr({-1.0, 0.5}, {0.5, 3.0}));
-  EXPECT_EQ(a.lo(), (Point{-1, 0}));
-  EXPECT_EQ(a.hi(), (Point{1, 3}));
+  EXPECT_EQ(box.dim(), 2u);
 }
 
 TEST(MbrTest, MinMaxDistComponents) {
@@ -56,14 +25,6 @@ TEST(MbrTest, MinMaxDistComponents) {
   EXPECT_DOUBLE_EQ(MinDistComponent(0.0, 2.0, 3.0), 1.0);
   EXPECT_DOUBLE_EQ(MinDistComponent(0.0, 2.0, 1.0), 0.0);
   EXPECT_DOUBLE_EQ(MinDistComponent(0.0, 2.0, -1.5), 1.5);
-}
-
-TEST(MbrTest, BoxMinMaxDist) {
-  const Mbr a({0.0, 0.0}, {1.0, 1.0});
-  const Mbr b({3.0, 0.0}, {4.0, 1.0});
-  EXPECT_DOUBLE_EQ(MinDist(a, b), 2.0);
-  EXPECT_DOUBLE_EQ(MaxDist(a, b), std::sqrt(16.0 + 1.0));
-  EXPECT_DOUBLE_EQ(MinDist(a, a), 0.0);
 }
 
 // Independent evaluation of the Emrich decomposition: the per-dimension
@@ -162,6 +123,64 @@ TEST(RectDominatesPropertyTest, AgreesWithBruteForceIn3D) {
     if (std::fabs(objective) < 1e-6) continue;
     EXPECT_EQ(RectDominates(a, b, q), objective < 0.0)
         << a.ToString() << " " << b.ToString() << " " << q.ToString();
+  }
+}
+
+// The MBR criterion's zero-allocation form must decide exactly as the
+// reference on materialized boxes. Each draw places Sa near Sq and Sb in
+// one of three relations to Sa's box (separated, touching on one face,
+// overlapping); any of the three spheres may be a point (r = 0). Centres
+// and radii are multiples of 1/4, so a touching face is exact in floating
+// point and the boxes' corners are too.
+TEST(RectDominatesPropertyTest, SphereFormMatchesTheBoxReference) {
+  Rng rng(608);
+  auto quarter = [&](double lo, double hi) {
+    return std::round(rng.Uniform(lo, hi) * 4.0) / 4.0;
+  };
+  auto radius = [&] {
+    return rng.UniformU64(5) == 0 ? 0.0 : quarter(0.25, 3.0);
+  };
+  for (size_t d : {1, 2, 3, 4, 8, 50}) {
+    int dominated = 0;
+    int not_dominated = 0;
+    for (int iter = 0; iter < 600; ++iter) {
+      Point cq(d), ca(d), cb(d);
+      const double rq = radius();
+      const double ra = radius();
+      const double rb = radius();
+      const uint64_t relation = rng.UniformU64(3);
+      const size_t face = rng.UniformU64(d);
+      for (size_t i = 0; i < d; ++i) {
+        cq[i] = quarter(-4.0, 4.0);
+        ca[i] = cq[i] + quarter(-3.0, 3.0);
+        if (relation == 0) {  // separated: Sb's box well clear of Sa's
+          cb[i] = ca[i] + ra + rb + quarter(1.0, 20.0);
+        } else if (relation == 1) {  // touching: one shared face
+          cb[i] = i == face ? ca[i] + ra + rb : ca[i] + quarter(-2.0, 2.0);
+        } else {  // overlapping
+          cb[i] = ca[i] + quarter(-1.0, 1.0);
+        }
+      }
+      const Hypersphere sq(cq, rq), sa(ca, ra), sb(cb, rb);
+      const bool reference =
+          RectDominates(Mbr::FromSphere(sa), Mbr::FromSphere(sb),
+                        Mbr::FromSphere(sq));
+      EXPECT_EQ(RectDominatesSpheres(sa.view(), sb.view(), sq.view()),
+                reference)
+          << "d=" << d << " relation=" << relation << " "
+          << Mbr::FromSphere(sa).ToString() << " "
+          << Mbr::FromSphere(sb).ToString() << " "
+          << Mbr::FromSphere(sq).ToString();
+      // Both forms must also agree with the swapped roles.
+      EXPECT_EQ(RectDominatesSpheres(sb.view(), sa.view(), sq.view()),
+                RectDominates(Mbr::FromSphere(sb), Mbr::FromSphere(sa),
+                              Mbr::FromSphere(sq)))
+          << "d=" << d << " relation=" << relation << " swapped";
+      ++(reference ? dominated : not_dominated);
+    }
+    // The draws exercise both decisions at every d.
+    EXPECT_GT(dominated, 20) << "d=" << d;
+    EXPECT_GT(not_dominated, 20) << "d=" << d;
   }
 }
 
